@@ -1,8 +1,8 @@
-//! `serve_bench` — E16: request latency through the two TCP front-ends
-//! (readiness-driven poll loop vs legacy thread-per-connection) at
-//! several concurrency levels, plus the sharded-cluster path (client →
-//! router → 3-node ring, one forward hop per uncached request),
-//! recorded as `BENCH_serve.json`.
+//! `serve_bench` — E16: request latency through the TCP front-end (the
+//! readiness-driven poll loop) at several concurrency levels, directly
+//! and through the sharded-cluster path (client → router → 3-node ring,
+//! one forward hop per uncached request), recorded as
+//! `BENCH_serve.json`.
 //!
 //! ```bash
 //! cargo run --release -p secflow-bench --bin serve_bench [-- --quick]
@@ -14,8 +14,7 @@
 //! source pool, so after the first pass the result cache answers and
 //! the certify cost itself stays out of the measurement. The JSON
 //! records the host's core count next to every row: on a 1-core host
-//! both front-ends serialize and the poll loop's advantage is bounded
-//! to what one core can show.
+//! the clients, the loop and the workers all share that core.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -23,7 +22,7 @@ use std::time::{Duration, Instant};
 
 use secflow_lang::print_program;
 use secflow_server::{
-    bind_ephemeral, serve_listener, serve_tcp, ClusterConfig, FrontEnd, Op, Request, ServerConfig,
+    bind_ephemeral, serve_listener, serve_tcp, ClusterConfig, Op, Request, ServerConfig,
 };
 use secflow_workload::sequential_chain;
 
@@ -48,23 +47,17 @@ fn main() {
 
     println!("# serve_bench — {cores} host core(s), {per_client} reqs/client\n");
     let mut rows = Vec::new();
-    for front_end in [FrontEnd::Poll, FrontEnd::Threaded] {
-        let name = match front_end {
-            FrontEnd::Poll => "poll",
-            FrontEnd::Threaded => "threaded",
-        };
-        let mut points = Vec::new();
-        for &clients in &CLIENTS {
-            let point = run_level(front_end, clients, per_client, &sources);
-            println!(
-                "{name:9} clients={clients:<3} {:>6} reqs  p50={:>5}us  p99={:>6}us  {:>8.0} req/s",
-                point.requests, point.p50_us, point.p99_us, point.reqs_per_sec
-            );
-            points.push(point);
-        }
-        println!();
-        rows.push((name, points));
+    let mut points = Vec::new();
+    for &clients in &CLIENTS {
+        let point = run_level(clients, per_client, &sources);
+        println!(
+            "{:9} clients={clients:<3} {:>6} reqs  p50={:>5}us  p99={:>6}us  {:>8.0} req/s",
+            "poll", point.requests, point.p50_us, point.p99_us, point.reqs_per_sec
+        );
+        points.push(point);
     }
+    println!();
+    rows.push(("poll", points));
 
     // The cluster column: same lockstep clients, but every request
     // crosses the router and (when uncached) one forward hop to its
@@ -86,11 +79,10 @@ fn main() {
     println!("wrote BENCH_serve.json");
 }
 
-/// One front-end × concurrency cell: fresh server, `clients` lockstep
+/// One direct concurrency cell: fresh server, `clients` lockstep
 /// connections, every per-request latency pooled for the percentiles.
-fn run_level(front_end: FrontEnd, clients: usize, per_client: usize, sources: &[String]) -> Point {
+fn run_level(clients: usize, per_client: usize, sources: &[String]) -> Point {
     let cfg = ServerConfig {
-        front_end,
         workers: 4,
         queue_capacity: 512,
         cache_capacity: 4096,
@@ -227,7 +219,7 @@ fn render_json(
     out.push_str(&format!("  \"host_cores\": {cores},\n"));
     out.push_str(&format!("  \"quick\": {quick},\n"));
     out.push_str(&format!("  \"requests_per_client\": {per_client},\n"));
-    out.push_str("  \"front_ends\": [\n");
+    out.push_str("  \"columns\": [\n");
     for (i, (name, points)) in rows.iter().enumerate() {
         out.push_str("    {\n");
         out.push_str(&format!("      \"name\": \"{name}\",\n"));

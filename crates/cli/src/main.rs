@@ -59,7 +59,7 @@ USAGE:
                   [--max-fuel N] [--default-timeout-ms N] [--max-line-bytes N]
                   [--max-threads N] [--chaos SPEC] [--cache-dir DIR]
                   [--journal-max-bytes N] [--fsync always|interval|never]
-                  [--front-end poll|threaded] [--pipeline-window N]
+                  [--pipeline-window N]
                   [--write-high-water BYTES] [--idle-timeout-ms N]
                   [--stall-timeout-ms N] (no --addr: serve stdin/stdout)
                   [--sync-from HOST:PORT] [--peers a,b,c --advertise
@@ -83,7 +83,8 @@ EXIT CODES:
   0  success (certified / proof checks / no interference / no lint errors)
   1  analysis failure: parse error, REJECTED certification or proof,
      interference witness, or error-severity lint diagnostics
-  2  usage error (unknown command, bad flag, unreadable file, ...)
+  2  usage error (unknown command, unknown or bad flag, unreadable
+     file, ...)
 
 `serve` speaks a JSON-lines protocol; see DESIGN.md (Serving) for the
 request/response format. `lint` runs the secflow-analyze passes and
@@ -91,9 +92,11 @@ prints unified SF-code diagnostics (one JSON object per line with
 --json). `serve --chaos` takes a deterministic fault-plan spec such as
 `seed=7,panic=5,io=20,latency=50,latency_ms=2,short=10,stall=5,drop_connects=3,max_faults=40`
 (per-mille rates; also read from the SECFLOW_CHAOS env var).
-TCP serving defaults to the readiness-driven poll front-end (pipelined
-requests, bounded in-flight window, stall/idle timeouts, slow-reader
-disconnects); `--front-end threaded` restores thread-per-connection.
+TCP serving runs one readiness-driven poll loop (pipelined requests,
+bounded in-flight window, stall/idle timeouts, slow-reader
+disconnects; `--write-high-water` bounds a client's unread backlog,
+not the size of one reply). Each command accepts only the flags listed
+above; `serve`, `router` and `batch` share the serve tuning flags.
 `serve --cache-dir DIR` journals every cached result to DIR and
 recovers it on restart (crash-safe; see DESIGN.md §10). The directory
 must already exist and be writable. `cache-inspect` scans a store
@@ -196,17 +199,20 @@ struct Opts {
     flags: BTreeMap<String, Vec<String>>,
 }
 
-fn parse_opts(args: &[String]) -> Result<Opts, String> {
+/// Parses `args` for a subcommand that reads exactly the flags in
+/// `known`; any other flag is a usage error, so a typo such as
+/// `--cachedir` fails loudly instead of being ignored.
+fn parse_opts(args: &[String], known: &[&str]) -> Result<Opts, String> {
     let mut file = None;
     let mut flags: BTreeMap<String, Vec<String>> = BTreeMap::new();
     let mut i = 0;
     while i < args.len() {
         let a = &args[i];
         if let Some(name) = a.strip_prefix("--") {
-            let takes_value = !matches!(
-                name,
-                "baseline" | "trace" | "dot" | "json" | "por" | "no-por"
-            );
+            if !known.contains(&name) {
+                return Err(format!("unknown flag `--{name}`; try `secflow help`"));
+            }
+            let takes_value = !matches!(name, "baseline" | "trace" | "dot" | "json" | "no-por");
             if takes_value {
                 i += 1;
                 let v = args
@@ -634,7 +640,10 @@ impl SchemeOps for LinearOps {
 // ---- commands -----------------------------------------------------------
 
 fn cmd_certify(args: &[String]) -> Result<ExitCode, CliError> {
-    let opts = parse_opts(args)?;
+    let opts = parse_opts(
+        args,
+        &["class", "default", "lattice", "baseline", "emit-proof"],
+    )?;
     let (program, source) = load_program(opts.file()?)?;
     let classes = parse_pairs(&program, opts.values("class"))?;
     let (ok, report) = with_scheme(&opts, |ops| {
@@ -656,7 +665,7 @@ fn cmd_certify(args: &[String]) -> Result<ExitCode, CliError> {
 }
 
 fn cmd_prove(args: &[String]) -> Result<ExitCode, CliError> {
-    let opts = parse_opts(args)?;
+    let opts = parse_opts(args, &["class", "default", "lattice", "emit"])?;
     let (program, _) = load_program(opts.file()?)?;
     let classes = parse_pairs(&program, opts.values("class"))?;
     let (ok, report) = with_scheme(&opts, |ops| {
@@ -676,7 +685,7 @@ fn cmd_prove(args: &[String]) -> Result<ExitCode, CliError> {
 }
 
 fn cmd_checkproof(args: &[String]) -> Result<ExitCode, CliError> {
-    let opts = parse_opts(args)?;
+    let opts = parse_opts(args, &["proof", "lattice", "json"])?;
     let (program, source) = load_program(opts.file()?)?;
     let proof_path = opts.value("proof").ok_or("missing --proof <file>")?;
     let proof_text = std::fs::read_to_string(proof_path)
@@ -764,7 +773,7 @@ fn parse_inputs(program: &Program, opts: &Opts) -> Result<Vec<(VarId, i64)>, Str
 }
 
 fn cmd_run(args: &[String]) -> Result<ExitCode, CliError> {
-    let opts = parse_opts(args)?;
+    let opts = parse_opts(args, &["input", "seed", "fuel", "trace"])?;
     let (program, _) = load_program(opts.file()?)?;
     let inputs = parse_inputs(&program, &opts)?;
     let fuel: usize = opts.value("fuel").map_or(Ok(1_000_000), |v| {
@@ -793,7 +802,10 @@ fn cmd_run(args: &[String]) -> Result<ExitCode, CliError> {
 }
 
 fn cmd_explore(args: &[String]) -> Result<ExitCode, CliError> {
-    let opts = parse_opts(args)?;
+    let opts = parse_opts(
+        args,
+        &["input", "max-states", "no-por", "timeout-ms", "threads"],
+    )?;
     let (program, _) = load_program(opts.file()?)?;
     let inputs = parse_inputs(&program, &opts)?;
     let mut limits = ExploreLimits::default();
@@ -853,7 +865,7 @@ fn cmd_explore(args: &[String]) -> Result<ExitCode, CliError> {
 }
 
 fn cmd_leaktest(args: &[String]) -> Result<ExitCode, CliError> {
-    let opts = parse_opts(args)?;
+    let opts = parse_opts(args, &["secret", "observe", "values"])?;
     let (program, _) = load_program(opts.file()?)?;
     let secret_name = opts.value("secret").ok_or("missing --secret")?;
     let secret = program
@@ -919,7 +931,7 @@ fn cmd_leaktest(args: &[String]) -> Result<ExitCode, CliError> {
 }
 
 fn cmd_infer(args: &[String]) -> Result<ExitCode, CliError> {
-    let opts = parse_opts(args)?;
+    let opts = parse_opts(args, &["pin", "lattice"])?;
     let (program, _) = load_program(opts.file()?)?;
     let pins = parse_pairs(&program, opts.values("pin"))?;
     let (ok, report) = with_scheme(&opts, |ops| ops.infer_report(&program, &pins))?;
@@ -932,7 +944,7 @@ fn cmd_infer(args: &[String]) -> Result<ExitCode, CliError> {
 }
 
 fn cmd_flows(args: &[String]) -> Result<ExitCode, CliError> {
-    let opts = parse_opts(args)?;
+    let opts = parse_opts(args, &["class", "default", "dot"])?;
     let (program, _) = load_program(opts.file()?)?;
     let graph = FlowGraph::of(&program);
     if opts.has("dot") {
@@ -956,7 +968,7 @@ fn cmd_flows(args: &[String]) -> Result<ExitCode, CliError> {
 }
 
 fn cmd_atomicity(args: &[String]) -> Result<ExitCode, CliError> {
-    let opts = parse_opts(args)?;
+    let opts = parse_opts(args, &[])?;
     let (program, source) = load_program(opts.file()?)?;
     let report = check_atomicity(&program);
     print!("{}", report.render(&source));
@@ -968,7 +980,7 @@ fn cmd_atomicity(args: &[String]) -> Result<ExitCode, CliError> {
 }
 
 fn cmd_lint(args: &[String]) -> Result<ExitCode, CliError> {
-    let opts = parse_opts(args)?;
+    let opts = parse_opts(args, &["json", "threads"])?;
     let target = opts.file()?.to_string();
     let json = opts.has("json");
     let threads: usize = opts
@@ -1024,6 +1036,32 @@ fn cmd_lint(args: &[String]) -> Result<ExitCode, CliError> {
     })
 }
 
+/// The flags [`server_config`] reads: `serve`, `router` and `batch` all
+/// accept them.
+const SERVER_FLAGS: &[&str] = &[
+    "workers",
+    "queue",
+    "cache",
+    "max-fuel",
+    "default-timeout-ms",
+    "max-line-bytes",
+    "max-threads",
+    "pipeline-window",
+    "write-high-water",
+    "idle-timeout-ms",
+    "stall-timeout-ms",
+    "chaos",
+    "cache-dir",
+    "journal-max-bytes",
+    "fsync",
+    "peers",
+    "advertise",
+    "max-hops",
+    "peer-timeout-ms",
+    "replication",
+    "sync-from",
+];
+
 fn server_config(opts: &Opts) -> Result<secflow_server::ServerConfig, String> {
     let mut cfg = secflow_server::ServerConfig::default();
     if let Some(v) = opts.value("workers") {
@@ -1046,13 +1084,6 @@ fn server_config(opts: &Opts) -> Result<secflow_server::ServerConfig, String> {
     }
     if let Some(v) = opts.value("max-threads") {
         cfg.limits.max_threads = v.parse().map_err(|_| "bad --max-threads")?;
-    }
-    if let Some(v) = opts.value("front-end") {
-        cfg.front_end = match v {
-            "poll" => secflow_server::FrontEnd::Poll,
-            "threaded" => secflow_server::FrontEnd::Threaded,
-            _ => return Err("bad --front-end (poll | threaded)".to_string()),
-        };
     }
     if let Some(v) = opts.value("pipeline-window") {
         let window: usize = v.parse().map_err(|_| "bad --pipeline-window")?;
@@ -1170,7 +1201,7 @@ fn validated_cache_dir(dir: &str) -> Result<PathBuf, String> {
 }
 
 fn cmd_serve(args: &[String]) -> Result<ExitCode, CliError> {
-    let opts = parse_opts(args)?;
+    let opts = parse_opts(args, &[SERVER_FLAGS, &["addr"]].concat())?;
     let cfg = server_config(&opts)?;
     if let Some(cluster) = cfg.cluster.as_ref().filter(|c| !c.peers.is_empty()) {
         // A sharded node must know its own shard; a router (self_addr
@@ -1224,7 +1255,7 @@ fn cmd_serve(args: &[String]) -> Result<ExitCode, CliError> {
 /// config that owns no shard, so every request is forwarded to its
 /// ring owner — and re-routed to a successor when the owner is down.
 fn cmd_router(args: &[String]) -> Result<ExitCode, CliError> {
-    let opts = parse_opts(args)?;
+    let opts = parse_opts(args, &[SERVER_FLAGS, &["addr"]].concat())?;
     if opts.has("advertise") || opts.has("sync-from") {
         return Err("a router owns no shard; --advertise/--sync-from are for `serve`".into());
     }
@@ -1251,7 +1282,7 @@ fn cmd_router(args: &[String]) -> Result<ExitCode, CliError> {
 /// it), 2 on bad usage.
 fn cmd_cluster_status(args: &[String]) -> Result<ExitCode, CliError> {
     use secflow_server::Json;
-    let opts = parse_opts(args)?;
+    let opts = parse_opts(args, &["peers", "peer-timeout-ms", "json"])?;
     let peers = peer_list(&opts)?.ok_or("cluster-status needs --peers HOST:PORT,...")?;
     let timeout_ms: u64 = opts.value("peer-timeout-ms").map_or(Ok(2_000), |v| {
         v.parse().map_err(|_| "bad --peer-timeout-ms")
@@ -1355,7 +1386,7 @@ fn cmd_cluster_status(args: &[String]) -> Result<ExitCode, CliError> {
 /// sequential pass converges the whole cluster.
 fn cmd_repair(args: &[String]) -> Result<ExitCode, CliError> {
     use secflow_server::Json;
-    let opts = parse_opts(args)?;
+    let opts = parse_opts(args, &["peers", "peer-timeout-ms", "json"])?;
     let peers = peer_list(&opts)?.ok_or("repair needs --peers HOST:PORT,...")?;
     if peers.len() < 2 {
         return Err("repair needs at least two --peers".into());
@@ -1465,7 +1496,7 @@ fn cmd_repair(args: &[String]) -> Result<ExitCode, CliError> {
 /// is CRC-clean, 1 when corruption was skipped (analysis failure), 2 on
 /// a missing/unreadable directory (usage error).
 fn cmd_cache_inspect(args: &[String]) -> Result<ExitCode, CliError> {
-    let opts = parse_opts(args)?;
+    let opts = parse_opts(args, &["json"])?;
     let dir = opts.file()?;
     let report = secflow_server::inspect_store(std::path::Path::new(dir))
         .map_err(|e| CliError::Usage(format!("cannot inspect `{dir}`: {e}")))?;
@@ -1504,7 +1535,14 @@ fn cmd_cache_inspect(args: &[String]) -> Result<ExitCode, CliError> {
 }
 
 fn cmd_batch(args: &[String]) -> Result<ExitCode, CliError> {
-    let opts = parse_opts(args)?;
+    let opts = parse_opts(
+        args,
+        &[
+            SERVER_FLAGS,
+            &["class", "default", "lattice", "remote", "retries"],
+        ]
+        .concat(),
+    )?;
     let dir = opts.file()?;
     let cfg = server_config(&opts)?;
     let mut classes = Vec::new();
@@ -1554,7 +1592,19 @@ fn cmd_batch(args: &[String]) -> Result<ExitCode, CliError> {
 /// JSON-lines request. The latter is what the CI timeout smoke pipes
 /// into `secflow serve`.
 fn cmd_gen(args: &[String]) -> Result<ExitCode, CliError> {
-    let opts = parse_opts(args)?;
+    let opts = parse_opts(
+        args,
+        &[
+            "chain",
+            "vars",
+            "philosophers",
+            "meals",
+            "indep",
+            "steps",
+            "request",
+            "timeout-ms",
+        ],
+    )?;
     let source = match (
         opts.value("chain"),
         opts.value("philosophers"),
@@ -1612,7 +1662,7 @@ fn cmd_gen(args: &[String]) -> Result<ExitCode, CliError> {
 }
 
 fn cmd_fig3(args: &[String]) -> Result<ExitCode, CliError> {
-    let opts = parse_opts(args)?;
+    let opts = parse_opts(args, &["x"])?;
     let x: i64 = opts
         .value("x")
         .map_or(Ok(0), |v| v.parse().map_err(|_| "bad --x".to_string()))?;

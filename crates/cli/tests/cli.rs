@@ -430,6 +430,25 @@ fn serve_with_unwritable_cache_dir_is_a_usage_error() {
 }
 
 #[test]
+fn unknown_flags_are_usage_errors_that_name_the_flag() {
+    // A typo must not serve memory-only, and a removed flag must not be
+    // silently ignored.
+    let dir = std::env::temp_dir();
+    for args in [
+        ["serve", "--cachedir", dir.to_str().unwrap()],
+        ["serve", "--front-end", "threaded"],
+    ] {
+        let out = secflow(&args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let err = String::from_utf8_lossy(&out.stderr).into_owned();
+        assert!(
+            err.contains(&format!("unknown flag `{}`", args[1])),
+            "{err}"
+        );
+    }
+}
+
+#[test]
 fn persistence_flags_require_cache_dir() {
     let out = secflow(&["serve", "--fsync", "always"]);
     assert_eq!(out.status.code(), Some(2));

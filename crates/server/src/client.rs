@@ -16,8 +16,8 @@
 //! sleep, capped), which spreads synchronized retry storms apart. The
 //! jitter RNG is deterministic per client (seeded), so tests reproduce.
 
-use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
+use std::io::{self, BufRead, BufReader, Write};
+use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
 use crate::fault::splitmix64;
@@ -169,7 +169,7 @@ impl RemoteClient {
                 std::thread::sleep(backoff.next_delay());
             }
             self.attempts += 1;
-            match self.attempt(&line) {
+            match exchange(&self.addr, &line, self.policy.io_timeout) {
                 Ok(response) => match classify(&response) {
                     Verdict::Done => return Ok(response),
                     Verdict::Transient(why) => last = why,
@@ -177,45 +177,13 @@ impl RemoteClient {
                         return Err(ClientError::Permanent { kind, message })
                     }
                 },
-                Err(why) => last = why,
+                Err(e) => last = e.to_string(),
             }
         }
         Err(ClientError::BudgetExhausted {
             attempts: budget,
             last,
         })
-    }
-
-    /// One connect-send-receive attempt. Any IO failure (including a
-    /// response with no trailing newline — a connection killed
-    /// mid-line) is a transient error string.
-    fn attempt(&self, line: &str) -> Result<String, String> {
-        let stream = TcpStream::connect(&self.addr).map_err(|e| format!("connect: {e}"))?;
-        stream
-            .set_read_timeout(self.policy.io_timeout)
-            .map_err(|e| format!("set timeout: {e}"))?;
-        stream
-            .set_write_timeout(self.policy.io_timeout)
-            .map_err(|e| format!("set timeout: {e}"))?;
-        let mut writer = stream.try_clone().map_err(|e| format!("clone: {e}"))?;
-        writer
-            .write_all(line.as_bytes())
-            .and_then(|_| writer.write_all(b"\n"))
-            .and_then(|_| writer.flush())
-            .map_err(|e| format!("send: {e}"))?;
-        let mut reader = BufReader::new(stream);
-        let mut response = String::new();
-        let n = reader
-            .read_line(&mut response)
-            .map_err(|e| format!("receive: {e}"))?;
-        if n == 0 || !response.ends_with('\n') {
-            return Err("connection closed mid-response".to_string());
-        }
-        response.truncate(response.trim_end().len());
-        if response.is_empty() {
-            return Err("empty response line".to_string());
-        }
-        Ok(response)
     }
 }
 
@@ -298,13 +266,8 @@ impl PipelinedClient {
         if pending.is_empty() {
             return Ok(());
         }
-        let stream = TcpStream::connect(&self.addr).map_err(|e| format!("connect: {e}"))?;
-        stream
-            .set_read_timeout(self.policy.io_timeout)
-            .map_err(|e| format!("set timeout: {e}"))?;
-        stream
-            .set_write_timeout(self.policy.io_timeout)
-            .map_err(|e| format!("set timeout: {e}"))?;
+        let stream =
+            open(&self.addr, self.policy.io_timeout).map_err(|e| format!("connect: {e}"))?;
         let mut writer = stream.try_clone().map_err(|e| format!("clone: {e}"))?;
         let mut reader = BufReader::new(stream);
         let mut next = 0; // cursor into `pending` not yet sent
@@ -358,110 +321,53 @@ impl PipelinedClient {
     }
 }
 
-/// A cluster-aware client: routes each request to the node owning its
-/// cache fingerprint (client-side consistent hashing — no router hop),
-/// falling over to the ring successors when the owner is unreachable.
-/// The fallback node forwards to (or computes for) the key itself, so
-/// a dead owner costs latency, not answers.
-///
-/// Routing uses [`route_fingerprint`](crate::service::route_fingerprint)
-/// — the same hash the servers shard on — so a healthy cluster serves
-/// every call from the shard that owns (or will own) its cache entry.
-///
-/// The client runs its own [`HealthTracker`]: nodes that exhaust their
-/// retry budget repeatedly are skipped at routing time (unless every
-/// node is DOWN, when the walk fails open to the full list — a client
-/// with a stale detector must still try *something*). Two permanent
-/// kinds get cluster-aware handling: `max_hops_exhausted` means "this
-/// node's view of the ring loops", so the walk advances to the next
-/// preference node instead of giving up — the answering node was
-/// healthy, only the route was bad.
-pub struct ClusterClient {
-    ring: crate::ring::HashRing,
-    policy: RetryPolicy,
-    health: crate::health::HealthTracker,
-    /// Per-call node attempts across all calls (for tests/telemetry).
-    attempts: u64,
+/// One request/reply exchange on a fresh connection, shared by
+/// [`RemoteClient`] and the cluster's peer calls: send `line` and a
+/// newline, read one reply line. A reply cut off before its newline is
+/// an `UnexpectedEof` error, never a short answer.
+pub(crate) fn exchange(addr: &str, line: &str, timeout: Option<Duration>) -> io::Result<String> {
+    let mut stream = open(addr, timeout)?;
+    stream.write_all(line.as_bytes())?;
+    stream.write_all(b"\n")?;
+    stream.flush()?;
+    let mut reply = String::new();
+    BufReader::new(stream).read_line(&mut reply)?;
+    if !reply.ends_with('\n') {
+        return Err(io::Error::new(
+            io::ErrorKind::UnexpectedEof,
+            "connection closed mid-reply",
+        ));
+    }
+    reply.truncate(reply.trim_end().len());
+    Ok(reply)
 }
 
-impl ClusterClient {
-    /// A client over the cluster members `nodes` (`host:port` each).
-    pub fn new<S: AsRef<str>>(nodes: &[S], policy: RetryPolicy) -> ClusterClient {
-        ClusterClient {
-            ring: crate::ring::HashRing::new(nodes),
-            health: crate::health::HealthTracker::new(nodes, policy.seed ^ 0xC11E),
-            policy,
-            attempts: 0,
-        }
-    }
-
-    /// The ring this client routes on.
-    pub fn ring(&self) -> &crate::ring::HashRing {
-        &self.ring
-    }
-
-    /// The client's private failure detector (for tests/telemetry).
-    pub fn health(&self) -> &crate::health::HealthTracker {
-        &self.health
-    }
-
-    /// Total node-level call attempts across all calls so far.
-    pub fn attempts(&self) -> u64 {
-        self.attempts
-    }
-
-    /// Sends `req` to the owner of its fingerprint, walking the ring's
-    /// preference list (each node tried under the full retry policy)
-    /// until one answers or every node's budget is spent. DOWN nodes
-    /// are skipped unless the detector has lost everyone.
-    pub fn call(&mut self, req: &Request) -> Result<String, ClientError> {
-        let hash = crate::service::route_fingerprint(req);
-        let all: Vec<String> = self
-            .ring
-            .preference_list(hash, self.ring.len())
-            .into_iter()
-            .map(str::to_string)
-            .collect();
-        let up: Vec<String> = all
-            .iter()
-            .filter(|a| !self.health.is_down(a))
-            .cloned()
-            .collect();
-        let prefs = if up.is_empty() { all } else { up };
-        let mut last = "empty ring".to_string();
-        for addr in prefs {
-            self.attempts += 1;
-            let mut node = RemoteClient::new(&addr, self.policy);
-            match node.call(req) {
-                Ok(line) => {
-                    self.health.record_success(&addr);
-                    return Ok(line);
-                }
-                // The node answered (it is alive) but refused to route:
-                // its forward chain hit the hop budget. The next
-                // preference node may own the key outright.
-                Err(ClientError::Permanent {
-                    kind: ErrorKind::MaxHopsExhausted,
-                    message,
-                }) => {
-                    self.health.record_success(&addr);
-                    last = format!("{addr}: max hops exhausted ({message})");
-                }
-                Err(ClientError::Permanent { kind, message }) => {
-                    self.health.record_success(&addr);
-                    return Err(ClientError::Permanent { kind, message });
-                }
-                Err(ClientError::BudgetExhausted { last: why, .. }) => {
-                    self.health.record_failure(&addr);
-                    last = format!("{addr}: {why}");
-                }
+/// Connects to each address `addr` resolves to in turn, as
+/// [`TcpStream::connect`] does (so `localhost:PORT` works), with
+/// `timeout` bounding the connect and every later read and write
+/// (`None` blocks).
+fn open(addr: &str, timeout: Option<Duration>) -> io::Result<TcpStream> {
+    let mut last = None;
+    for sockaddr in addr.to_socket_addrs()? {
+        let connected = match timeout {
+            Some(timeout) => TcpStream::connect_timeout(&sockaddr, timeout),
+            None => TcpStream::connect(sockaddr),
+        };
+        match connected {
+            Ok(stream) => {
+                stream.set_read_timeout(timeout)?;
+                stream.set_write_timeout(timeout)?;
+                return Ok(stream);
             }
+            Err(e) => last = Some(e),
         }
-        Err(ClientError::BudgetExhausted {
-            attempts: self.policy.budget.max(1),
-            last,
-        })
     }
+    Err(last.unwrap_or_else(|| {
+        io::Error::new(
+            io::ErrorKind::InvalidInput,
+            format!("`{addr}` has no address"),
+        )
+    }))
 }
 
 /// The request index a reply line answers, when it carries one.
@@ -591,33 +497,6 @@ mod tests {
             other => panic!("expected budget exhaustion, got {other:?}"),
         }
         assert_eq!(client.attempts(), 2);
-    }
-
-    #[test]
-    fn cluster_client_opens_circuits_and_fails_open_when_all_down() {
-        let nodes = ["127.0.0.1:1", "127.0.0.1:2"];
-        let mut client = ClusterClient::new(
-            &nodes,
-            RetryPolicy {
-                budget: 1,
-                base: Duration::from_millis(1),
-                cap: Duration::from_millis(2),
-                io_timeout: Some(Duration::from_millis(100)),
-                seed: 5,
-            },
-        );
-        let req = Request::new(crate::protocol::Op::Stats, "");
-        // Every call walks both (dead) nodes, charging each a failure.
-        for _ in 0..crate::health::DEFAULT_FAILURE_THRESHOLD {
-            assert!(client.call(&req).is_err());
-        }
-        assert!(client.health().is_down(nodes[0]));
-        assert!(client.health().is_down(nodes[1]));
-        // With everyone DOWN the walk fails open: both are still tried
-        // rather than the call failing without a single attempt.
-        let before = client.attempts();
-        assert!(client.call(&req).is_err());
-        assert_eq!(client.attempts() - before, nodes.len() as u64);
     }
 
     #[test]

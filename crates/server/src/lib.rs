@@ -7,12 +7,15 @@
 //! provides that service, std-only:
 //!
 //! - [`protocol`]: a hand-rolled JSON-lines request/response format
-//!   (`certify`, `infer`, `flows`, `stats`, `shutdown`), served over
-//!   stdin/stdout ([`serve_stdio`]) or TCP ([`serve_tcp`]);
-//! - [`conn`] / [`poller`]: the readiness-driven TCP front-end — a
-//!   resumable line decoder and per-connection state machine, driven by
-//!   a single nonblocking poll loop with pipelining, bounded in-flight
-//!   windows, stall/idle timeouts, and slow-reader disconnects;
+//!   with six program ops (`certify`, `infer`, `flows`, `lint`,
+//!   `explore`, `checkproof`), two service ops (`stats`, `shutdown`)
+//!   and five peer ops (`forward`, `peer-sync`, `ping`, `replicate`,
+//!   `repair`), served over stdin/stdout ([`serve_stdio`]) or TCP
+//!   ([`serve_tcp`]);
+//! - [`conn`] / [`poller`]: the TCP front-end — a resumable line
+//!   decoder and per-connection state machine, driven by a single
+//!   nonblocking poll loop with pipelining, bounded in-flight windows,
+//!   stall/idle timeouts, and slow-reader disconnects;
 //! - [`pool`]: a supervised, bounded worker pool (`std::thread` +
 //!   `mpsc`) with fail-fast backpressure, per-job panic isolation,
 //!   automatic respawn of dead workers, a deadline watchdog, and
@@ -21,7 +24,8 @@
 //!   polled cooperatively by the long-running searches;
 //! - [`client`]: a retrying TCP client (exponential backoff with
 //!   decorrelated jitter, bounded attempt budget, retryable/permanent
-//!   error taxonomy) used by `secflow batch --remote`;
+//!   error taxonomy) used by `secflow batch --remote`, over the one
+//!   request/reply exchange that peer calls use too;
 //! - [`fault`]: deterministic, seeded chaos injection behind a
 //!   zero-cost trait — worker panics, IO errors, short reads/writes,
 //!   latency, dropped connections, all bounded by a fault fuse;
@@ -98,7 +102,7 @@ pub use secflow_cert::json;
 
 pub use batch::{render_summary, run_batch, run_batch_remote, BatchSummary, FileOutcome};
 pub use cache::{fnv1a, CacheKey, CachedResult, ResultCache};
-pub use client::{Backoff, ClientError, ClusterClient, PipelinedClient, RemoteClient, RetryPolicy};
+pub use client::{Backoff, ClientError, PipelinedClient, RemoteClient, RetryPolicy};
 pub use conn::{Conn, ConnToken, Decoded, LineDecoder};
 pub use deadline::{deadline_after_ms, CancelToken};
 pub use fault::{ChaosStream, FaultKind, FaultPlan, Faults, NoFaults};
@@ -111,9 +115,7 @@ pub use persist::{DurableStore, FsyncMode, PersistConfig, PersistStats, Recovere
 pub use pool::{Pool, PoolHealth, SubmitError};
 pub use protocol::{ErrorKind, Op, Request, Response};
 pub use ring::HashRing;
-pub use serve::{
-    bind_ephemeral, serve_listener, serve_stdio, serve_tcp, FrontEnd, ServerConfig, TcpServer,
-};
+pub use serve::{bind_ephemeral, serve_listener, serve_stdio, serve_tcp, ServerConfig, TcpServer};
 pub use service::{route_fingerprint, Limits, Service};
 pub use snapshot::{
     carries_certificate, inspect_store, publish_snapshot, render_report, StoreReport,

@@ -1,6 +1,7 @@
 //! Peer plumbing for the sharded cluster: topology configuration, the
-//! one-shot peer call used by forwarding, and the `peer-sync` client
-//! that warm-starts a cold node from a loaded peer's cache.
+//! routed peer call (over the client's one request/reply exchange), and
+//! the `peer-sync` client that warm-starts a cold node from a loaded
+//! peer's cache.
 //!
 //! The cluster has no membership protocol and no coordinator — every
 //! node (and every router) is handed the same static member list and
@@ -13,12 +14,12 @@
 //! (`peer-sync` op) so it never re-explores work the cluster already
 //! paid for. See `DESIGN.md` §14 for the invariants.
 
-use std::io::{self, BufRead, BufReader, Write};
-use std::net::{TcpStream, ToSocketAddrs};
+use std::io;
 use std::sync::Arc;
 use std::time::Duration;
 
 use crate::cache::{canon_hash, CacheKey};
+use crate::client::exchange;
 use crate::fault::Faults;
 use crate::health::HealthTracker;
 use crate::json::Json;
@@ -209,7 +210,7 @@ impl ClusterState {
                 format!("chaos: partitioned from {addr}"),
             ));
         }
-        match call(addr, line, self.peer_timeout()) {
+        match exchange(addr, line, Some(self.peer_timeout())) {
             Ok(reply) => {
                 self.health.record_success(addr);
                 Ok(reply)
@@ -220,32 +221,6 @@ impl ClusterState {
             }
         }
     }
-}
-
-/// One-shot peer call: connect, send one request line, read one reply
-/// line. Every socket phase is bounded by `timeout` so a dead or
-/// stalled peer costs one timeout, not a stuck worker.
-pub(crate) fn call(addr: &str, line: &str, timeout: Duration) -> io::Result<String> {
-    let sockaddr = addr
-        .to_socket_addrs()?
-        .next()
-        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, format!("bad addr {addr}")))?;
-    let mut stream = TcpStream::connect_timeout(&sockaddr, timeout)?;
-    stream.set_read_timeout(Some(timeout))?;
-    stream.set_write_timeout(Some(timeout))?;
-    stream.write_all(line.as_bytes())?;
-    stream.write_all(b"\n")?;
-    stream.flush()?;
-    let mut reply = String::new();
-    let mut reader = BufReader::new(stream);
-    let n = reader.read_line(&mut reply)?;
-    if n == 0 {
-        return Err(io::Error::new(
-            io::ErrorKind::UnexpectedEof,
-            "peer closed before replying",
-        ));
-    }
-    Ok(reply.trim_end().to_string())
 }
 
 /// What one [`sync_from_peer`] run did.
@@ -278,7 +253,7 @@ pub fn sync_from_peer(service: &Service, peer: &str, timeout: Duration) -> io::R
         let mut req = Request::new(Op::PeerSync, "");
         req.cursor = Some(cursor);
         req.limit = Some(256);
-        let reply = call(peer, &req.to_line(), timeout)?;
+        let reply = exchange(peer, &req.to_line(), Some(timeout))?;
         let v = Json::parse(&reply).map_err(|e| {
             io::Error::new(io::ErrorKind::InvalidData, format!("bad sync reply: {e}"))
         })?;

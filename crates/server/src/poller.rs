@@ -1,4 +1,4 @@
-//! The readiness-driven TCP front-end: one poll loop, zero
+//! The TCP front-end: one readiness-driven poll loop, zero
 //! per-connection threads.
 //!
 //! Every socket (the listener included) runs nonblocking; a single loop
@@ -16,7 +16,7 @@
 //! tick made no progress. That trades a sub-millisecond of idle latency
 //! for zero dependencies.
 //!
-//! Robustness properties, over and above the blocking front-end:
+//! Robustness properties:
 //!
 //! - **Pipelining with bounded windows.** A connection may have up to
 //!   [`ServerConfig::pipeline_window`] requests in flight; replies are
@@ -27,10 +27,11 @@
 //!   timeout (or idle past the idle timeout with nothing pending) is
 //!   closed and counted in `conn.stalled_closed`. A stalled client can
 //!   never block progress on other connections: it owns no thread.
-//! - **Slow-reader disconnects.** Replies buffer per connection up to
-//!   [`ServerConfig::write_high_water`]; past that the backlog is
-//!   dropped and the client is sent a structured `overloaded` error and
-//!   disconnected (`conn.rejected_overloaded`).
+//! - **Slow-reader disconnects.** Once a connection leaves more than
+//!   [`ServerConfig::write_high_water`] bytes of replies unread, the
+//!   next reply drops that backlog, and the client is sent a structured
+//!   `overloaded` error and disconnected (`conn.rejected_overloaded`).
+//!   A client that keeps up receives a reply of any size.
 //! - **Descriptor exhaustion.** `EMFILE`/`ENFILE` from `accept` backs
 //!   the accept loop off briefly instead of killing the server.
 //! - **Drain on shutdown.** A `shutdown` request is acked immediately
@@ -243,7 +244,9 @@ impl<F: Faults + Clone> Loop<'_, F> {
     /// Routes one completed reply line to its connection's write
     /// buffer. Stale tokens (the connection died while its request ran)
     /// drop the line; the global `expected` count still goes down, so
-    /// shutdown drain never waits on a ghost.
+    /// shutdown drain never waits on a ghost. The high-water mark is
+    /// checked against the backlog queued *before* this line, so memory
+    /// stays under the mark plus one reply.
     fn deliver(&mut self, token: ConnToken, line: String) {
         self.expected = self.expected.saturating_sub(1);
         let Some(conn) = self.slots.get_mut(token.slot).and_then(Option::as_mut) else {
@@ -253,11 +256,12 @@ impl<F: Faults + Clone> Loop<'_, F> {
             return;
         }
         conn.inflight = conn.inflight.saturating_sub(1);
-        conn.enqueue_line(&line);
         if conn.wbuf.len() > self.cfg.write_high_water {
             Metrics::bump(&self.service.metrics.conn_rejected_overloaded);
             conn.overload_disconnect();
+            return;
         }
+        conn.enqueue_line(&line);
     }
 
     /// One service pass over every live connection: flush, dispatch

@@ -1,18 +1,16 @@
 //! The server front-ends: a stdin/stdout pipe server and a TCP server
-//! (readiness-driven poll loop by default — see [`crate::poller`] — or
-//! the legacy thread-per-connection mode via [`FrontEnd::Threaded`]).
+//! (the poll loop of [`crate::poller`]). Both speak the JSON-lines
+//! protocol and share one [`Service`] and one [`Pool`]:
 //!
-//! All of them speak the JSON-lines protocol and share one [`Service`]
-//! and one [`Pool`]:
-//!
-//! - `certify`/`infer`/`flows`/`lint`/`explore` are queued to the pool;
+//! - every op but `stats`, `ping` and `shutdown` is queued to the pool;
 //!   when the queue is full the request is refused immediately with an
 //!   `overloaded` error instead of growing an unbounded backlog. Each
 //!   queued job carries its request's deadline, so the pool's watchdog
 //!   can spot workers stuck past it.
-//! - `stats` is answered on the connection thread, bypassing the queue,
-//!   so the service stays observable under load. The response includes
-//!   the supervisor's pool-health counters (`pool.restarts` etc.).
+//! - `stats` and `ping` are answered inline, bypassing the queue, so the
+//!   service stays observable (and visible to peers' failure detectors)
+//!   under load. `stats` includes the supervisor's pool-health counters
+//!   (`pool.restarts` etc.).
 //! - `shutdown` stops intake, drains everything already accepted, and
 //!   exits. Pipelined responses may arrive out of order; correlate by
 //!   `id`.
@@ -29,21 +27,20 @@
 //!   chaos), the guard's `Drop` runs during unwind and sends an
 //!   `internal` error, so clients never hang on a vanished request.
 //! - **Deterministic chaos.** When [`ServerConfig::chaos`] holds a
-//!   [`FaultPlan`], the accept loop, the per-connection streams, and
-//!   the dispatch path consult it for injected connection drops, IO
-//!   errors, short reads/writes, latency, and worker panics. With the
-//!   default `chaos: None` every hook is [`NoFaults`], which inlines to
-//!   constant `false`s — production pays nothing.
+//!   [`FaultPlan`], the poll loop and the dispatch path consult it for
+//!   injected connection drops, IO errors, short reads, stalls,
+//!   latency, and worker panics. With the default `chaos: None` every
+//!   hook is [`NoFaults`], which inlines to constant `false`s —
+//!   production pays nothing.
 
-use std::io::{self, BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::io::{self, BufRead, Write};
+use std::net::{SocketAddr, TcpListener};
 use std::sync::{mpsc, Arc};
 use std::thread;
 use std::time::Duration;
 
 use crate::conn::{Decoded, LineDecoder};
-use crate::fault::{ChaosStream, FaultPlan, Faults, NoFaults};
+use crate::fault::{FaultPlan, Faults, NoFaults};
 use crate::hints::{HintStore, DEFAULT_HINT_BYTES};
 use crate::json::Json;
 use crate::metrics::Metrics;
@@ -52,22 +49,6 @@ use crate::persist::{DurableStore, PersistConfig};
 use crate::pool::{Pool, PoolHealth, SubmitError};
 use crate::protocol::{ErrorKind, Op, Request, Response};
 use crate::service::{Limits, Service};
-
-/// Which TCP connection front-end serves the sockets.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum FrontEnd {
-    /// The readiness-driven poll loop (the default): every socket is
-    /// nonblocking, one loop owns accept/read/write over a slab of
-    /// connection state machines, and concurrency is bounded by work,
-    /// not threads. Supports pipelining, per-connection backpressure,
-    /// stall/idle timeouts, and slow-reader disconnects.
-    Poll,
-    /// The legacy thread-per-connection front-end with blocking reads.
-    /// Kept for differential benchmarking (`BENCH_serve.json`) and as a
-    /// fallback; it enforces none of the poll loop's stall or
-    /// write-buffer limits.
-    Threaded,
-}
 
 /// Tunables for a server instance.
 #[derive(Clone, Debug)]
@@ -89,13 +70,13 @@ pub struct ServerConfig {
     /// Durable cache store configuration (`--cache-dir`); `None` (the
     /// default) serves memory-only.
     pub persist: Option<PersistConfig>,
-    /// Which TCP front-end to run ([`FrontEnd::Poll`] by default).
-    pub front_end: FrontEnd,
     /// Most requests one connection may have in flight before the poll
     /// loop pauses reading it (backpressure, never dropped requests).
     pub pipeline_window: usize,
-    /// Bytes of unwritten replies one connection may buffer before it
-    /// is disconnected with a structured `overloaded` error.
+    /// Bytes of unwritten replies one connection may leave buffered;
+    /// a reply arriving on a larger backlog disconnects it with a
+    /// structured `overloaded` error. One reply of any size still
+    /// reaches a reader that keeps up.
     pub write_high_water: usize,
     /// Milliseconds a connection may sit with no request in flight and
     /// no partial line before the poll loop closes it (0 disables).
@@ -121,7 +102,6 @@ impl Default for ServerConfig {
             max_line_bytes: 1 << 20,
             chaos: None,
             persist: None,
-            front_end: FrontEnd::Poll,
             pipeline_window: 64,
             write_high_water: 1 << 20,
             idle_timeout_ms: 120_000,
@@ -169,14 +149,11 @@ fn build_service<F: Faults + Clone>(cfg: &ServerConfig, faults: &F) -> io::Resul
     Ok(service)
 }
 
-/// How often blocked connection reads wake up to check for shutdown.
-const READ_POLL: Duration = Duration::from_millis(100);
-
-/// Where a dispatched request's reply line goes. The thread-per-conn
-/// and stdio front-ends sink into a plain channel drained by a writer
-/// thread; the poll loop sinks into a channel tagged with the owning
-/// connection's token. Either way the sink is infallible from the job's
-/// point of view — a vanished reader just drops the line.
+/// Where a dispatched request's reply line goes. The stdio front-end
+/// sinks into a plain channel drained by a writer thread; the poll loop
+/// sinks into a channel tagged with the owning connection's token.
+/// Either way the sink is infallible from the job's point of view — a
+/// vanished reader just drops the line.
 pub(crate) trait ReplySink: Clone + Send + 'static {
     /// Delivers one complete response line (no trailing newline).
     fn send_line(&self, line: String);
@@ -358,15 +335,13 @@ enum LineRead {
     Eof,
     /// The line exceeded the cap; it was discarded through its newline.
     TooLong,
-    /// The shutdown flag was raised while waiting for bytes.
-    Shutdown,
 }
 
 /// Reads one newline-terminated line into `line` (cleared first),
 /// refusing to buffer more than `max` bytes: an over-long line is
 /// discarded up to and including its newline and reported as
-/// [`LineRead::TooLong`], so the connection stays in sync at a bounded
-/// memory cost. `WouldBlock`/`TimedOut` reads poll `shutdown`.
+/// [`LineRead::TooLong`], so the stream stays in sync at a bounded
+/// memory cost.
 ///
 /// This is the blocking driver over the resumable [`LineDecoder`] — the
 /// poll loop drives the same decoder directly from nonblocking reads,
@@ -375,14 +350,10 @@ fn read_bounded_line<R: BufRead>(
     reader: &mut R,
     line: &mut Vec<u8>,
     max: usize,
-    shutdown: &AtomicBool,
 ) -> io::Result<LineRead> {
     line.clear();
     let mut decoder = LineDecoder::new(max);
     loop {
-        if shutdown.load(Ordering::Acquire) {
-            return Ok(LineRead::Shutdown);
-        }
         let buf = match reader.fill_buf() {
             Ok(buf) => buf,
             Err(e)
@@ -448,15 +419,14 @@ fn serve_stdio_with<F: Faults + Clone>(cfg: ServerConfig, faults: F) -> io::Resu
         }
     });
 
-    let never = AtomicBool::new(false);
     let stdin = io::stdin();
     let mut reader = stdin.lock();
     let mut line = Vec::new();
     let mut got_shutdown = false;
     let mut shutdown_id = None;
     loop {
-        match read_bounded_line(&mut reader, &mut line, cfg.max_line_bytes, &never)? {
-            LineRead::Eof | LineRead::Shutdown => break,
+        match read_bounded_line(&mut reader, &mut line, cfg.max_line_bytes)? {
+            LineRead::Eof => break,
             LineRead::TooLong => {
                 Metrics::bump(&service.metrics.errors);
                 let _ = reply_tx.send(oversized_line_error(cfg.max_line_bytes));
@@ -572,153 +542,37 @@ fn serve_listener_with<F: Faults + Clone>(
     if cfg.cluster.is_some() {
         spawn_health_loop(&service);
     }
-    if cfg.front_end == FrontEnd::Poll {
-        let handle = thread::Builder::new()
-            .name("secflow-poll".to_string())
-            .spawn(move || crate::poller::run(listener, cfg, service, faults))
-            .expect("spawn poll thread");
-        return Ok(TcpServer {
-            addr: local,
-            handle,
-        });
-    }
-    let shutdown = Arc::new(AtomicBool::new(false));
     let handle = thread::Builder::new()
-        .name("secflow-accept".to_string())
-        .spawn(move || {
-            let pool = Pool::new(cfg.workers, cfg.queue_capacity);
-            thread::scope(|scope| {
-                for conn in listener.incoming() {
-                    if shutdown.load(Ordering::Acquire) {
-                        break;
-                    }
-                    let Ok(stream) = conn else { continue };
-                    // Injected connection drop: close it before a single
-                    // byte is exchanged; clients should retry.
-                    if faults.drop_connection() {
-                        continue;
-                    }
-                    let service = &service;
-                    let pool = &pool;
-                    let shutdown = &shutdown;
-                    let faults = &faults;
-                    let max_line_bytes = cfg.max_line_bytes;
-                    scope.spawn(move || {
-                        let _ = handle_conn(
-                            stream,
-                            service,
-                            pool,
-                            shutdown,
-                            local,
-                            faults,
-                            max_line_bytes,
-                        );
-                    });
-                }
-                // Scope exit waits for every connection thread, whose
-                // replies in turn wait for their in-flight jobs.
-            });
-            pool.shutdown();
-        })
-        .expect("spawn accept thread");
+        .name("secflow-poll".to_string())
+        .spawn(move || crate::poller::run(listener, cfg, service, faults))
+        .expect("spawn poll thread");
     Ok(TcpServer {
         addr: local,
         handle,
     })
 }
 
-fn handle_conn<F: Faults + Clone>(
-    stream: TcpStream,
-    service: &Arc<Service>,
-    pool: &Pool,
-    shutdown: &AtomicBool,
-    self_addr: SocketAddr,
-    faults: &F,
-    max_line_bytes: usize,
-) -> io::Result<()> {
-    stream.set_read_timeout(Some(READ_POLL))?;
-    stream.set_nodelay(true).ok();
-    let write_half = stream.try_clone()?;
-    let (reply_tx, reply_rx) = mpsc::channel::<String>();
-    let writer_faults = faults.clone();
-    let writer = thread::spawn(move || {
-        let mut out = io::BufWriter::new(ChaosStream::new(write_half, &writer_faults));
-        for line in reply_rx {
-            if writeln!(out, "{line}").and_then(|()| out.flush()).is_err() {
-                break;
-            }
-        }
-    });
-
-    let reader_faults = faults.clone();
-    let mut reader = BufReader::new(ChaosStream::new(stream, &reader_faults));
-    let mut line = Vec::new();
-    loop {
-        match read_bounded_line(&mut reader, &mut line, max_line_bytes, shutdown) {
-            Ok(LineRead::Eof) | Ok(LineRead::Shutdown) => break,
-            Ok(LineRead::TooLong) => {
-                Metrics::bump(&service.metrics.errors);
-                let _ = reply_tx.send(oversized_line_error(max_line_bytes));
-            }
-            Ok(LineRead::Line) => {
-                let text = String::from_utf8_lossy(&line);
-                let trimmed = text.trim();
-                if !trimmed.is_empty()
-                    && matches!(
-                        dispatch(trimmed, service, pool, &reply_tx, faults),
-                        Dispatched::Shutdown
-                    )
-                {
-                    // Shutdown: stop the accept loop, acknowledge, and
-                    // poke the (blocking) listener awake.
-                    let id = Request::parse(trimmed).ok().and_then(|r| r.id);
-                    shutdown.store(true, Ordering::Release);
-                    let _ = reply_tx.send(
-                        Response::ok(id.as_ref(), Op::Shutdown)
-                            .field("draining", Json::Bool(true))
-                            .into_line(),
-                    );
-                    let _ = TcpStream::connect(self_addr);
-                    break;
-                }
-            }
-            Err(_) => break,
-        }
-    }
-
-    // Dropping our sender leaves only in-flight jobs' clones; the
-    // writer exits once those responses have been written.
-    drop(reply_tx);
-    let _ = writer.join();
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn never() -> AtomicBool {
-        AtomicBool::new(false)
-    }
 
     #[test]
     fn bounded_reader_accepts_lines_within_the_cap() {
         let data = b"hello\nworld\r\n";
         let mut reader = io::Cursor::new(&data[..]);
         let mut line = Vec::new();
-        let stop = never();
         assert!(matches!(
-            read_bounded_line(&mut reader, &mut line, 16, &stop).unwrap(),
+            read_bounded_line(&mut reader, &mut line, 16).unwrap(),
             LineRead::Line
         ));
         assert_eq!(line, b"hello");
         assert!(matches!(
-            read_bounded_line(&mut reader, &mut line, 16, &stop).unwrap(),
+            read_bounded_line(&mut reader, &mut line, 16).unwrap(),
             LineRead::Line
         ));
         assert_eq!(line, b"world", "CR is stripped");
         assert!(matches!(
-            read_bounded_line(&mut reader, &mut line, 16, &stop).unwrap(),
+            read_bounded_line(&mut reader, &mut line, 16).unwrap(),
             LineRead::Eof
         ));
     }
@@ -731,14 +585,13 @@ mod tests {
         // A tiny BufReader capacity forces the multi-chunk discard path.
         let mut reader = io::BufReader::with_capacity(8, io::Cursor::new(data));
         let mut line = Vec::new();
-        let stop = never();
         assert!(matches!(
-            read_bounded_line(&mut reader, &mut line, 32, &stop).unwrap(),
+            read_bounded_line(&mut reader, &mut line, 32).unwrap(),
             LineRead::TooLong
         ));
         assert!(line.is_empty(), "no oversized bytes are retained");
         assert!(matches!(
-            read_bounded_line(&mut reader, &mut line, 32, &stop).unwrap(),
+            read_bounded_line(&mut reader, &mut line, 32).unwrap(),
             LineRead::Line
         ));
         assert_eq!(line, b"ok", "stream resynchronizes at the newline");
@@ -749,14 +602,13 @@ mod tests {
         let data = b"abcd\nabcde\n";
         let mut reader = io::Cursor::new(&data[..]);
         let mut line = Vec::new();
-        let stop = never();
         assert!(matches!(
-            read_bounded_line(&mut reader, &mut line, 4, &stop).unwrap(),
+            read_bounded_line(&mut reader, &mut line, 4).unwrap(),
             LineRead::Line
         ));
         assert_eq!(line, b"abcd");
         assert!(matches!(
-            read_bounded_line(&mut reader, &mut line, 4, &stop).unwrap(),
+            read_bounded_line(&mut reader, &mut line, 4).unwrap(),
             LineRead::TooLong
         ));
     }

@@ -594,7 +594,7 @@ impl Service {
         let ping_line = Request::new(Op::Ping, "").to_line();
         let reply = match &self.cluster {
             Some(cluster) => cluster.call_peer(peer, &ping_line),
-            None => crate::peer::call(peer, &ping_line, timeout),
+            None => crate::client::exchange(peer, &ping_line, Some(timeout)),
         };
         let reply = match reply {
             Ok(reply) => reply,
@@ -2465,6 +2465,41 @@ mod tests {
         let v2 = Json::parse(&s.handle_line(&at_budget)).unwrap();
         assert_eq!(v2.get("ok").and_then(Json::as_bool), Some(true));
         assert_eq!(v2.get("certified").and_then(Json::as_bool), Some(true));
+    }
+
+    /// `forward` carries program ops only. Every control and peer op
+    /// inside it is refused with a `protocol` error naming the op, and
+    /// counted: a wrapped `shutdown` would let any peer kill the node.
+    #[test]
+    fn forward_refuses_every_non_program_op() {
+        let s = svc();
+        let nested = format!(
+            r#"{{"op":"forward","req":{}}}"#,
+            Json::Str(line(LEAKY, "{}"))
+        );
+        for inner in [
+            r#"{"op":"stats"}"#,
+            r#"{"op":"shutdown"}"#,
+            &nested,
+            r#"{"op":"peer-sync"}"#,
+            r#"{"op":"ping"}"#,
+            r#"{"op":"replicate","payload":"{}"}"#,
+            r#"{"op":"repair","peer":"127.0.0.1:1"}"#,
+        ] {
+            let name = Request::parse(inner).unwrap().op.name();
+            let outer = format!(
+                r#"{{"op":"forward","req":{}}}"#,
+                Json::Str(inner.to_string())
+            );
+            let errors = s.metrics.errors.load(Relaxed);
+            let v = Json::parse(&s.handle_line(&outer)).unwrap();
+            let error = v.get("error").expect("a refusal");
+            assert_eq!(error.get("kind").and_then(Json::as_str), Some("protocol"));
+            let message = error.get("message").and_then(Json::as_str).unwrap();
+            assert!(message.contains(&format!("`{name}`")), "{name}: {message}");
+            assert_eq!(s.metrics.errors.load(Relaxed), errors + 1, "{name}");
+        }
+        assert_eq!(s.cache_len(), 0, "nothing was computed or cached");
     }
 
     #[test]

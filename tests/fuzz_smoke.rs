@@ -19,7 +19,7 @@ use secflow::workload::{generate, GenConfig};
 /// success) every analysis pass; on failure, render the diagnostic
 /// against the exact source that produced it (the renderer slices the
 /// source by spans, so it fuzzes span arithmetic too).
-fn front_end_smoke(source: &str) {
+fn parse_and_lint_smoke(source: &str) {
     match parse(source) {
         Ok(program) => {
             let report = analyze(&program);
@@ -43,7 +43,7 @@ proptest! {
     /// multibyte, straight through the pipeline.
     #[test]
     fn character_soup_never_panics(source in ".{0,200}") {
-        front_end_smoke(&source);
+        parse_and_lint_smoke(&source);
     }
 
     /// Raw bytes (including invalid UTF-8) as a lossy string — the
@@ -51,7 +51,7 @@ proptest! {
     #[test]
     fn arbitrary_bytes_never_panic(bytes in proptest::collection::vec(0u8..=255u8, 0..256)) {
         let source = String::from_utf8_lossy(&bytes);
-        front_end_smoke(&source);
+        parse_and_lint_smoke(&source);
     }
 
     /// Truncating a valid generated program at every possible char
@@ -63,7 +63,7 @@ proptest! {
         let source = print_program(&generate(&cfg, seed));
         let cut = cut.min(source.len());
         if source.is_char_boundary(cut) {
-            front_end_smoke(&source[..cut]);
+            parse_and_lint_smoke(&source[..cut]);
         }
     }
 
@@ -87,7 +87,7 @@ proptest! {
             .chain(replacement.chars().collect::<Vec<_>>().iter())
             .chain(chars[pos + 1..].iter())
             .collect();
-        front_end_smoke(&mutated);
+        parse_and_lint_smoke(&mutated);
     }
 
     /// Character soup as a certificate: the validator returns a

@@ -1,15 +1,18 @@
 //! End-to-end tests of the certification service over real TCP
 //! connections: concurrency, cache hits observable via `stats`,
-//! malformed requests, fuel limits, overload shedding, and graceful
-//! shutdown draining in-flight work.
+//! malformed requests, fuel limits, overload shedding, the write
+//! high-water mark, and graceful shutdown draining in-flight work.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::sync::{Arc, Barrier};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use secflow::lang::print_program;
-use secflow::server::{serve_tcp, Json, Limits, ServerConfig, TcpServer};
+use secflow::server::{
+    serve_tcp, Json, Limits, Op, RemoteClient, Request, RetryPolicy, ServerConfig, Service,
+    TcpServer,
+};
 use secflow::workload::sequential_chain;
 
 struct Client {
@@ -332,4 +335,105 @@ fn shutdown_drains_in_flight_work() {
 
     // And the listener is actually gone.
     assert!(TcpStream::connect(addr).is_err(), "port still accepting");
+}
+
+fn rejected_overloaded(server: &TcpServer) -> u64 {
+    let line = RemoteClient::new(&server.local_addr().to_string(), RetryPolicy::default())
+        .call(&Request::new(Op::Stats, ""))
+        .expect("stats");
+    let stats = Json::parse(&line).expect("stats parses");
+    stats
+        .get("conn")
+        .and_then(|c| c.get("rejected_overloaded"))
+        .and_then(Json::as_u64)
+        .expect("stats carries conn.rejected_overloaded")
+}
+
+/// Drops `us` (elapsed time) and `cached` (where the answer came from,
+/// not what it is) so replies compare byte-for-byte.
+fn strip_timing(line: &str) -> String {
+    let Ok(Json::Obj(fields)) = Json::parse(line) else {
+        panic!("reply is not a JSON object: {line}");
+    };
+    Json::Obj(
+        fields
+            .into_iter()
+            .filter(|(k, _)| k != "us" && k != "cached")
+            .collect(),
+    )
+    .to_string()
+}
+
+/// The write high-water mark bounds the backlog a client leaves unread,
+/// not the size of one reply. A lockstep reader gets a with-proof reply
+/// four times the mark, whole; a client that pipelines such requests
+/// and never reads is cut off with exactly one `overloaded` line.
+#[test]
+fn write_high_water_bounds_the_unread_backlog_not_one_reply() {
+    let high_water = 64 * 1024;
+    let server = serve_tcp(
+        "127.0.0.1:0",
+        ServerConfig {
+            write_high_water: high_water,
+            ..config(2, 128)
+        },
+    )
+    .unwrap();
+    let request = format!(
+        r#"{{"id":1,"op":"certify","source":{},"with_proof":true}}"#,
+        Json::Str(chain_source(100))
+    );
+    let reference = Service::new(16, Limits::default());
+    let expected = strip_timing(&reference.handle_line(&request));
+    assert!(
+        expected.len() > 4 * high_water,
+        "the reply outgrows the mark"
+    );
+
+    // A prompt reader: computed once, then served from the cache.
+    let mut client = Client::connect(&server);
+    for _ in 0..2 {
+        client.send(&request);
+        let mut reply = String::new();
+        client.reader.read_line(&mut reply).expect("reply");
+        let got = strip_timing(reply.trim_end());
+        assert!(
+            got == expected,
+            "a {}-byte reply differs from the oracle's: {}",
+            reply.len(),
+            &got[..got.len().min(200)]
+        );
+    }
+    assert_eq!(rejected_overloaded(&server), 0);
+
+    // A slow reader: 48 pipelined requests (13 MB of replies, more than
+    // the kernel buffers) sent in one write, then nothing read until
+    // the server has given up on it.
+    let slow = TcpStream::connect(server.local_addr()).expect("connect");
+    slow.set_read_timeout(Some(Duration::from_secs(60)))
+        .unwrap();
+    let batch: String = (0..48).map(|_| format!("{request}\n")).collect();
+    (&slow).write_all(batch.as_bytes()).expect("send batch");
+    let deadline = Instant::now() + Duration::from_secs(60);
+    while rejected_overloaded(&server) == 0 {
+        assert!(
+            Instant::now() < deadline,
+            "the slow reader was never cut off"
+        );
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    let mut received = Vec::new();
+    (&slow).read_to_end(&mut received).expect("drain to EOF");
+    let goodbyes: Vec<&[u8]> = received
+        .split(|&b| b == b'\n')
+        .filter(|line| line.windows(12).any(|w| w == b"\"overloaded\""))
+        .collect();
+    assert_eq!(goodbyes.len(), 1, "exactly one overloaded line");
+    let goodbye = Json::parse(std::str::from_utf8(goodbyes[0]).unwrap()).unwrap();
+    assert_eq!(goodbye.get("ok").and_then(Json::as_bool), Some(false));
+    assert_eq!(rejected_overloaded(&server), 1);
+
+    client.send(r#"{"op":"shutdown"}"#);
+    client.recv().unwrap();
+    server.join().unwrap();
 }
