@@ -1,7 +1,7 @@
 //! The §2.0 atomicity side-condition as an analysis pass (SF040).
 //!
 //! The actual check lives in [`secflow_core::check_atomicity`]; since
-//! its violations are already unified [`Diag`](secflow_lang::Diag)s,
+//! its violations are already unified [`Diag`]s,
 //! this pass only forwards them into the shared sink.
 
 use secflow_lang::{Diag, Program};

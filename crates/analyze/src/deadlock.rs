@@ -164,7 +164,7 @@ pub fn deadlock_analysis(program: &Program, max_states: usize) -> DeadlockReport
 const CANCEL_POLL_STATES: usize = 256;
 
 /// [`deadlock_analysis`] with a cooperative cancellation hook, polled
-/// every [`CANCEL_POLL_STATES`] popped states. A `true` return abandons
+/// every `CANCEL_POLL_STATES` popped states. A `true` return abandons
 /// the exploration with `cancelled` (and `truncated`) set.
 pub fn deadlock_analysis_with(
     program: &Program,

@@ -113,10 +113,11 @@ warm-starts a cold node by shipping a peer's journal over `peer-sync`.
 `cluster-status` polls each member's `stats` and tabulates the cluster
 counters, per-node health and shard digests. `serve --replication N`
 pushes every freshly computed result to the N-1 ring successors of its
-owner; writes owed to a DOWN replica queue in a bounded hint journal
-and are redelivered when it recovers. `repair` runs one round of
-pairwise anti-entropy (digest compare + journal pull) across the
-member list and exits 0 only when every shard digest converged.
+owner; a push owed to a DOWN replica is skipped, and when a probe
+readmits that replica the primary asks it to `repair` from the
+primary. `repair` runs one round of pairwise anti-entropy (digest
+compare + journal pull) across the member list and exits 0 only when
+every shard digest converged.
 ";
 
 /// A CLI failure, split along the exit-code convention: `Usage` exits 2
@@ -1297,8 +1298,8 @@ fn cmd_cluster_status(args: &[String]) -> Result<ExitCode, CliError> {
     let mut down = 0usize;
     if !json {
         println!(
-            "{:<22} {:>8} {:>8} {:>9} {:>9} {:>6} {:>6} {:>17}",
-            "NODE", "REQS", "HITS", "FORWARDS", "FWD_HITS", "RING", "HINTS", "DIGEST"
+            "{:<22} {:>8} {:>8} {:>9} {:>9} {:>6} {:>17}",
+            "NODE", "REQS", "HITS", "FORWARDS", "FWD_HITS", "RING", "DIGEST"
         );
     }
     for peer in &peers {
@@ -1324,13 +1325,6 @@ fn cmd_cluster_status(args: &[String]) -> Result<ExitCode, CliError> {
                                     .unwrap_or(Json::Str(String::new())),
                             ),
                             (
-                                "hints_pending".to_string(),
-                                cluster
-                                    .get("hints_pending")
-                                    .cloned()
-                                    .unwrap_or(Json::Num(0.0)),
-                            ),
-                            (
                                 "peers".to_string(),
                                 cluster.get("peers").cloned().unwrap_or(Json::Arr(vec![])),
                             ),
@@ -1339,14 +1333,13 @@ fn cmd_cluster_status(args: &[String]) -> Result<ExitCode, CliError> {
                     );
                 } else {
                     println!(
-                        "{:<22} {:>8} {:>8} {:>9} {:>9} {:>6} {:>6} {:>17}",
+                        "{:<22} {:>8} {:>8} {:>9} {:>9} {:>6} {:>17}",
                         peer,
                         n(&stats, "requests"),
                         n(&stats, "cache_hits"),
                         n(&cluster, "forwards"),
                         n(&cluster, "forward_hits"),
                         n(&cluster, "hash_ring_size"),
-                        n(&cluster, "hints_pending"),
                         cluster
                             .get("shard_digest")
                             .and_then(Json::as_str)

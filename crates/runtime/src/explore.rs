@@ -132,7 +132,7 @@ pub fn explore(program: &Program, inputs: &[(VarId, i64)], limits: ExploreLimits
 const CANCEL_POLL_STATES: usize = 256;
 
 /// [`explore`] with a cooperative cancellation hook: `should_stop` is
-/// polled every [`CANCEL_POLL_STATES`] expanded states, and a `true`
+/// polled every `CANCEL_POLL_STATES` expanded states, and a `true`
 /// return abandons the search with `cancelled` (and `truncated`) set.
 pub fn explore_with(
     program: &Program,

@@ -276,7 +276,7 @@ impl<'p> Machine<'p> {
     }
 
     /// `true` iff `pid`'s next step is a loop-guard *re-test*
-    /// ([`Frame::LoopHead`]). Re-testing a guard is the machine's only
+    /// (`Frame::LoopHead`). Re-testing a guard is the machine's only
     /// back edge — every other step executes a not-yet-executed node of
     /// the program tree — so any cycle in the state graph contains at
     /// least one such step by every process that moves along it. The

@@ -1,7 +1,7 @@
 //! Deterministic, seeded fault injection ("chaos mode").
 //!
-//! A [`FaultPlan`] makes the server misbehave *on purpose* — IO errors,
-//! artificial latency, worker panics, short reads/writes at the TCP
+//! A [`FaultPlan`] makes the server misbehave *on purpose* — read
+//! errors, artificial latency, worker panics, short reads at the TCP
 //! framing layer, dropped connection attempts — so the robustness
 //! machinery (supervision, deadlines, the retrying client) can be
 //! exercised in tests and CI instead of waiting for production to do
@@ -21,31 +21,7 @@
 //! and monomorphizes against [`NoFaults`], whose hooks are all
 //! constant-`false` inlines.
 
-use std::io::{self, Read, Write};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
-
-/// Where a fault can be injected.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum FaultKind {
-    /// Fail a read/write with `ErrorKind::Other`.
-    Io,
-    /// Sleep before serving a request.
-    Latency,
-    /// Panic inside the worker running a job.
-    Panic,
-    /// Truncate a read/write to 1 byte (short IO at the framing layer).
-    ShortIo,
-    /// Drop an accepted connection before reading anything.
-    DropConnect,
-    /// Stall a connection's reads for one poll tick (slowloris-style).
-    Stall,
-    /// Tear a journal append in half (crash mid-`write(2)`).
-    TornWrite,
-    /// Skip an fsync the configured durability mode required.
-    ShortFsync,
-    /// Drop an outbound peer call before it leaves (network partition).
-    Partition,
-}
 
 /// Fault-injection hooks consulted by the serve path. Implementations
 /// must be cheap and thread-safe; every hook answers "inject here?".
@@ -59,10 +35,7 @@ pub trait Faults: Send + Sync + 'static {
     /// Fail this stream read with an IO error?
     fn read_error(&self) -> bool;
 
-    /// Fail this stream write with an IO error?
-    fn write_error(&self) -> bool;
-
-    /// Truncate this read/write to a single byte?
+    /// Truncate this read to a single byte?
     fn short_io(&self) -> bool;
 
     /// Drop this freshly-accepted connection?
@@ -111,10 +84,6 @@ impl<F: Faults> Faults for std::sync::Arc<F> {
         (**self).read_error()
     }
 
-    fn write_error(&self) -> bool {
-        (**self).write_error()
-    }
-
     fn short_io(&self) -> bool {
         (**self).short_io()
     }
@@ -161,11 +130,6 @@ impl Faults for NoFaults {
     }
 
     #[inline(always)]
-    fn write_error(&self) -> bool {
-        false
-    }
-
-    #[inline(always)]
     fn short_io(&self) -> bool {
         false
     }
@@ -207,7 +171,7 @@ pub struct FaultPlan {
     /// Fuse: total faults to inject before going quiet (ensures
     /// convergence). `u64::MAX` = unlimited.
     pub max_faults: u64,
-    /// Per-mille probability of an IO error per read/write.
+    /// Per-mille probability of an IO error per read.
     pub io_error_per_mille: u32,
     /// Per-mille probability of latency injection per request.
     pub latency_per_mille: u32,
@@ -215,7 +179,7 @@ pub struct FaultPlan {
     pub latency_ms: u64,
     /// Per-mille probability of a worker panic per job.
     pub panic_per_mille: u32,
-    /// Per-mille probability of truncating an IO op to 1 byte.
+    /// Per-mille probability of truncating a read to 1 byte.
     pub short_io_per_mille: u32,
     /// Per-mille probability of a connection stalling (delivering
     /// nothing) for one poll tick.
@@ -350,10 +314,6 @@ impl Faults for FaultPlan {
         self.roll(self.io_error_per_mille)
     }
 
-    fn write_error(&self) -> bool {
-        self.roll(self.io_error_per_mille)
-    }
-
     fn short_io(&self) -> bool {
         self.roll(self.short_io_per_mille)
     }
@@ -395,54 +355,6 @@ pub(crate) fn splitmix64(mut z: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
     z ^ (z >> 31)
-}
-
-/// A stream wrapper that injects IO faults per the plan: errors and
-/// 1-byte short reads/writes, which exercise every resynchronization
-/// path in the line framing.
-pub struct ChaosStream<'a, S, F: Faults> {
-    inner: S,
-    faults: &'a F,
-}
-
-impl<'a, S, F: Faults> ChaosStream<'a, S, F> {
-    /// Wraps `inner` with the given fault hooks.
-    pub fn new(inner: S, faults: &'a F) -> ChaosStream<'a, S, F> {
-        ChaosStream { inner, faults }
-    }
-
-    /// The wrapped stream.
-    pub fn get_ref(&self) -> &S {
-        &self.inner
-    }
-}
-
-impl<S: Read, F: Faults> Read for ChaosStream<'_, S, F> {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        if self.faults.read_error() {
-            return Err(io::Error::other("chaos: injected read error"));
-        }
-        if self.faults.short_io() && buf.len() > 1 {
-            return self.inner.read(&mut buf[..1]);
-        }
-        self.inner.read(buf)
-    }
-}
-
-impl<S: Write, F: Faults> Write for ChaosStream<'_, S, F> {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        if self.faults.write_error() {
-            return Err(io::Error::other("chaos: injected write error"));
-        }
-        if self.faults.short_io() && buf.len() > 1 {
-            return self.inner.write(&buf[..1]);
-        }
-        self.inner.write(buf)
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        self.inner.flush()
-    }
 }
 
 #[cfg(test)]
@@ -530,22 +442,10 @@ mod tests {
     }
 
     #[test]
-    fn chaos_stream_injects_short_reads() {
-        let mut plan = FaultPlan::new(3);
-        plan.short_io_per_mille = 1000;
-        let data = b"hello world".to_vec();
-        let mut stream = ChaosStream::new(&data[..], &plan);
-        let mut buf = [0u8; 8];
-        let n = std::io::Read::read(&mut stream, &mut buf).unwrap();
-        assert_eq!(n, 1, "short read must deliver a single byte");
-    }
-
-    #[test]
     fn no_faults_is_quiet() {
         let f = NoFaults;
         assert!(!f.worker_panic());
         assert!(!f.read_error());
-        assert!(!f.write_error());
         assert!(!f.short_io());
         assert!(!f.drop_connection());
         assert!(f.latency().is_none());

@@ -1,15 +1,17 @@
 //! Per-peer failure detection for the cluster: a consecutive-failure
 //! circuit breaker with jittered probe scheduling.
 //!
-//! Every peer call reports its outcome here ([`record_success`] /
+//! Every peer call reports its outcome here
+//! ([`record_success`](HealthTracker::record_success) /
 //! [`record_failure`](HealthTracker::record_failure)). A peer that
 //! fails [`DEFAULT_FAILURE_THRESHOLD`] calls in a row is marked DOWN
 //! and the routing layers stop sending it work — forwarding falls back
-//! to local computation, replication queues hints, the cluster client
-//! advances down the preference list. A background probe loop asks
-//! [`due_probes`](HealthTracker::due_probes) which non-UP peers are
-//! ready for a `ping` and feeds the result back, so a recovered peer
-//! is readmitted without operator action.
+//! to the next replica or to local computation, replication skips it,
+//! and a router walks on down the preference list. A background probe
+//! loop asks [`due_probes`](HealthTracker::due_probes) which non-UP
+//! peers are ready for a `ping` and feeds the result back, so a
+//! recovered peer is readmitted without operator action; a replica
+//! readmitted from DOWN is then asked to `repair` from the prober.
 //!
 //! Probe deadlines use decorrelated jitter (the same shape as the
 //! retry client's backoff): each failure pushes the next probe out to
@@ -126,7 +128,7 @@ impl HealthTracker {
 
     /// A call to `addr` succeeded: close the circuit and stamp
     /// last-seen. Returns `true` when this flipped the peer from DOWN
-    /// to UP (the caller should drain any hints owed to it).
+    /// to UP.
     pub fn record_success(&self, addr: &str) -> bool {
         let mut peers = self.peers.lock().unwrap();
         let state = peers.entry(addr.to_string()).or_insert_with(PeerState::new);

@@ -27,7 +27,7 @@
 //!   error taxonomy) used by `secflow batch --remote`, over the one
 //!   request/reply exchange that peer calls use too;
 //! - [`fault`]: deterministic, seeded chaos injection behind a
-//!   zero-cost trait — worker panics, IO errors, short reads/writes,
+//!   zero-cost trait — worker panics, read errors, short reads,
 //!   latency, dropped connections, all bounded by a fault fuse;
 //! - [`cache`]: a content-addressed result cache keyed by an FNV-1a
 //!   fingerprint of (op, lattice, binding, fuel, source) with exact LRU
@@ -42,11 +42,11 @@
 //!   op that makes any computation happen exactly once cluster-wide,
 //!   and `peer-sync` journal shipping so cold nodes warm-start from a
 //!   loaded peer (`secflow serve --peers`, `secflow router`);
-//! - [`health`] / [`hints`]: the self-healing layer — a per-peer
+//! - [`health`]: the self-healing layer — a per-peer
 //!   consecutive-failure circuit breaker with jittered `ping` probes,
-//!   replica pushes (`serve --replication`), a bounded hinted-handoff
-//!   queue for writes owed to DOWN replicas, and digest-compared
-//!   anti-entropy `repair` as the backstop;
+//!   replica pushes (`serve --replication`) that skip DOWN replicas,
+//!   and digest-compared anti-entropy `repair`, which a node asks of a
+//!   replica the moment its probe readmits it;
 //! - [`metrics`]: request/cache/error counters and a fixed-bucket
 //!   latency histogram, reported by the `stats` request;
 //! - [`batch`]: bulk certification of `*.sf` directories through the
@@ -83,7 +83,6 @@ pub mod conn;
 pub mod deadline;
 pub mod fault;
 pub mod health;
-pub mod hints;
 pub mod metrics;
 pub mod peer;
 pub mod persist;
@@ -105,9 +104,8 @@ pub use cache::{fnv1a, CacheKey, CachedResult, ResultCache};
 pub use client::{Backoff, ClientError, PipelinedClient, RemoteClient, RetryPolicy};
 pub use conn::{Conn, ConnToken, Decoded, LineDecoder};
 pub use deadline::{deadline_after_ms, CancelToken};
-pub use fault::{ChaosStream, FaultKind, FaultPlan, Faults, NoFaults};
+pub use fault::{FaultPlan, Faults, NoFaults};
 pub use health::{HealthTracker, PeerHealth, PeerReport};
-pub use hints::HintStore;
 pub use json::{Json, JsonError};
 pub use metrics::{Metrics, LATENCY_BUCKETS_US};
 pub use peer::{sync_from_peer, ClusterConfig, SyncReport};

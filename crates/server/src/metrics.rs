@@ -101,14 +101,6 @@ pub struct Metrics {
     pub cluster_replicas_sent: AtomicU64,
     /// Verified replica entries this node installed via `replicate`.
     pub cluster_replica_installs: AtomicU64,
-    /// Replica writes queued as hints because the replica was DOWN or
-    /// the push failed.
-    pub cluster_hints_queued: AtomicU64,
-    /// Queued hints later delivered to their recovered replica.
-    pub cluster_hints_delivered: AtomicU64,
-    /// Hints dropped to keep the hint journal inside its byte budget
-    /// (anti-entropy `repair` is the backstop for these).
-    pub cluster_hints_dropped: AtomicU64,
     /// Anti-entropy `repair` rounds that actually pulled entries.
     pub cluster_repairs: AtomicU64,
     latency: [AtomicU64; LATENCY_BUCKETS_US.len() + 1],
@@ -255,12 +247,6 @@ impl Metrics {
                         "replica_installs".to_string(),
                         n(&self.cluster_replica_installs),
                     ),
-                    ("hints_queued".to_string(), n(&self.cluster_hints_queued)),
-                    (
-                        "hints_delivered".to_string(),
-                        n(&self.cluster_hints_delivered),
-                    ),
-                    ("hints_dropped".to_string(), n(&self.cluster_hints_dropped)),
                     ("repairs".to_string(), n(&self.cluster_repairs)),
                 ]),
             ),
@@ -376,9 +362,6 @@ mod tests {
                 "forward_hop_exhausted",
                 "replicas_sent",
                 "replica_installs",
-                "hints_queued",
-                "hints_delivered",
-                "hints_dropped",
                 "repairs",
             ],
             "PR 10 replication counters are additive at the tail"

@@ -5,7 +5,7 @@
 //!
 //! The cluster has no membership protocol and no coordinator — every
 //! node (and every router) is handed the same static member list and
-//! independently builds the same [`HashRing`](crate::ring::HashRing)
+//! independently builds the same [`HashRing`]
 //! over it. Requests are content-addressed by their cache fingerprint,
 //! so "which node owns this request" is a pure function any party can
 //! evaluate. A node that receives a request it does not own forwards it
@@ -131,6 +131,11 @@ impl ClusterState {
         self.config.max_hops
     }
 
+    /// This node's advertised address; `None` for a router.
+    pub(crate) fn self_addr(&self) -> Option<&str> {
+        self.config.self_addr.as_deref()
+    }
+
     pub(crate) fn replication(&self) -> u64 {
         self.config.replication.max(1)
     }
@@ -190,7 +195,7 @@ impl ClusterState {
         if rf <= 1 {
             return Vec::new();
         }
-        let me = self.config.self_addr.as_deref();
+        let me = self.self_addr();
         self.ring
             .preference_list(key_hash, rf)
             .into_iter()
@@ -290,8 +295,8 @@ pub fn sync_from_peer(service: &Service, peer: &str, timeout: Duration) -> io::R
 /// Decodes one shipped journal record payload and verifies its
 /// fingerprint against its canonical text. `None` = reject. This is
 /// the single gate every remotely-sourced entry passes through —
-/// `peer-sync` pulls, `replicate` pushes, and hint drains all verify
-/// here before anything touches the cache.
+/// `peer-sync` pulls (warm starts and `repair`) and `replicate` pushes
+/// both verify here before anything touches the cache.
 pub(crate) fn verified_entry(payload: &str) -> Option<(CacheKey, crate::cache::CachedResult)> {
     let entry = decode_record(payload.as_bytes())?;
     if canon_hash(&entry.key.canon) != Some(entry.key.hash) {

@@ -302,39 +302,6 @@ pub fn scan_frames(bytes: &[u8]) -> ScanOutcome {
     out
 }
 
-/// Scans a frame file whose payloads are opaque to this module (the
-/// hint journal reuses the frame codec around its own payloads). Same
-/// lenience as [`scan_frames`] — CRC-failed frames skip, torn tails
-/// and garbage lengths end the scan — but payloads are returned raw
-/// instead of being decoded as cache records. Returns `(payloads,
-/// skipped)`.
-pub fn scan_raw_frames(bytes: &[u8]) -> (Vec<Vec<u8>>, u64) {
-    let mut payloads = Vec::new();
-    let mut skipped = 0u64;
-    let mut offset = 0usize;
-    while offset < bytes.len() {
-        let remaining = bytes.len() - offset;
-        if remaining < 8 {
-            skipped += 1;
-            break;
-        }
-        let len = u32::from_le_bytes(bytes[offset..offset + 4].try_into().unwrap());
-        let crc = u32::from_le_bytes(bytes[offset + 4..offset + 8].try_into().unwrap());
-        if len > MAX_RECORD_BYTES || (len as usize) > remaining - 8 {
-            skipped += 1;
-            break;
-        }
-        let payload = &bytes[offset + 8..offset + 8 + len as usize];
-        offset += 8 + len as usize;
-        if crc32(payload) != crc {
-            skipped += 1;
-            continue;
-        }
-        payloads.push(payload.to_vec());
-    }
-    (payloads, skipped)
-}
-
 /// Reads and scans one frame file; a missing file is an empty scan.
 pub fn scan_file(path: &Path) -> io::Result<ScanOutcome> {
     let mut bytes = Vec::new();
@@ -646,33 +613,6 @@ mod tests {
         let mut reopened = DurableStore::open(PersistConfig::new(&dir)).unwrap();
         assert_eq!(reopened.drain_recovered().len(), 1);
         assert_eq!(reopened.stats().frames_skipped, 1);
-    }
-
-    #[test]
-    fn raw_frame_scan_returns_opaque_payloads() {
-        let mut file = Vec::new();
-        file.extend_from_slice(&encode_frame(b"not a cache record"));
-        file.extend_from_slice(&encode_frame(b"{\"p\":\"peer\",\"e\":\"x\"}"));
-        let (payloads, skipped) = scan_raw_frames(&file);
-        assert_eq!(skipped, 0);
-        assert_eq!(
-            payloads.len(),
-            2,
-            "payload shape is not this module's business"
-        );
-        assert_eq!(payloads[0], b"not a cache record");
-
-        // Same lenience as the record scan: a flipped byte skips one
-        // frame, a torn tail ends at the valid prefix.
-        let mut flipped = file.clone();
-        flipped[10] ^= 0xFF;
-        let (payloads, skipped) = scan_raw_frames(&flipped);
-        assert_eq!((payloads.len(), skipped), (1, 1));
-        let (payloads, skipped) = scan_raw_frames(&file[..file.len() - 3]);
-        assert_eq!((payloads.len(), skipped), (1, 1));
-        let (payloads, skipped) = scan_raw_frames(&[]);
-        assert!(payloads.is_empty());
-        assert_eq!(skipped, 0);
     }
 
     #[test]

@@ -22,7 +22,7 @@
 //!   discarded up to the next newline and answered with a structured
 //!   `protocol` error, so a hostile client cannot balloon server memory
 //!   by never sending a newline.
-//! - **Panic-safe replies.** Every pooled job holds a [`ReplyGuard`];
+//! - **Panic-safe replies.** Every pooled job holds a `ReplyGuard`;
 //!   if the job panics before replying (a worker bug, or injected
 //!   chaos), the guard's `Drop` runs during unwind and sends an
 //!   `internal` error, so clients never hang on a vanished request.
@@ -41,7 +41,6 @@ use std::time::Duration;
 
 use crate::conn::{Decoded, LineDecoder};
 use crate::fault::{FaultPlan, Faults, NoFaults};
-use crate::hints::{HintStore, DEFAULT_HINT_BYTES};
 use crate::json::Json;
 use crate::metrics::Metrics;
 use crate::peer::ClusterConfig;
@@ -126,11 +125,6 @@ fn build_service<F: Faults + Clone>(cfg: &ServerConfig, faults: &F) -> io::Resul
     };
     if let Some(cluster) = &cfg.cluster {
         service = service.with_cluster_faults(cluster.clone(), Arc::new(faults.clone()));
-        if let Some(pcfg) = &cfg.persist {
-            // Hints owed to DOWN replicas survive a crash of *this* node
-            // too: they live next to the journal, restored on open.
-            service = service.with_hint_store(HintStore::open(&pcfg.dir, DEFAULT_HINT_BYTES));
-        }
         if let Some(peer) = &cluster.sync_from {
             // Warm start before serving: drain a loaded peer's cache so
             // this node never re-explores work the cluster already paid
@@ -513,8 +507,8 @@ pub fn serve_listener(listener: TcpListener, cfg: ServerConfig) -> io::Result<Tc
 const HEALTH_TICK: Duration = Duration::from_millis(250);
 
 /// Spawns the detached failure-detector thread: every tick it probes
-/// peers whose probe timer is due and drains any hinted-handoff backlog
-/// owed to peers that came back UP. The thread holds only a [`Weak`] on
+/// peers whose probe timer is due and asks each replica readmitted from
+/// DOWN to `repair` from this node. The thread holds only a [`Weak`] on
 /// the service, so it exits on its own once the front-end drops the
 /// last strong reference at shutdown — no flag to thread through.
 fn spawn_health_loop(service: &Arc<Service>) {

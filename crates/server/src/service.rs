@@ -23,7 +23,6 @@ use secflow_runtime::{explore_with, pexplore_with, ExploreLimits};
 use crate::cache::{CacheKey, CachedResult, ResultCache};
 use crate::deadline::CancelToken;
 use crate::fault::{Faults, NoFaults};
-use crate::hints::{HintStore, DEFAULT_HINT_BYTES};
 use crate::json::Json;
 use crate::metrics::Metrics;
 use crate::peer::{
@@ -114,10 +113,6 @@ pub struct Service {
     /// router over) an N-node cluster (None = standalone, the
     /// default). See [`crate::peer`].
     cluster: Option<ClusterState>,
-    /// Hinted handoff queue: replica writes owed to peers that were
-    /// DOWN when the primary tried to push them. Drained by
-    /// [`health_tick`](Self::health_tick) once the peer recovers.
-    hints: HintStore,
 }
 
 /// One in-progress computation that concurrent identical requests wait
@@ -231,7 +226,6 @@ impl Service {
             persist: None,
             inflight: Mutex::new(HashMap::new()),
             cluster: None,
-            hints: HintStore::new(DEFAULT_HINT_BYTES),
         }
     }
 
@@ -253,7 +247,6 @@ impl Service {
             persist: Some(Mutex::new(store)),
             inflight: Mutex::new(HashMap::new()),
             cluster: None,
-            hints: HintStore::new(DEFAULT_HINT_BYTES),
         }
     }
 
@@ -279,13 +272,6 @@ impl Service {
             .cluster_hash_ring_size
             .store(state.ring().len() as u64, Relaxed);
         self.cluster = Some(state);
-        self
-    }
-
-    /// Replaces the hint queue (the serve loop passes a disk-backed
-    /// store when the node runs with both `--cache-dir` and a cluster).
-    pub fn with_hint_store(mut self, hints: HintStore) -> Service {
-        self.hints = hints;
         self
     }
 
@@ -345,18 +331,14 @@ impl Service {
         let line = match req.op {
             Op::Stats => {
                 let mut fields = self.metrics.snapshot_fields();
-                // Splice the live cluster view (digest, hint backlog,
-                // per-peer health) into the counters' cluster object.
+                // Splice the live cluster view (digest, per-peer
+                // health) into the counters' cluster object.
                 if let Some((_, Json::Obj(cluster))) =
                     fields.iter_mut().find(|(k, _)| k == "cluster")
                 {
                     cluster.push((
                         "shard_digest".to_string(),
                         Json::Str(self.shard_digest_hex()),
-                    ));
-                    cluster.push((
-                        "hints_pending".to_string(),
-                        Json::Num(self.hints.len() as f64),
                     ));
                     if let Some(state) = &self.cluster {
                         let peers: Vec<Json> = state
@@ -504,12 +486,12 @@ impl Service {
     }
 
     /// Installs an entry that arrived over the verified peer-sync path
-    /// (`peer-sync` pull, `replicate` push, or a drained hint — the
-    /// caller verified it): into the cache and, when persistence is on,
-    /// the local journal — so a synced node is durable in its own
-    /// right. Idempotent: an entry already present (exact canon match)
-    /// is left untouched and returns `false`, so repeated repairs and
-    /// replayed hints never grow the journal or perturb LRU order.
+    /// (`peer-sync` pull or `replicate` push — the caller verified it):
+    /// into the cache and, when persistence is on, the local journal —
+    /// so a synced node is durable in its own right. Idempotent: an
+    /// entry already present (exact canon match) is left untouched and
+    /// returns `false`, so repeated repairs and redundant pushes never
+    /// grow the journal or perturb LRU order.
     /// No compute-path metrics move; the work happened elsewhere.
     pub(crate) fn install_synced(&self, key: &CacheKey, value: CachedResult) -> bool {
         match self.cache.lock() {
@@ -534,11 +516,6 @@ impl Service {
 
     fn shard_digest_hex(&self) -> String {
         format!("{:016x}", self.shard_digest())
-    }
-
-    /// Hints currently queued for unreachable replicas.
-    pub fn hints_pending(&self) -> usize {
-        self.hints.len()
     }
 
     /// The `ping` op: liveness plus the shard digest, so one round trip
@@ -651,100 +628,60 @@ impl Service {
 
     /// One beat of the background health loop: probe every non-UP peer
     /// whose jittered deadline has passed (the call outcome feeds the
-    /// failure detector, so a healed peer flips back to UP here), then
-    /// drain queued hints to any peer the detector now trusts.
+    /// failure detector, so a healed peer flips back to UP here). A
+    /// replica readmitted from DOWN has missed the pushes skipped while
+    /// it was down, so this node asks it once to `repair` from here;
+    /// the peer pulls what it lacks through the verified `peer-sync`
+    /// path. No queue and no retry: a failed call is one more strike,
+    /// and `secflow repair` covers whatever this misses.
     pub fn health_tick(&self) {
         let Some(cluster) = &self.cluster else { return };
         let ping_line = Request::new(Op::Ping, "").to_line();
         for addr in cluster.health().due_probes() {
-            let _ = cluster.call_peer(&addr, &ping_line);
-        }
-        for addr in self.hints.peers_with_hints() {
-            if cluster.health().is_down(&addr) {
-                continue;
-            }
-            let mut failed = false;
-            for payload in self.hints.take_for(&addr) {
-                if failed {
-                    let dropped = self.hints.queue(&addr, &payload);
-                    self.metrics
-                        .cluster_hints_dropped
-                        .fetch_add(dropped, Relaxed);
-                    continue;
+            let was_down = cluster.health().is_down(&addr);
+            let readmitted = cluster.call_peer(&addr, &ping_line).is_ok() && was_down;
+            // A router, or a node at rf=1, pushes nothing, so it owes a
+            // readmitted peer nothing.
+            match cluster.self_addr() {
+                Some(me) if readmitted && cluster.replication() > 1 => {
+                    let mut repair = Request::new(Op::Repair, "");
+                    repair.peer = Some(me.to_string());
+                    let _ = cluster.call_peer(&addr, &repair.to_line());
                 }
-                let mut push = Request::new(Op::Replicate, "");
-                push.payload = Some(payload.clone());
-                match cluster.call_peer(&addr, &push.to_line()) {
-                    Ok(reply) => {
-                        let ok = Json::parse(&reply)
-                            .ok()
-                            .and_then(|v| v.get("ok").and_then(Json::as_bool))
-                            == Some(true);
-                        if ok {
-                            Metrics::bump(&self.metrics.cluster_hints_delivered);
-                        } else {
-                            // The peer refused the payload (permanent):
-                            // re-queueing would loop forever. Count it
-                            // dropped; `repair` is the backstop.
-                            self.metrics.cluster_hints_dropped.fetch_add(1, Relaxed);
-                        }
-                    }
-                    Err(_) => {
-                        // Peer gone again mid-drain: keep the remainder
-                        // queued (without re-counting them as queued).
-                        failed = true;
-                        let dropped = self.hints.queue(&addr, &payload);
-                        self.metrics
-                            .cluster_hints_dropped
-                            .fetch_add(dropped, Relaxed);
-                    }
-                }
+                _ => {}
             }
         }
     }
 
     /// Pushes a freshly cached entry to its other replicas
-    /// (synchronous, best-effort). A DOWN replica — or one that fails
-    /// the push — gets a hint instead, so the write is owed rather than
-    /// lost. No-op at `replication` 1 or standalone.
+    /// (synchronous, best-effort). A DOWN replica is skipped, and a
+    /// failed push is only a failure-detector strike: the replica
+    /// catches up by `repair` when its probe readmits it. No-op at
+    /// `replication` 1 or standalone.
     fn replicate_out(&self, key: &CacheKey, value: &CachedResult) {
         let Some(cluster) = &self.cluster else { return };
         let targets = cluster.replica_targets(key.hash);
         if targets.is_empty() {
             return;
         }
-        let payload =
-            String::from_utf8_lossy(&encode_record(key.hash, &key.canon, value)).into_owned();
+        let mut push = Request::new(Op::Replicate, "");
+        push.payload =
+            Some(String::from_utf8_lossy(&encode_record(key.hash, &key.canon, value)).into_owned());
+        let push_line = push.to_line();
         for addr in targets {
             if cluster.health().is_down(&addr) {
-                self.queue_hint(&addr, &payload);
                 continue;
             }
-            let mut push = Request::new(Op::Replicate, "");
-            push.payload = Some(payload.clone());
-            let delivered = match cluster.call_peer(&addr, &push.to_line()) {
-                Ok(reply) => {
-                    Json::parse(&reply)
-                        .ok()
-                        .and_then(|v| v.get("ok").and_then(Json::as_bool))
-                        == Some(true)
-                }
-                Err(_) => false,
-            };
+            let delivered = cluster.call_peer(&addr, &push_line).is_ok_and(|reply| {
+                Json::parse(&reply)
+                    .ok()
+                    .and_then(|v| v.get("ok").and_then(Json::as_bool))
+                    == Some(true)
+            });
             if delivered {
                 Metrics::bump(&self.metrics.cluster_replicas_sent);
-            } else {
-                self.queue_hint(&addr, &payload);
             }
         }
-    }
-
-    fn queue_hint(&self, addr: &str, payload: &str) {
-        Metrics::bump(&self.metrics.cluster_hints_queued);
-        let dropped = self.hints.queue(addr, payload);
-        self.metrics
-            .cluster_hints_dropped
-            .fetch_add(dropped, Relaxed);
     }
 
     fn compute_cached(
@@ -842,6 +779,22 @@ impl Service {
         if let Some(line) = self.forward_to_owner(req, &key, hops, &mut guard) {
             return line;
         }
+        let result = self.lead(req, &key, effective_fuel, threads, token, guard);
+        finish_line(req, &result, false, start, &extra)
+    }
+
+    /// The leader's half of a miss: compute `req` locally, then cache,
+    /// journal and replicate the result, and publish it to the flight's
+    /// waiters when `guard` drops on return.
+    fn lead(
+        &self,
+        req: &Request,
+        key: &CacheKey,
+        effective_fuel: u64,
+        threads: usize,
+        token: &CancelToken,
+        mut guard: Option<FlightGuard<'_>>,
+    ) -> CachedResult {
         Metrics::bump(&self.metrics.cache_misses);
 
         let outcome = self.compute(req, effective_fuel, threads, token);
@@ -899,19 +852,18 @@ impl Service {
         // whose own deadlines may still have room.
         if !timed_out {
             if let Ok(mut cache) = self.cache.lock() {
-                cache.put(&key, result.clone());
+                cache.put(key, result.clone());
             }
-            self.journal(&key, &result);
+            self.journal(key, &result);
             if let Some(guard) = guard.as_mut() {
                 guard.result = Some(result.clone());
             }
             // Push the fresh entry to its other replicas (no-op unless
             // `replication` ≥ 2). Deliberately after publishing to the
             // flight — local waiters never block on replica sockets.
-            self.replicate_out(&key, &result);
+            self.replicate_out(key, &result);
         }
-        drop(guard);
-        finish_line(req, &result, false, start, &extra)
+        result
     }
 
     /// Joins the single-flight group for `key`: the first request in
@@ -2109,11 +2061,7 @@ mod tests {
         .to_string()
     }
 
-    /// An interleaving-heavy program: three independent processes, so a
-    /// full (`por:false`) search is exponential while the program stays
-    /// tiny — a computation reliably long enough that a stampede
-    /// arriving after the leader has registered its flight attaches to
-    /// it rather than finding the cache already filled.
+    /// An explore of three independent processes with reduction off.
     fn heavy_explore_line(max_states: u64) -> String {
         let proc_body = |var: &str| {
             let steps: Vec<String> = (1..=6).map(|i| format!("{var} := {i}")).collect();
@@ -2131,30 +2079,35 @@ mod tests {
         )
     }
 
-    /// Spawns a leader for `req`, waits (deterministically, by watching
-    /// the in-flight table) until it is computing, then looses `k - 1`
-    /// identical requests at it. Returns every reply line.
-    fn stampede(s: &Arc<Service>, req: &str, k: usize) -> Vec<String> {
-        let leader = {
-            let s = Arc::clone(s);
-            let req = req.to_string();
-            std::thread::spawn(move || s.handle_line(&req))
+    /// Takes the leadership of `line`'s flight on this thread, looses
+    /// `k - 1` identical requests at it, waits until every one of them
+    /// is attached (each holds a clone of the flight), and only then
+    /// computes as the leader. However fast the computation, no waiter
+    /// can find the cache filled. Returns the leader's reply line
+    /// first, then the waiters'.
+    fn stampede(s: &Arc<Service>, line: &str, k: usize) -> Vec<String> {
+        let req = Request::parse(line).unwrap();
+        let fuel = req.fuel.unwrap_or(u64::MAX).min(s.limits.max_fuel);
+        let (threads, _) = s.limits.effective_threads(&req);
+        let key = cache_key(&req, fuel);
+        let FlightRole::Leader(Some(guard)) = s.join_flight(&key) else {
+            panic!("the flight table is empty and healthy");
         };
-        while s.inflight.lock().unwrap().is_empty() {
-            assert!(
-                !leader.is_finished(),
-                "leader finished before registering a flight"
-            );
-            std::thread::yield_now();
-        }
+        let flight = Arc::clone(&guard.flight);
         let waiters: Vec<_> = (1..k)
             .map(|_| {
                 let s = Arc::clone(s);
-                let req = req.to_string();
-                std::thread::spawn(move || s.handle_line(&req))
+                let line = line.to_string();
+                std::thread::spawn(move || s.handle_line(&line))
             })
             .collect();
-        let mut lines = vec![leader.join().unwrap()];
+        // The table, the guard and `flight` hold three of the clones.
+        while Arc::strong_count(&flight) < k + 2 {
+            std::thread::yield_now();
+        }
+        let (start, token) = (Instant::now(), s.cancel_token(&req));
+        let result = s.lead(&req, &key, fuel, threads, &token, Some(guard));
+        let mut lines = vec![finish_line(&req, &result, false, start, &[])];
         for w in waiters {
             lines.push(w.join().unwrap());
         }
@@ -2172,8 +2125,6 @@ mod tests {
         assert_eq!(s.metrics.cache_misses.load(Relaxed), 1);
         assert_eq!(s.metrics.coalesced_hits.load(Relaxed), (K - 1) as u64);
         assert_eq!(s.metrics.cache_hits.load(Relaxed), 0);
-        // Op counters count requests (pinned elsewhere), so all K show.
-        assert_eq!(s.metrics.explore.load(Relaxed), K as u64);
         let first = Json::parse(&lines[0]).unwrap();
         assert_eq!(first.get("ok").and_then(Json::as_bool), Some(true));
         let states = first.get("states").and_then(Json::as_u64).unwrap();
@@ -2204,7 +2155,7 @@ mod tests {
     fn coalesced_with_proof_serves_one_proof_to_every_waiter() {
         const K: usize = 4;
         let s = Arc::new(svc());
-        // A clean program large enough that proving it takes real time.
+        // A clean program with a large proof.
         let steps: Vec<String> = (0..4000).map(|i| format!("x := {i}")).collect();
         let source = format!("var x : integer; begin {} end", steps.join("; "));
         let req = format!(
@@ -2216,11 +2167,8 @@ mod tests {
         // One proof was emitted, every reply carries it byte-identically.
         assert_eq!(s.metrics.proofs_emitted.load(Relaxed), 1);
         assert_eq!(s.metrics.cache_misses.load(Relaxed), 1);
-        assert!(s.metrics.coalesced_hits.load(Relaxed) >= 1);
-        assert_eq!(
-            s.metrics.coalesced_hits.load(Relaxed) + s.metrics.cache_hits.load(Relaxed),
-            (K - 1) as u64
-        );
+        assert_eq!(s.metrics.coalesced_hits.load(Relaxed), (K - 1) as u64);
+        assert_eq!(s.metrics.cache_hits.load(Relaxed), 0);
         let certs: Vec<String> = lines
             .iter()
             .map(|l| {
@@ -2503,7 +2451,7 @@ mod tests {
     }
 
     #[test]
-    fn stats_cluster_object_reports_digest_and_hint_backlog() {
+    fn stats_cluster_object_reports_digest_and_peer_health() {
         let s = svc();
         s.handle_line(&line(LEAKY, r#"{}"#));
         let stats = Json::parse(&s.handle_line(r#"{"op":"stats"}"#)).unwrap();
@@ -2512,7 +2460,6 @@ mod tests {
             cluster.get("shard_digest").and_then(Json::as_str),
             Some(format!("{:016x}", s.shard_digest()).as_str())
         );
-        assert_eq!(cluster.get("hints_pending").and_then(Json::as_u64), Some(0));
         // Standalone: no peers array (there is no failure detector).
         assert!(cluster.get("peers").is_none());
 
@@ -2537,12 +2484,12 @@ mod tests {
     }
 
     #[test]
-    fn down_replicas_get_hints_instead_of_sockets() {
+    fn down_replicas_cost_no_socket() {
         // rf=2 over two nodes: every key's replica set is both nodes,
         // so every fresh computation owes the other node a push. With
-        // the peer marked DOWN the push becomes a hint — no socket is
-        // ever opened (the addresses are unroutable; a connect attempt
-        // would eat seconds of timeout).
+        // the peer marked DOWN the push is skipped — no socket is ever
+        // opened (the addresses are unroutable; a connect attempt would
+        // eat seconds of timeout).
         let peers = ["127.0.0.1:7501", "127.0.0.1:7502"];
         let mut cfg = ClusterConfig::new(&peers);
         cfg.self_addr = Some(peers[0].to_string());
@@ -2562,16 +2509,6 @@ mod tests {
             started.elapsed() < Duration::from_secs(2),
             "a DOWN replica must not cost a connect timeout"
         );
-        assert_eq!(s.hints_pending(), 1);
-        assert_eq!(s.metrics.cluster_hints_queued.load(Relaxed), 1);
         assert_eq!(s.metrics.cluster_replicas_sent.load(Relaxed), 0);
-        let stats = Json::parse(&s.handle_line(r#"{"op":"stats"}"#)).unwrap();
-        assert_eq!(
-            stats
-                .get("cluster")
-                .and_then(|c| c.get("hints_pending"))
-                .and_then(Json::as_u64),
-            Some(1)
-        );
     }
 }

@@ -204,16 +204,18 @@ fn three_node_cluster_computes_each_distinct_source_exactly_once() {
     }
 }
 
-/// Hinted handoff end-to-end, in-process: a 2-node rf=2 cluster where
-/// the replica arrives *late*. Writes served while it is down queue as
-/// hints; once it binds its reserved identity, the primary's failure
-/// detector flips it UP, the backlog drains through the verified
-/// `replicate` path, and a `repair` round confirms the digests already
-/// converged. Along the way, an over-budget `forward` is refused with
-/// the structured `max_hops_exhausted` error (never an inner-shaped
-/// reply) over real sockets.
+/// Readmission repair end-to-end, in-process: a 2-node rf=2 cluster
+/// where the replica arrives *late*. Writes served while it is down
+/// reach only the primary, which skips the pushes it cannot deliver;
+/// once the replica binds its reserved identity, the primary's probe
+/// readmits it and asks it to `repair` from the primary, which pulls
+/// the missed entries through the verified `peer-sync` path. A second
+/// `repair` round confirms the digests already converged. Along the
+/// way, an over-budget `forward` is refused with the structured
+/// `max_hops_exhausted` error (never an inner-shaped reply) over real
+/// sockets.
 #[test]
-fn hinted_handoff_redelivers_to_a_late_replica_and_repair_converges() {
+fn a_readmitted_replica_repairs_from_its_primary_and_digests_converge() {
     let addrs = reserve_addrs(2);
     let make_cfg = |i: usize| {
         let mut cluster = ClusterConfig::new(&addrs);
@@ -228,7 +230,8 @@ fn hinted_handoff_redelivers_to_a_late_replica_and_repair_converges() {
         }
     };
     // Only node A comes up; B's port stays reserved-but-dead, so every
-    // replica push owed to B fails fast (connection refused).
+    // replica push owed to B fails fast (connection refused) until the
+    // failure detector marks B DOWN and A stops trying.
     let server_a =
         serve_listener(std::net::TcpListener::bind(&addrs[0]).unwrap(), make_cfg(0)).unwrap();
 
@@ -243,13 +246,19 @@ fn hinted_handoff_redelivers_to_a_late_replica_and_repair_converges() {
         replies.push(strip_timing(&reply));
     }
     let stats = stats_of(&addrs[0]);
-    assert_eq!(
-        cluster_stat(&stats, "hints_queued"),
-        k as u64,
-        "every replica push owed to the dead peer queued a hint: {stats}"
-    );
-    assert_eq!(cluster_stat(&stats, "hints_pending"), k as u64);
     assert_eq!(cluster_stat(&stats, "replicas_sent"), 0);
+    let health_of_b = stats
+        .get("cluster")
+        .and_then(|c| c.get("peers"))
+        .and_then(Json::as_arr)
+        .and_then(|peers| {
+            peers
+                .iter()
+                .find(|p| p.get("addr").and_then(Json::as_str) == Some(addrs[1].as_str()))
+        })
+        .and_then(|p| p.get("health"))
+        .and_then(Json::as_str);
+    assert_eq!(health_of_b, Some("down"), "A sees B down: {stats}");
 
     // A hop-exhausted forward is a structured refusal, not an answer.
     let mut fwd = Request::new(Op::Forward, "");
@@ -262,25 +271,24 @@ fn hinted_handoff_redelivers_to_a_late_replica_and_repair_converges() {
         other => panic!("expected a max_hops_exhausted refusal, got {other:?}"),
     }
 
-    // B finally arrives at its reserved identity. A's probes flip it
-    // UP and the hint backlog drains — no repair needed for these.
+    // B finally arrives at its reserved identity. A's probe readmits
+    // it, and its one `repair` call makes B pull all k entries.
     let server_b =
         serve_listener(std::net::TcpListener::bind(&addrs[1]).unwrap(), make_cfg(1)).unwrap();
     let deadline = std::time::Instant::now() + Duration::from_secs(20);
     loop {
-        let s = stats_of(&addrs[0]);
-        if cluster_stat(&s, "hints_pending") == 0 && cluster_stat(&s, "hints_delivered") == k as u64
-        {
+        let s = stats_of(&addrs[1]);
+        if cluster_stat(&s, "repairs") == 1 && stat(&s, "cache_entries") == k as u64 {
             break;
         }
         assert!(
             std::time::Instant::now() < deadline,
-            "hints never drained to the recovered replica: {s}"
+            "the readmitted replica never repaired from its primary: {s}"
         );
         std::thread::sleep(Duration::from_millis(100));
     }
 
-    // The drained replica answers the same requests byte-identically
+    // The repaired replica answers the same requests byte-identically
     // from cache — zero recomputation on B.
     for (slot, expected) in replies.iter().enumerate() {
         let req = Request::new(Op::Certify, soak_source(slot));
@@ -296,8 +304,8 @@ fn hinted_handoff_redelivers_to_a_late_replica_and_repair_converges() {
         "the replica recomputed something it was handed: {stats_b}"
     );
 
-    // Anti-entropy confirms what the handoff already achieved: both
-    // shard digests are equal, so repair is a digest-compare no-op.
+    // A second repair round finds both shard digests equal, so it is
+    // a digest-compare no-op.
     let mut repair = Request::new(Op::Repair, "");
     repair.peer = Some(addrs[0].clone());
     let line = RemoteClient::new(&addrs[1], policy)
@@ -621,8 +629,8 @@ fn self_healing_soak_partitions_sigkill_and_repair_converge_digests() {
     };
 
     // Round 1: the partitions are live. Every node still answers every
-    // request byte-identically — replica pushes across dead links turn
-    // into hints, and forwards re-route or fall back to local compute;
+    // request byte-identically — replica pushes across dead links are
+    // skipped, and forwards re-route or fall back to local compute;
     // availability never hinges on the partitioned link.
     let k = 10usize;
     let requests: Vec<Request> = (0..k)
@@ -662,14 +670,6 @@ fn self_healing_soak_partitions_sigkill_and_repair_converge_digests() {
             );
         }
     }
-
-    // The handoff path engaged while the 0<->2 link was down: node 0
-    // owed replica pushes to node 2 and queued them as hints.
-    let s0 = stats_of(&addrs[0]);
-    assert!(
-        cluster_stat(&s0, "hints_queued") > 0,
-        "the partition never queued a hint on node 0: {s0}"
-    );
 
     // Heal + repair: retry `secflow repair` across the survivors until
     // the fuses have blown, the probes have closed the circuits, and
