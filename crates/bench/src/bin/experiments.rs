@@ -1,29 +1,36 @@
 //! `experiments` — regenerate every paper-vs-measured table in one run.
 //!
-//! Criterion gives rigorous timings (`cargo bench`); this binary gives the
-//! *shape* of every experiment quickly and prints the markdown tables that
-//! EXPERIMENTS.md records:
+//! Prints the markdown tables EXPERIMENTS.md records for E2, E3, E5/E6,
+//! E7 and E10, costs included, and re-checks the soundness and
+//! theorem-equivalence assertions inline:
 //!
 //! ```bash
 //! cargo run --release -p secflow-bench --bin experiments
 //! ```
+//!
+//! Costs are medians of batched calls ([`ns_per_call`]), so
+//! sub-microsecond rows stay above timer resolution.
 
-use std::time::Instant;
-
+use secflow_bench::{host_cores, ns_per_call};
 use secflow_core::{certify, certify_quadratic, denning_certify, infer_binding, StaticBinding};
-use secflow_lang::{parse, Program};
+use secflow_lang::builder::{e, s, ProgramBuilder};
+use secflow_lang::{parse, print_program, Program};
 use secflow_lattice::{Extended, TwoPoint, TwoPointScheme};
 use secflow_logic::{build_proof, check_proof};
 use secflow_runtime::{
     check_binary_secret, explore, run, ExploreLimits, Machine, RoundRobin, TaintMonitor,
 };
 use secflow_workload::{
-    decode_transmitted, fig3_baseline_gap_binding, fig3_high_x_binding, fig3_program, generate,
-    kbit_channel, random_binding, sequential_chain, GenConfig,
+    branchy, decode_transmitted, fig3_baseline_gap_binding, fig3_high_x_binding, fig3_program,
+    generate, kbit_channel, loop_heavy, random_binding, sequential_chain, sync_heavy, GenConfig,
 };
 
 fn main() {
-    println!("# secflow experiment runner\n");
+    println!(
+        "# secflow experiment runner ({} host cores)\n",
+        host_cores()
+    );
+    e2_fig2_rows();
     e3_fig3();
     e5_e6_theorems();
     e7_linearity();
@@ -31,17 +38,73 @@ fn main() {
     println!("\nall experiment shapes reproduced; see EXPERIMENTS.md for context");
 }
 
-/// Median wall time of `f` over `reps` runs.
-fn time_median(reps: usize, mut f: impl FnMut()) -> f64 {
-    let mut samples: Vec<f64> = (0..reps)
-        .map(|_| {
-            let t = Instant::now();
-            f();
-            t.elapsed().as_secs_f64()
-        })
-        .collect();
-    samples.sort_by(f64::total_cmp);
-    samples[samples.len() / 2]
+/// Statements in each Figure 2 row program.
+const ROW_STMTS: usize = 1000;
+
+/// The Figure 2 rows E2 times, by statement form.
+const FIG2_ROWS: [&str; 6] = [
+    "assignment",
+    "alternation",
+    "iteration",
+    "cobegin",
+    "wait/signal",
+    "skip",
+];
+
+/// One Figure 2 row program: the row's statement form, repeated to
+/// about [`ROW_STMTS`] statements.
+fn fig2_row(row: &str) -> Program {
+    let n = ROW_STMTS;
+    let mut b = ProgramBuilder::new();
+    let x = b.data("x");
+    let body = match row {
+        "assignment" => s::seq((0..n).map(|_| s::assign(x, e::add(e::var(x), e::konst(1))))),
+        "alternation" => s::seq((0..n / 3).map(|_| {
+            s::if_else(
+                e::eq(e::var(x), e::konst(0)),
+                s::assign(x, e::konst(1)),
+                s::assign(x, e::konst(2)),
+            )
+        })),
+        "iteration" => s::seq((0..n / 2).map(|_| {
+            s::while_do(
+                e::gt(e::var(x), e::konst(0)),
+                s::assign(x, e::sub(e::var(x), e::konst(1))),
+            )
+        })),
+        "cobegin" => {
+            let y = b.data("y");
+            s::seq(
+                (0..n / 3)
+                    .map(|_| s::cobegin([s::assign(x, e::konst(1)), s::assign(y, e::konst(2))])),
+            )
+        }
+        "wait/signal" => {
+            let sem = b.sem("s", 0);
+            s::seq((0..n / 2).flat_map(|_| [s::signal(sem), s::wait(sem)]))
+        }
+        "skip" => s::seq((0..n).map(|_| s::skip())),
+        _ => unreachable!("unknown row {row}"),
+    };
+    b.finish(body)
+}
+
+fn e2_fig2_rows() {
+    println!("## E2 — Figure 2: certify cost per row\n");
+    println!("| row | statements | certify µs | ns per statement |");
+    println!("|---|---|---|---|");
+    for name in FIG2_ROWS {
+        let program = fig2_row(name);
+        let binding = StaticBinding::uniform(&program.symbols, &TwoPointScheme);
+        let stmts = program.statement_count();
+        let ns = ns_per_call(|| certify(&program, &binding).certified());
+        println!(
+            "| {name} | {stmts} | {:.1} | {:.1} |",
+            ns / 1e3,
+            ns / stmts as f64
+        );
+    }
+    println!();
 }
 
 fn e3_fig3() {
@@ -84,17 +147,57 @@ fn e3_fig3() {
     .unwrap_err();
     println!("\nwitness chain for x=High,y=Low: {}", err.render_path(&p));
 
+    // What each procedure costs on Figure 3.
+    let gap = fig3_baseline_gap_binding(&p);
+    let x_high = [(p.var("x"), 1)];
+    let costs = [
+        ("CFM certify", ns_per_call(|| certify(&p, &gap).certified())),
+        (
+            "Denning baseline certify",
+            ns_per_call(|| denning_certify(&p, &gap).certified()),
+        ),
+        (
+            "infer_binding (x High)",
+            ns_per_call(|| {
+                infer_binding(&p, &TwoPointScheme, [(p.var("x"), TwoPoint::High)]).is_ok()
+            }),
+        ),
+        (
+            "explore all interleavings (x = 1)",
+            ns_per_call(|| explore(&p, &x_high, ExploreLimits::default()).states),
+        ),
+        (
+            "one round-robin run (x = 1)",
+            ns_per_call(|| {
+                let mut m = Machine::with_inputs(&p, &x_high);
+                run(&mut m, &mut RoundRobin::new(), 10_000);
+                m.get(p.var("y"))
+            }),
+        ),
+    ];
+    println!("\n| Figure 3 procedure | µs |");
+    println!("|---|---|");
+    for (name, ns) in costs {
+        println!("| {name} | {:.2} |", ns / 1e3);
+    }
+
     // k-bit channel.
-    println!("\n| k | value sent | value decoded | machine steps |");
-    println!("|---|---|---|---|");
-    for k in [2u32, 4, 8] {
+    println!("\n| k | value sent | value decoded | machine steps | run µs |");
+    println!("|---|---|---|---|---|");
+    for k in [1u32, 2, 4, 8, 16] {
         let chan = kbit_channel(k);
         let x = (1i64 << k) - 2;
-        let mut m = Machine::with_inputs(&chan, &[(chan.var("x"), x)]);
+        let inputs = [(chan.var("x"), x)];
+        let mut m = Machine::with_inputs(&chan, &inputs);
         assert!(run(&mut m, &mut RoundRobin::new(), 1_000_000).terminated());
         let y = decode_transmitted(m.get(chan.var("y")), k);
-        println!("| {k} | {x} | {y} | {} |", m.steps());
         assert_eq!(y, x);
+        let ns = ns_per_call(|| {
+            let mut m = Machine::with_inputs(&chan, &inputs);
+            run(&mut m, &mut RoundRobin::new(), 1_000_000);
+            m.get(chan.var("y"))
+        });
+        println!("| {k} | {x} | {y} | {} | {:.1} |", m.steps(), ns / 1e3);
     }
     println!();
 }
@@ -139,32 +242,61 @@ fn e5_e6_theorems() {
     println!();
 }
 
+/// Nominal program sizes of the E7 sweep, in statements.
+const SIZES: [usize; 6] = [256, 512, 1024, 2048, 4096, 8192];
+
+/// One E7 family at about `size` statements.
+fn family(name: &str, size: usize) -> Program {
+    match name {
+        "chain" => sequential_chain(size, 8),
+        "loops" => loop_heavy(size / 2),
+        "sync" => sync_heavy(size / 6),
+        "branchy" => branchy(size.ilog2() as usize - 1),
+        _ => unreachable!("unknown family {name}"),
+    }
+}
+
 fn e7_linearity() {
     println!("## E7 — §6 linear-time claim (ns per statement)\n");
-    println!("| statements | CFM | Denning | quadratic ablation |");
-    println!("|---|---|---|---|");
-    for &size in &[512usize, 1024, 2048, 4096, 8192] {
-        let program = sequential_chain(size, 8);
-        let stmts = program.statement_count() as f64;
-        let binding = StaticBinding::uniform(&program.symbols, &TwoPointScheme);
-        let cfm = time_median(9, || {
-            assert!(certify(&program, &binding).certified());
-        });
-        let denning = time_median(9, || {
-            assert!(denning_certify(&program, &binding).certified());
-        });
-        let quad = time_median(3, || {
-            assert!(certify_quadratic(&program, &binding));
-        });
-        println!(
-            "| {} | {:.1} | {:.1} | {:.1} |",
-            stmts as usize,
-            cfm * 1e9 / stmts,
-            denning * 1e9 / stmts,
-            quad * 1e9 / stmts,
-        );
+    let header: Vec<String> = SIZES.iter().map(|n| format!("~{n}")).collect();
+    println!("| series | {} |", header.join(" | "));
+    println!("|---|{}", "---|".repeat(SIZES.len()));
+    type Mechanism = fn(&Program, &StaticBinding<TwoPoint>) -> bool;
+    let series: [(&str, &str, Mechanism); 6] = [
+        ("CFM chain", "chain", |p, b| certify(p, b).certified()),
+        ("CFM loops", "loops", |p, b| certify(p, b).certified()),
+        ("CFM sync", "sync", |p, b| certify(p, b).certified()),
+        ("CFM branchy", "branchy", |p, b| certify(p, b).certified()),
+        ("Denning chain", "chain", |p, b| {
+            denning_certify(p, b).certified()
+        }),
+        ("quadratic ablation, chain", "chain", certify_quadratic),
+    ];
+    for (label, fam, mechanism) in series {
+        let cells: Vec<String> = SIZES
+            .iter()
+            .map(|&size| {
+                let program = family(fam, size);
+                let binding = StaticBinding::uniform(&program.symbols, &TwoPointScheme);
+                assert!(mechanism(&program, &binding), "{label} at {size}");
+                let ns = ns_per_call(|| mechanism(&program, &binding));
+                format!("{:.1}", ns / program.statement_count() as f64)
+            })
+            .collect();
+        println!("| {label} | {} |", cells.join(" | "));
     }
-    println!("\n(flat columns = linear; the ablation column grows with size)\n");
+    // The claim holds "once the program has been parsed": parsing is
+    // measured on its own, as throughput of the chain's source text.
+    let cells: Vec<String> = SIZES
+        .iter()
+        .map(|&size| {
+            let text = print_program(&sequential_chain(size, 8));
+            let ns = ns_per_call(|| parse(&text).unwrap().statement_count());
+            format!("{:.1}", text.len() as f64 / ns * 1e9 / (1 << 20) as f64)
+        })
+        .collect();
+    println!("| parse chain (MiB/s) | {} |", cells.join(" | "));
+    println!("\n(flat rows = linear; the ablation row grows with size)\n");
 }
 
 fn leak_cases() -> Vec<(&'static str, Program)> {
@@ -201,34 +333,37 @@ fn leak_cases() -> Vec<(&'static str, Program)> {
 fn e10_leak_matrix() {
     println!("## E10 — leak matrix\n");
     println!("(the monitor columns are per run: a leak is only caught if the");
-    println!("run that reveals the secret is itself flagged)\n");
-    println!("| program | interferes? | CFM | monitor (h=0 run) | monitor (h=1 run) |");
-    println!("|---|---|---|---|---|");
+    println!("run that reveals the secret is itself flagged; the cost columns");
+    println!("time one certify, one monitored h=0 run and the ground truth)\n");
+    println!(
+        "| program | interferes? | CFM | monitor (h=0 run) | monitor (h=1 run) \
+         | certify ns | monitor run µs | ground truth µs |"
+    );
+    println!("|---|---|---|---|---|---|---|---|");
     for (name, program) in leak_cases() {
         let h = program.var("h");
         let l = program.var("l");
-        let ni = check_binary_secret(&program, h, &[l], ExploreLimits::default());
+        let ground_truth = || check_binary_secret(&program, h, &[l], ExploreLimits::default());
+        let ni = ground_truth();
         let binding =
             StaticBinding::uniform(&program.symbols, &TwoPointScheme).with(h, TwoPoint::High);
         let cfm_rejects = !certify(&program, &binding).certified();
+        // The monitor starts from the same labels CFM certifies under.
         let labels: Vec<TwoPoint> = program
             .symbols
             .iter()
-            .map(|(id, _)| {
-                if id == h {
-                    TwoPoint::High
-                } else {
-                    TwoPoint::Low
-                }
-            })
+            .map(|(id, _)| *binding.class(id))
             .collect();
+        let monitored_run = |secret: i64| {
+            let machine = Machine::with_inputs(&program, &[(h, secret)]);
+            let mut mon = TaintMonitor::new(machine, labels.clone(), TwoPoint::Low);
+            mon.run(&mut RoundRobin::new(), 100_000);
+            mon.labels()[l.index()] == TwoPoint::High
+        };
         let per_run: Vec<&str> = [0i64, 1]
             .iter()
             .map(|&secret| {
-                let machine = Machine::with_inputs(&program, &[(h, secret)]);
-                let mut mon = TaintMonitor::new(machine, labels.clone(), TwoPoint::Low);
-                mon.run(&mut RoundRobin::new(), 100_000);
-                if mon.labels()[l.index()] == TwoPoint::High {
+                if monitored_run(secret) {
                     "flags"
                 } else {
                     "silent"
@@ -236,11 +371,14 @@ fn e10_leak_matrix() {
             })
             .collect();
         println!(
-            "| {name} | {} | {} | {} | {} |",
+            "| {name} | {} | {} | {} | {} | {:.0} | {:.2} | {:.2} |",
             if ni.interferes { "yes" } else { "no" },
             if cfm_rejects { "rejects" } else { "certifies" },
             per_run[0],
             per_run[1],
+            ns_per_call(|| certify(&program, &binding).certified()),
+            ns_per_call(|| monitored_run(0)) / 1e3,
+            ns_per_call(|| ground_truth().interferes) / 1e3,
         );
         if ni.interferes {
             assert!(cfm_rejects, "{name}: soundness violation!");

@@ -1,71 +1,81 @@
 //! `explore_scaling` — E12/E15: throughput of the work-stealing explorer
 //! at 1/2/4/8 threads plus the partial-order-reduction state counts,
-//! recorded as `BENCH_explore.json`.
+//! recorded as rows in `BENCH_explore.json`.
 //!
 //! ```bash
 //! cargo run --release -p secflow-bench --bin explore_scaling [-- --quick]
 //! ```
 //!
 //! `--quick` shrinks the workloads and repetitions for CI smoke runs.
-//! The JSON records the host's core count next to every measurement:
-//! speedup is only physically possible up to that count, so a 1-core
-//! container legitimately reports flat (or slightly negative) scaling.
+//! Every row records the host's core count: speedup is only physically
+//! possible up to that count, so a 1-core container legitimately
+//! reports flat (or slightly negative) scaling.
 //!
-//! Thread-scaling points run in matched persistent-only mode (the mode
-//! both engines implement identically) so the state count is constant
-//! across the row. The POR columns compare the full interleaving search
-//! against the sequential default mode (persistent sets + sleep sets);
-//! `sequential_chain` is the honest no-win row — one process has
+//! Thread-scaling points (`persistent.*`, `size` = threads) run in
+//! matched persistent-only mode (the mode both engines implement
+//! identically) so the state count is constant across the row. The POR
+//! rows (`full.*`, `por.*`, one thread) compare the full interleaving
+//! search against the sequential default mode (persistent sets + sleep
+//! sets); `sequential_chain` is the honest no-win row — one process has
 //! nothing to commute with.
 
-use std::time::Instant;
-
+use secflow_bench::{host_cores, median_secs, write_rows, Row};
 use secflow_lang::Program;
 use secflow_runtime::{explore_with, pexplore_with, ExploreLimits};
 use secflow_workload::{dining_philosophers, indep, sequential_chain};
 
 const THREADS: [usize; 4] = [1, 2, 4, 8];
 
-struct PorRow {
-    full_states: usize,
-    full_secs: f64,
-    por_states: usize,
-    por_pruned: usize,
-    por_secs: f64,
-}
-
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
     let reps = if quick { 3 } else { 5 };
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
 
-    let workloads: Vec<(&str, Program)> = if quick {
+    let workloads: Vec<(String, Program)> = if quick {
         vec![
-            ("sequential_chain", sequential_chain(200, 8)),
-            ("dining_philosophers", dining_philosophers(3, 3, true)),
-            ("indep", indep(3, 4)),
+            ("sequential_chain(200, 8)".into(), sequential_chain(200, 8)),
+            (
+                "dining_philosophers(3, 3, ordered)".into(),
+                dining_philosophers(3, 3, true),
+            ),
+            ("indep(3, 4)".into(), indep(3, 4)),
         ]
     } else {
         vec![
-            ("sequential_chain", sequential_chain(600, 8)),
-            ("dining_philosophers", dining_philosophers(4, 3, true)),
-            ("indep", indep(4, 4)),
+            ("sequential_chain(600, 8)".into(), sequential_chain(600, 8)),
+            (
+                "dining_philosophers(4, 3, ordered)".into(),
+                dining_philosophers(4, 3, true),
+            ),
+            ("indep(4, 4)".into(), indep(4, 4)),
         ]
     };
 
-    println!("# explore_scaling — {cores} host core(s), {reps} reps/point\n");
+    println!(
+        "# explore_scaling — {} host core(s), {reps} reps/point\n",
+        host_cores()
+    );
     let mut rows = Vec::new();
     for (name, program) in &workloads {
+        let mut row = |size: usize, metric: &'static str, value: f64, unit: &'static str| {
+            rows.push(Row {
+                layer: "runtime",
+                workload: name.clone(),
+                size,
+                metric,
+                value,
+                unit,
+            });
+        };
         let limits = ExploreLimits {
             max_states: 2_000_000,
             max_depth: 100_000,
             ..ExploreLimits::default()
         };
         let scaling = limits.persistent_only();
-        let mut points = Vec::new();
-        let mut states = 0usize;
-        for &threads in &THREADS {
-            let secs = median(reps, || {
+        let mut one_thread_rate = 0.0;
+        for threads in THREADS {
+            let mut states = 0;
+            let secs = median_secs(reps, || {
                 let report = if threads > 1 {
                     pexplore_with(program, &[], scaling, threads, &|| false)
                 } else {
@@ -75,105 +85,43 @@ fn main() {
                 states = report.states;
             });
             let rate = states as f64 / secs;
-            println!("{name:22} threads={threads}  {states:>8} states  {rate:>12.0} states/s");
-            points.push((threads, secs, rate));
+            if threads == 1 {
+                one_thread_rate = rate;
+            }
+            let speedup = rate / one_thread_rate;
+            println!(
+                "{name:36} threads={threads}  {states:>8} states  {rate:>12.0} states/s  {speedup:.2}x"
+            );
+            row(threads, "persistent.states", states as f64, "count");
+            row(threads, "persistent.states_per_s", rate, "1/s");
+            row(threads, "persistent.speedup", speedup, "ratio");
         }
-        let speedup4 = points[2].2 / points[0].2;
-        println!("{name:22} 4-thread speedup: {speedup4:.2}x");
 
-        let por = por_row(name, program, limits, reps);
-        let ratio = por.full_states as f64 / por.por_states.max(1) as f64;
+        let mut full_states = 0;
+        let full_secs = median_secs(reps, || {
+            let report = explore_with(program, &[], limits.without_por(), &|| false);
+            assert!(!report.truncated, "{name}: full search hit the limits");
+            full_states = report.states;
+        });
+        let (mut por_states, mut por_pruned) = (0, 0);
+        let por_secs = median_secs(reps, || {
+            let report = explore_with(program, &[], limits, &|| false);
+            assert!(!report.truncated, "{name}: reduced search hit the limits");
+            por_states = report.states;
+            por_pruned = report.states_pruned;
+        });
+        let reduction = full_states as f64 / por_states.max(1) as f64;
         println!(
-            "{name:22} por: {} -> {} states ({ratio:.1}x, {} pruned)\n",
-            por.full_states, por.por_states, por.por_pruned
+            "{name:36} por: {full_states} -> {por_states} states ({reduction:.1}x, {por_pruned} pruned)\n"
         );
-        rows.push((name.to_string(), states, points, speedup4, por));
+        row(1, "full.states", full_states as f64, "count");
+        row(1, "full.explore_s", full_secs, "s");
+        row(1, "por.states", por_states as f64, "count");
+        row(1, "por.states_pruned", por_pruned as f64, "count");
+        row(1, "por.explore_s", por_secs, "s");
+        row(1, "por.reduction", reduction, "ratio");
     }
 
-    let json = render_json(cores, quick, &rows);
-    std::fs::write("BENCH_explore.json", &json).expect("write BENCH_explore.json");
+    write_rows("BENCH_explore.json", &rows).expect("write BENCH_explore.json");
     println!("wrote BENCH_explore.json");
-}
-
-/// Measures the full search against the sequential default (POR) mode.
-fn por_row(name: &str, program: &Program, limits: ExploreLimits, reps: usize) -> PorRow {
-    let mut full_states = 0usize;
-    let full_secs = median(reps, || {
-        let report = explore_with(program, &[], limits.without_por(), &|| false);
-        assert!(!report.truncated, "{name}: full search hit the limits");
-        full_states = report.states;
-    });
-    let mut por_states = 0usize;
-    let mut por_pruned = 0usize;
-    let por_secs = median(reps, || {
-        let report = explore_with(program, &[], limits, &|| false);
-        assert!(!report.truncated, "{name}: reduced search hit the limits");
-        por_states = report.states;
-        por_pruned = report.states_pruned;
-    });
-    PorRow {
-        full_states,
-        full_secs,
-        por_states,
-        por_pruned,
-        por_secs,
-    }
-}
-
-/// Median wall time of `f` over `reps` runs.
-fn median(reps: usize, mut f: impl FnMut()) -> f64 {
-    let mut samples: Vec<f64> = (0..reps)
-        .map(|_| {
-            let t = Instant::now();
-            f();
-            t.elapsed().as_secs_f64()
-        })
-        .collect();
-    samples.sort_by(f64::total_cmp);
-    samples[samples.len() / 2]
-}
-
-#[allow(clippy::type_complexity)]
-fn render_json(
-    cores: usize,
-    quick: bool,
-    rows: &[(String, usize, Vec<(usize, f64, f64)>, f64, PorRow)],
-) -> String {
-    let mut out = String::from("{\n");
-    out.push_str("  \"bench\": \"explore_scaling\",\n");
-    out.push_str(&format!("  \"host_cores\": {cores},\n"));
-    out.push_str(&format!("  \"quick\": {quick},\n"));
-    out.push_str("  \"workloads\": [\n");
-    for (i, (name, states, points, speedup4, por)) in rows.iter().enumerate() {
-        let ratio = por.full_states as f64 / por.por_states.max(1) as f64;
-        out.push_str("    {\n");
-        out.push_str(&format!("      \"name\": \"{name}\",\n"));
-        out.push_str(&format!("      \"states\": {states},\n"));
-        out.push_str(&format!("      \"speedup_4_threads\": {speedup4:.3},\n"));
-        out.push_str("      \"por\": {\n");
-        out.push_str(&format!(
-            "        \"full_states\": {}, \"full_secs\": {:.6},\n",
-            por.full_states, por.full_secs
-        ));
-        out.push_str(&format!(
-            "        \"por_states\": {}, \"por_secs\": {:.6}, \"states_pruned\": {},\n",
-            por.por_states, por.por_secs, por.por_pruned
-        ));
-        out.push_str(&format!("        \"reduction_factor\": {ratio:.2}\n"));
-        out.push_str("      },\n");
-        out.push_str("      \"points\": [\n");
-        for (j, (threads, secs, rate)) in points.iter().enumerate() {
-            out.push_str(&format!(
-                "        {{\"threads\": {threads}, \"secs\": {secs:.6}, \"states_per_sec\": {rate:.0}}}{}\n",
-                if j + 1 < points.len() { "," } else { "" }
-            ));
-        }
-        out.push_str("      ]\n");
-        out.push_str(&format!(
-            "    }}{}\n",
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
 }

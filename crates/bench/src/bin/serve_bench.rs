@@ -1,7 +1,7 @@
 //! `serve_bench` — E16: request latency through the TCP front-end (the
 //! readiness-driven poll loop) at several concurrency levels, directly
 //! and through the sharded-cluster path (client → router → 3-node ring,
-//! one forward hop per uncached request), recorded as
+//! one forward hop per uncached request), recorded as rows in
 //! `BENCH_serve.json`.
 //!
 //! ```bash
@@ -12,14 +12,16 @@
 //! the numbers isolate front-end overhead (framing, readiness, reply
 //! routing), not pipelining throughput. Requests rotate over a small
 //! source pool, so after the first pass the result cache answers and
-//! the certify cost itself stays out of the measurement. The JSON
-//! records the host's core count next to every row: on a 1-core host
-//! the clients, the loop and the workers all share that core.
+//! the certify cost itself stays out of the measurement. Each row's
+//! `size` is the client count, and every row records the host's core
+//! count: on a 1-core host the clients, the loop and the workers all
+//! share that core.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
+use secflow_bench::{host_cores, write_rows, Row};
 use secflow_lang::print_program;
 use secflow_server::{
     bind_ephemeral, serve_listener, serve_tcp, ClusterConfig, Op, Request, ServerConfig,
@@ -29,7 +31,6 @@ use secflow_workload::sequential_chain;
 const CLIENTS: [usize; 3] = [1, 8, 64];
 
 struct Point {
-    clients: usize,
     requests: usize,
     p50_us: u64,
     p99_us: u64,
@@ -39,56 +40,70 @@ struct Point {
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
     let per_client = if quick { 50 } else { 400 };
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
 
     let sources: Vec<String> = (0..16)
         .map(|i| print_program(&sequential_chain(10 + i, 4)))
         .collect();
 
-    println!("# serve_bench — {cores} host core(s), {per_client} reqs/client\n");
+    println!(
+        "# serve_bench — {} host core(s), {per_client} reqs/client\n",
+        host_cores()
+    );
     let mut rows = Vec::new();
-    let mut points = Vec::new();
-    for &clients in &CLIENTS {
-        let point = run_level(clients, per_client, &sources);
-        println!(
-            "{:9} clients={clients:<3} {:>6} reqs  p50={:>5}us  p99={:>6}us  {:>8.0} req/s",
-            "poll", point.requests, point.p50_us, point.p99_us, point.reqs_per_sec
-        );
-        points.push(point);
-    }
-    println!();
-    rows.push(("poll", points));
-
-    // The cluster column: same lockstep clients, but every request
+    // The router column: same lockstep clients, but every request
     // crosses the router and (when uncached) one forward hop to its
     // ring owner — the price of sharding, next to the direct rows.
-    let mut points = Vec::new();
-    for &clients in &CLIENTS {
-        let point = run_level_router(clients, per_client, &sources);
-        println!(
-            "{:9} clients={clients:<3} {:>6} reqs  p50={:>5}us  p99={:>6}us  {:>8.0} req/s",
-            "router", point.requests, point.p50_us, point.p99_us, point.reqs_per_sec
-        );
-        points.push(point);
+    let columns: [(&str, &str, Cell); 2] = [
+        ("frontend", "poll", run_level),
+        ("cluster", "router", run_level_router),
+    ];
+    for (layer, column, cell) in columns {
+        for clients in CLIENTS {
+            let point = cell(clients, per_client, &sources);
+            println!(
+                "{column:9} clients={clients:<3} {:>6} reqs  p50={:>5}us  p99={:>6}us  {:>8.0} req/s",
+                point.requests, point.p50_us, point.p99_us, point.reqs_per_sec
+            );
+            let mut row = |metric: &'static str, value: f64, unit: &'static str| {
+                rows.push(Row {
+                    layer,
+                    workload: column.to_string(),
+                    size: clients,
+                    metric,
+                    value,
+                    unit,
+                });
+            };
+            row("requests", point.requests as f64, "count");
+            row("latency_p50_us", point.p50_us as f64, "us");
+            row("latency_p99_us", point.p99_us as f64, "us");
+            row("throughput_rps", point.reqs_per_sec, "req/s");
+        }
+        println!();
     }
-    println!();
-    rows.push(("router", points));
 
-    let json = render_json(cores, quick, per_client, &rows);
-    std::fs::write("BENCH_serve.json", &json).expect("write BENCH_serve.json");
+    write_rows("BENCH_serve.json", &rows).expect("write BENCH_serve.json");
     println!("wrote BENCH_serve.json");
+}
+
+/// One concurrency cell: `(clients, requests per client, sources)` to
+/// the measured point.
+type Cell = fn(usize, usize, &[String]) -> Point;
+
+/// The configuration of every server the bench starts.
+fn node_config() -> ServerConfig {
+    ServerConfig {
+        workers: 4,
+        queue_capacity: 512,
+        cache_capacity: 4096,
+        ..ServerConfig::default()
+    }
 }
 
 /// One direct concurrency cell: fresh server, `clients` lockstep
 /// connections, every per-request latency pooled for the percentiles.
 fn run_level(clients: usize, per_client: usize, sources: &[String]) -> Point {
-    let cfg = ServerConfig {
-        workers: 4,
-        queue_capacity: 512,
-        cache_capacity: 4096,
-        ..ServerConfig::default()
-    };
-    let server = serve_tcp("127.0.0.1:0", cfg).expect("bind");
+    let server = serve_tcp("127.0.0.1:0", node_config()).expect("bind");
     let addr = server.local_addr().to_string();
 
     let point = drive(&addr, clients, per_client, sources);
@@ -108,19 +123,13 @@ fn run_level_router(clients: usize, per_client: usize, sources: &[String]) -> Po
         .iter()
         .map(|l| l.local_addr().unwrap().to_string())
         .collect();
-    let node_cfg = || ServerConfig {
-        workers: 4,
-        queue_capacity: 512,
-        cache_capacity: 4096,
-        ..ServerConfig::default()
-    };
     let mut servers = Vec::new();
     for (i, listener) in listeners.into_iter().enumerate() {
         let mut cluster = ClusterConfig::new(&addrs);
         cluster.self_addr = Some(addrs[i].clone());
         let cfg = ServerConfig {
             cluster: Some(cluster),
-            ..node_cfg()
+            ..node_config()
         };
         servers.push(serve_listener(listener, cfg).expect("serve node"));
     }
@@ -128,7 +137,7 @@ fn run_level_router(clients: usize, per_client: usize, sources: &[String]) -> Po
     let router_addr = listener.local_addr().unwrap().to_string();
     let cfg = ServerConfig {
         cluster: Some(ClusterConfig::new(&addrs)),
-        ..node_cfg()
+        ..node_config()
     };
     let router = serve_listener(listener, cfg).expect("serve router");
 
@@ -153,7 +162,7 @@ fn drive(addr: &str, clients: usize, per_client: usize, sources: &[String]) -> P
         let lines: Vec<String> = (0..per_client)
             .map(|r| {
                 let req = Request::new(Op::Certify, sources[(c + r) % sources.len()].clone());
-                format!("{}\n", req.to_line())
+                req.to_line() + "\n"
             })
             .collect();
         handles.push(std::thread::spawn(move || {
@@ -184,7 +193,6 @@ fn drive(addr: &str, clients: usize, per_client: usize, sources: &[String]) -> P
     latencies.sort_unstable();
     let requests = latencies.len();
     Point {
-        clients,
         requests,
         p50_us: percentile(&latencies, 50),
         p99_us: percentile(&latencies, 99),
@@ -206,41 +214,4 @@ fn percentile(sorted: &[u64], pct: usize) -> u64 {
     }
     let rank = (pct * sorted.len()).div_ceil(100).max(1);
     sorted[rank - 1]
-}
-
-fn render_json(
-    cores: usize,
-    quick: bool,
-    per_client: usize,
-    rows: &[(&str, Vec<Point>)],
-) -> String {
-    let mut out = String::from("{\n");
-    out.push_str("  \"bench\": \"serve_bench\",\n");
-    out.push_str(&format!("  \"host_cores\": {cores},\n"));
-    out.push_str(&format!("  \"quick\": {quick},\n"));
-    out.push_str(&format!("  \"requests_per_client\": {per_client},\n"));
-    out.push_str("  \"columns\": [\n");
-    for (i, (name, points)) in rows.iter().enumerate() {
-        out.push_str("    {\n");
-        out.push_str(&format!("      \"name\": \"{name}\",\n"));
-        out.push_str("      \"points\": [\n");
-        for (j, p) in points.iter().enumerate() {
-            out.push_str(&format!(
-                "        {{\"clients\": {}, \"requests\": {}, \"p50_us\": {}, \"p99_us\": {}, \"reqs_per_sec\": {:.0}}}{}\n",
-                p.clients,
-                p.requests,
-                p.p50_us,
-                p.p99_us,
-                p.reqs_per_sec,
-                if j + 1 < points.len() { "," } else { "" }
-            ));
-        }
-        out.push_str("      ]\n");
-        out.push_str(&format!(
-            "    }}{}\n",
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
 }

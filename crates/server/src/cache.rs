@@ -155,8 +155,17 @@ impl ResultCache {
     /// first — the order compaction writes them, so a bounded replay
     /// keeps the hottest entries (see [`crate::persist`]).
     pub fn entries(&self) -> Vec<(u64, String, CachedResult)> {
+        self.page(0, usize::MAX)
+    }
+
+    /// At most `limit` entries of the [`entries`](Self::entries) order,
+    /// starting at position `cursor`. Only the page is cloned, so a
+    /// paged `peer-sync` of the whole cache clones each entry once.
+    pub fn page(&self, cursor: usize, limit: usize) -> Vec<(u64, String, CachedResult)> {
         self.recency
             .values()
+            .skip(cursor)
+            .take(limit)
             .filter_map(|hash| {
                 let entry = self.map.get(hash)?;
                 Some((*hash, entry.canon.clone(), entry.value.clone()))
@@ -289,6 +298,42 @@ mod tests {
         };
         assert!(cache.get(&forged).is_none());
         assert!(cache.get(&real).is_some());
+    }
+
+    #[test]
+    fn pages_walk_the_cache_in_entries_order() {
+        let mut cache = ResultCache::new(8);
+        let keys: Vec<CacheKey> = (0..10).map(|i| CacheKey::of(&[&i.to_string()])).collect();
+        for (i, k) in keys.iter().enumerate() {
+            cache.put(k, result(&i.to_string()));
+        }
+        // 0 and 1 were evicted; refreshing 4 and 2 makes them the most
+        // recently used, in that order.
+        cache.get(&keys[4]).unwrap();
+        cache.get(&keys[2]).unwrap();
+        let expected: Vec<u64> = [3, 5, 6, 7, 8, 9, 4, 2]
+            .iter()
+            .map(|&i| keys[i].hash)
+            .collect();
+
+        let mut paged = Vec::new();
+        let mut cursor = 0;
+        loop {
+            let page = cache.page(cursor, 3);
+            assert!(page.len() <= 3);
+            if page.is_empty() {
+                break;
+            }
+            cursor += page.len();
+            paged.extend(page);
+        }
+        let hashes = |entries: &[(u64, String, CachedResult)]| -> Vec<u64> {
+            entries.iter().map(|(h, _, _)| *h).collect()
+        };
+        assert_eq!(hashes(&paged), expected);
+        assert_eq!(hashes(&cache.entries()), expected);
+        assert!(cache.page(8, 3).is_empty(), "a cursor at the end is empty");
+        assert!(cache.page(usize::MAX, 3).is_empty());
     }
 
     #[test]

@@ -124,20 +124,6 @@ pub struct ConnToken {
     pub gen: u64,
 }
 
-/// Why the poll loop decided to close a connection.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum CloseReason {
-    /// Clean end-of-stream with nothing left to deliver.
-    Eof,
-    /// A read or write failed.
-    Io,
-    /// The client froze mid-line (or sat idle) past the timeout.
-    Stalled,
-    /// The write buffer crossed the high-water mark: the client is not
-    /// reading its replies.
-    Overloaded,
-}
-
 /// Per-connection state machine driven by the poll loop.
 #[derive(Debug)]
 pub struct Conn<S> {

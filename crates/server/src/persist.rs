@@ -396,11 +396,6 @@ impl DurableStore {
         s
     }
 
-    /// The store's directory.
-    pub fn dir(&self) -> &Path {
-        &self.cfg.dir
-    }
-
     /// Appends one entry to the journal. On IO error the entry simply
     /// is not durable (counted in `io_errors`); the in-memory cache
     /// still serves it.

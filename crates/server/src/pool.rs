@@ -180,11 +180,6 @@ impl Pool {
         }
     }
 
-    /// Number of jobs that panicked (and were absorbed) so far.
-    pub fn panic_count(&self) -> u64 {
-        self.shared.panics.load(Relaxed)
-    }
-
     /// Current pool health.
     pub fn health(&self) -> PoolHealth {
         let slots = &self.shared.slots;

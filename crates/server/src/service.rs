@@ -461,15 +461,12 @@ impl Service {
         Metrics::bump(&self.metrics.cluster_peer_syncs);
         let cursor = req.cursor.unwrap_or(0).min(usize::MAX as u64) as usize;
         let limit = req.limit.unwrap_or(256).clamp(1, MAX_SYNC_PAGE) as usize;
-        let all = match self.cache.lock() {
-            Ok(cache) => cache.entries(),
-            Err(_) => Vec::new(),
+        let (total, page) = match self.cache.lock() {
+            Ok(cache) => (cache.len(), cache.page(cursor, limit)),
+            Err(_) => (0, Vec::new()),
         };
-        let total = all.len();
-        let page: Vec<Json> = all
+        let page: Vec<Json> = page
             .into_iter()
-            .skip(cursor)
-            .take(limit)
             .map(|(hash, canon, value)| {
                 let payload = encode_record(hash, &canon, &value);
                 Json::Str(String::from_utf8_lossy(&payload).into_owned())
@@ -783,9 +780,9 @@ impl Service {
         finish_line(req, &result, false, start, &extra)
     }
 
-    /// The leader's half of a miss: compute `req` locally, then cache,
-    /// journal and replicate the result, and publish it to the flight's
-    /// waiters when `guard` drops on return.
+    /// The leader's half of a miss: compute `req` locally, then cache
+    /// and journal the result, publish it to the flight's waiters by
+    /// dropping `guard`, and only then replicate it.
     fn lead(
         &self,
         req: &Request,
@@ -858,9 +855,11 @@ impl Service {
             if let Some(guard) = guard.as_mut() {
                 guard.result = Some(result.clone());
             }
+            // Dropping the guard publishes to the flight's waiters now,
+            // so they never block on the replica sockets below.
+            drop(guard);
             // Push the fresh entry to its other replicas (no-op unless
-            // `replication` ≥ 2). Deliberately after publishing to the
-            // flight — local waiters never block on replica sockets.
+            // `replication` ≥ 2).
             self.replicate_out(key, &result);
         }
         result
@@ -1205,15 +1204,20 @@ fn is_timeout(result: &CachedResult) -> bool {
 }
 
 fn cache_key(req: &Request, effective_fuel: u64) -> CacheKey {
+    // Names and class strings are arbitrary JSON strings, so each one
+    // is length-prefixed: `{"x":"low;y=high"}` must not spell the same
+    // key part as `{"x":"low","y":"high"}`. An input value is an integer
+    // and cannot contain the `;` that ends it. An empty list stays "",
+    // so requests without classes or inputs keep their keys.
     let classes: String = req
         .classes
         .iter()
-        .map(|(n, c)| format!("{n}={c};"))
+        .map(|(n, c)| format!("{}:{n}{}:{c}", n.len(), c.len()))
         .collect();
     let inputs: String = req
         .inputs
         .iter()
-        .map(|(n, v)| format!("{n}={v};"))
+        .map(|(n, v)| format!("{}:{n}{v};", n.len()))
         .collect();
     let fuel = effective_fuel.to_string();
     let max_states = req.max_states.map(|n| n.to_string()).unwrap_or_default();
@@ -1595,6 +1599,57 @@ mod tests {
         let v = Json::parse(&s.handle_line(&req)).unwrap();
         let dot = v.get("graph").and_then(Json::as_str).unwrap();
         assert!(dot.contains("digraph"));
+    }
+
+    // ---- cache keying -------------------------------------------------
+
+    /// The error kind of a reply, or `None` for a successful one.
+    fn error_kind(v: &Json) -> Option<&str> {
+        v.get("error")
+            .and_then(|e| e.get("kind"))
+            .and_then(Json::as_str)
+    }
+
+    const ALIAS_SOURCE: &str = "var x, y : integer; y := x";
+    const ALIAS_VALID: &str = r#"{"x":"low","y":"high"}"#;
+    /// One class, `low;y=high`, which does not exist: a binding error.
+    const ALIAS_MALFORMED: &str = r#"{"x":"low;y=high"}"#;
+
+    #[test]
+    fn a_malformed_class_does_not_poison_a_valid_requests_key() {
+        let s = svc();
+        let bad = Json::parse(&s.handle_line(&line(ALIAS_SOURCE, ALIAS_MALFORMED))).unwrap();
+        assert_eq!(error_kind(&bad), Some("binding"));
+        let good = Json::parse(&s.handle_line(&line(ALIAS_SOURCE, ALIAS_VALID))).unwrap();
+        assert_eq!(error_kind(&good), None, "{good}");
+        assert_eq!(good.get("certified").and_then(Json::as_bool), Some(true));
+        assert_eq!(good.get("cached").and_then(Json::as_bool), Some(false));
+    }
+
+    #[test]
+    fn a_malformed_class_is_not_served_a_valid_requests_verdict() {
+        let s = svc();
+        let good = Json::parse(&s.handle_line(&line(ALIAS_SOURCE, ALIAS_VALID))).unwrap();
+        assert_eq!(good.get("certified").and_then(Json::as_bool), Some(true));
+        let bad = Json::parse(&s.handle_line(&line(ALIAS_SOURCE, ALIAS_MALFORMED))).unwrap();
+        assert_eq!(error_kind(&bad), Some("binding"), "{bad}");
+        assert_eq!(bad.get("cached").and_then(Json::as_bool), Some(false));
+    }
+
+    #[test]
+    fn an_input_name_does_not_alias_another_explores_inputs() {
+        let s = svc();
+        let explore = |inputs: &str| {
+            format!(
+                r#"{{"op":"explore","source":{},"inputs":{inputs}}}"#,
+                Json::Str(ALIAS_SOURCE.to_string())
+            )
+        };
+        let bad = Json::parse(&s.handle_line(&explore(r#"{"x=1;y":2}"#))).unwrap();
+        assert_eq!(error_kind(&bad), Some("binding"));
+        let good = Json::parse(&s.handle_line(&explore(r#"{"x":1,"y":2}"#))).unwrap();
+        assert_eq!(error_kind(&good), None, "{good}");
+        assert_eq!(good.get("cached").and_then(Json::as_bool), Some(false));
     }
 
     #[test]
@@ -2509,6 +2564,61 @@ mod tests {
             started.elapsed() < Duration::from_secs(2),
             "a DOWN replica must not cost a connect timeout"
         );
+        assert_eq!(s.metrics.cluster_replicas_sent.load(Relaxed), 0);
+    }
+
+    /// A coalesced waiter gets the leader's result as soon as it is
+    /// cached, not after the leader's replica push. The replica here
+    /// accepts the push and never answers; the waiter must reply while
+    /// the test still holds that connection open.
+    #[test]
+    fn coalesced_waiters_do_not_wait_for_replica_pushes() {
+        let replica = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let peers = [
+            "127.0.0.1:7601".to_string(),
+            replica.local_addr().unwrap().to_string(),
+        ];
+        let mut cfg = ClusterConfig::new(&peers);
+        cfg.self_addr = Some(peers[0].clone());
+        cfg.replication = 2;
+        cfg.peer_timeout_ms = 120_000;
+        let s = Service::new(16, Limits::default()).with_cluster(cfg);
+
+        let request = line(LEAKY, r#"{}"#);
+        let req = Request::parse(&request).unwrap();
+        let fuel = req.fuel.unwrap_or(u64::MAX).min(s.limits.max_fuel);
+        let (threads, _) = s.limits.effective_threads(&req);
+        let key = cache_key(&req, fuel);
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::scope(|scope| {
+            let FlightRole::Leader(Some(guard)) = s.join_flight(&key) else {
+                panic!("the flight table is empty and healthy");
+            };
+            let flight = Arc::clone(&guard.flight);
+            scope.spawn(|| tx.send(s.handle_line(&request)).unwrap());
+            // The table, the guard, `flight` and the waiter.
+            while Arc::strong_count(&flight) < 4 {
+                std::thread::yield_now();
+            }
+            let leader = scope.spawn(|| {
+                let token = s.cancel_token(&req);
+                s.lead(&req, &key, fuel, threads, &token, Some(guard))
+            });
+
+            // The leader's push is connected and unanswered from here on.
+            let (push, _) = replica.accept().unwrap();
+            let reply = rx
+                .recv_timeout(Duration::from_secs(20))
+                .expect("the waiter replied while the push was held");
+            let v = Json::parse(&reply).unwrap();
+            assert_eq!(v.get("certified").and_then(Json::as_bool), Some(true));
+            assert_eq!(v.get("cached").and_then(Json::as_bool), Some(true));
+            assert_eq!(s.metrics.coalesced_hits.load(Relaxed), 1);
+
+            // Closing the connection fails the push; the leader returns.
+            drop(push);
+            assert!(leader.join().unwrap().ok);
+        });
         assert_eq!(s.metrics.cluster_replicas_sent.load(Relaxed), 0);
     }
 }
