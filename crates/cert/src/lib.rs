@@ -15,7 +15,8 @@
 //!   serialization ([`emit_certificate`]), strict parsing, and a
 //!   standalone validator ([`validate_certificate`]) built on
 //!   [`check_proof`](secflow_logic::check_proof) that re-derives every
-//!   side condition without ever re-running Theorem 1 search.
+//!   side condition without ever re-running Theorem 1 search, and the
+//!   one rendering of its verdict ([`verdict_fields`]).
 //!
 //! A certificate carries **no authority**: the validator trusts only
 //! the program source it is handed and the lattice it names. Rule
@@ -53,6 +54,7 @@ pub mod wire;
 pub use digest::{sha256_hex, Sha256};
 pub use json::{Json, JsonError};
 pub use wire::{
-    emit_certificate, program_fingerprint, reseal, show_linear_class, show_two_class,
-    validate_certificate, CertError, CertSummary, Certificate, CERT_FORMAT, CERT_VERSION,
+    emit_certificate, parse_linear_class, parse_two_class, program_fingerprint, reseal,
+    show_linear_class, show_two_class, validate_certificate, verdict_fields, CertError,
+    CertSummary, Certificate, CERT_FORMAT, CERT_VERSION,
 };

@@ -17,11 +17,11 @@
 //!   decimal). Literals use the canonical spellings only.
 //! - `program_sha256` fingerprints the exact source text the proof is
 //!   about; a validator checks it before anything structural.
-//! - `proof` mirrors [`Proof`]: each node carries its rule name (the
-//!   same names as the textual `.sfp` format: `skip`, `assign`,
-//!   `signal`, `wait`, `if`, `while`, `seq`, `cobegin`, `conseq`), its
-//!   `pre`/`post` assertions, and its premises in `kids`. Assertions
-//!   are `{"state":[[lhs,rhs],...],"local":E,"global":E}`; a class
+//! - `proof` mirrors [`Proof`]: each node carries its rule name
+//!   (`skip`, `assign`, `signal`, `wait`, `if`, `while`, `seq`,
+//!   `cobegin`, `conseq`), its `pre`/`post` assertions, and its
+//!   premises in `kids`. Assertions are
+//!   `{"state":[[lhs,rhs],...],"local":E,"global":E}`; a class
 //!   expression `E` is `{"atoms":["v:<name>"|"local"|"global",...],
 //!   "lit":"<class>"|null}` (`null` = the bottom element ν).
 //!   Substitution data is deliberately *not* carried: the checker
@@ -137,6 +137,30 @@ pub fn show_two_class(l: &TwoPoint) -> String {
 /// Canonical spelling of a linear class (the bare decimal level).
 pub fn show_linear_class(l: &Linear) -> String {
     l.0.to_string()
+}
+
+/// Reads a two-point class as a user types it: `low`/`l` or `high`/`h`,
+/// in any case. Certificates accept only the canonical spellings.
+pub fn parse_two_class(s: &str) -> Result<TwoPoint, String> {
+    match s.to_ascii_lowercase().as_str() {
+        "low" | "l" => Ok(TwoPoint::Low),
+        "high" | "h" => Ok(TwoPoint::High),
+        other => Err(format!("unknown class `{other}` (low | high)")),
+    }
+}
+
+/// Reads a linear class as a user types it: a decimal level, with at
+/// most one `L`/`l` prefix (`3`, `L3`, `l3`), in range for `scheme`.
+pub fn parse_linear_class(scheme: &LinearScheme, s: &str) -> Result<Linear, String> {
+    let top = scheme.levels() - 1;
+    let k: u32 = s
+        .strip_prefix(['L', 'l'])
+        .unwrap_or(s)
+        .parse()
+        .map_err(|_| format!("unknown class `{s}` (0..={top})"))?;
+    scheme
+        .level(k)
+        .ok_or_else(|| format!("level {k} out of range (0..={top})"))
 }
 
 fn parse_two_lit(s: &str) -> Option<TwoPoint> {
@@ -400,6 +424,31 @@ pub fn validate_certificate(source: &str, cert_text: &str) -> Result<CertSummary
         lattice,
         digest: claimed_digest,
     })
+}
+
+/// The verdict fields of one validation, as the service's `checkproof`
+/// reply and `secflow checkproof --json` both print them: `valid:true`
+/// with the digest, node count and lattice, or `valid:false` with a
+/// `reason` naming the rejecting stage.
+pub fn verdict_fields(verdict: Result<CertSummary, CertError>) -> Vec<(String, Json)> {
+    match verdict {
+        Ok(summary) => vec![
+            ("valid".to_string(), Json::Bool(true)),
+            ("proof_digest".to_string(), Json::Str(summary.digest)),
+            ("proof_nodes".to_string(), Json::Num(summary.nodes as f64)),
+            ("lattice".to_string(), Json::Str(summary.lattice)),
+        ],
+        Err(err) => vec![
+            ("valid".to_string(), Json::Bool(false)),
+            (
+                "reason".to_string(),
+                Json::Obj(vec![
+                    ("stage".to_string(), Json::Str(err.stage.to_string())),
+                    ("message".to_string(), Json::Str(err.message)),
+                ]),
+            ),
+        ],
+    }
 }
 
 enum LatticeKind {

@@ -3,7 +3,9 @@
 //!
 //! ```text
 //! secflow certify <file> --class x=high --class y=low [--default low] [--baseline]
+//!                 [--emit-proof cert.json]
 //! secflow prove   <file> --class … [--default …]
+//! secflow checkproof <file> --proof cert.json [--json]
 //! secflow run     <file> [--input x=3] [--seed N] [--fuel N] [--trace]
 //! secflow explore <file> [--input x=3] [--max-states N]
 //! secflow leaktest <file> --secret x [--observe y,z] [--values 0,1]
@@ -21,14 +23,15 @@ use std::process::ExitCode;
 
 use secflow_analyze::AnalysisReport;
 use secflow_cert::{
-    emit_certificate, show_linear_class, show_two_class, validate_certificate, Json,
+    emit_certificate, parse_linear_class, parse_two_class, show_linear_class, show_two_class,
+    validate_certificate, verdict_fields, Json,
 };
 use secflow_core::{
     certify, check_atomicity, denning_certify, infer_binding, FlowGraph, StaticBinding,
 };
 use secflow_lang::{parse, print_program, Diag, Program, Severity, VarId};
-use secflow_lattice::{Extended, Lattice, Linear, LinearScheme, Scheme, TwoPoint, TwoPointScheme};
-use secflow_logic::{check_proof, parse_proof, prove, render_proof, write_proof};
+use secflow_lattice::{Extended, Lattice, LinearScheme, Scheme, TwoPoint, TwoPointScheme};
+use secflow_logic::{check_proof, prove, render_proof};
 use secflow_runtime::{
     check_noninterference, explore_with, pexplore_with, run_traced, ExploreLimits, Machine,
     RandomSched, RoundRobin,
@@ -43,9 +46,8 @@ USAGE:
                          [--lattice two|linear:N] [--baseline]
                          [--emit-proof cert.json]
   secflow prove   <file> [--class name=CLASS]... [--default CLASS]
-                         [--lattice two|linear:N] [--emit proof.sfp]
-  secflow checkproof <file> --proof proof.sfp|cert.json
-                  [--lattice two|linear:N] [--json]
+                         [--lattice two|linear:N]
+  secflow checkproof <file> --proof cert.json [--json]
   secflow run     <file> [--input name=VALUE]... [--seed N] [--fuel N] [--trace]
   secflow explore <file> [--input name=VALUE]... [--max-states N] [--timeout-ms N]
                   [--threads N] [--no-por]
@@ -102,8 +104,7 @@ recovers it on restart (crash-safe; see DESIGN.md §10). The directory
 must already exist and be writable. `cache-inspect` scans a store
 offline (reporting which entries carry proof certificates) and exits 1
 if any frame is corrupt. `certify --emit-proof` writes a verifiable
-wire certificate (DESIGN.md §11); `checkproof` validates either a
-textual proof or a wire certificate, autodetected by content.
+wire certificate (DESIGN.md §11); `checkproof` validates one.
 `serve --peers` shards the cache across a static member list by
 consistent hashing on the request fingerprint (DESIGN.md §14): a node
 that does not own a request forwards it to the owner, so every distinct
@@ -322,13 +323,6 @@ trait SchemeOps {
         program: &Program,
         classes: &[(VarId, String)],
         default: Option<&str>,
-        emit: Option<&str>,
-    ) -> Result<(bool, String), String>;
-
-    fn checkproof_report(
-        &self,
-        program: &Program,
-        proof_text: &str,
     ) -> Result<(bool, String), String>;
 
     fn infer_report(
@@ -410,15 +404,12 @@ where
     Ok((report.certified(), out))
 }
 
-#[allow(clippy::too_many_arguments)]
 fn prove_impl<S: Scheme>(
     program: &Program,
     scheme: &S,
     classes: &[(VarId, String)],
     default: Option<&str>,
-    emit: Option<&str>,
     parse_class: impl Fn(&str) -> Result<S::Elem, String>,
-    show_class: impl Fn(&S::Elem) -> String,
 ) -> Result<(bool, String), String>
 where
     S::Elem: Lattice + Display,
@@ -427,36 +418,16 @@ where
     match prove(program, &binding, Extended::Nil, Extended::Nil) {
         Ok(proof) => {
             check_proof(&program.body, &proof).map_err(|e| e.to_string())?;
-            let mut out = format!(
-                "completely invariant flow proof found ({} nodes):\n{}",
-                proof.size(),
-                render_proof(&proof, &program.symbols)
-            );
-            if let Some(path) = emit {
-                let text = write_proof(&proof, &program.symbols, &|l| show_class(l));
-                std::fs::write(path, text).map_err(|e| format!("cannot write `{path}`: {e}"))?;
-                out.push_str(&format!("proof written to {path}\n"));
-            }
-            Ok((true, out))
+            Ok((
+                true,
+                format!(
+                    "completely invariant flow proof found ({} nodes):\n{}",
+                    proof.size(),
+                    render_proof(&proof, &program.symbols)
+                ),
+            ))
         }
         Err(e) => Ok((false, format!("no completely invariant proof: {e}\n"))),
-    }
-}
-
-fn checkproof_impl<L: Lattice + Display>(
-    program: &Program,
-    proof_text: &str,
-    parse_lit: impl Fn(&str) -> Option<L>,
-) -> Result<(bool, String), String> {
-    // A proof that does not even parse is still a rejected proof (exit
-    // 1, analysis failure), not a CLI usage error.
-    let proof = match parse_proof(proof_text, &program.symbols, &|s| parse_lit(s)) {
-        Ok(proof) => proof,
-        Err(e) => return Ok((false, format!("proof REJECTED: {e}\n"))),
-    };
-    match check_proof(&program.body, &proof) {
-        Ok(()) => Ok((true, format!("proof checks ({} nodes)\n", proof.size()))),
-        Err(e) => Ok((false, format!("proof REJECTED: {e}\n"))),
     }
 }
 
@@ -493,14 +464,6 @@ where
 
 struct TwoOps;
 
-fn parse_two(s: &str) -> Result<TwoPoint, String> {
-    match s.to_ascii_lowercase().as_str() {
-        "low" | "l" => Ok(TwoPoint::Low),
-        "high" | "h" => Ok(TwoPoint::High),
-        other => Err(format!("unknown class `{other}` (low | high)")),
-    }
-}
-
 impl SchemeOps for TwoOps {
     fn certify_report(
         &self,
@@ -520,7 +483,7 @@ impl SchemeOps for TwoOps {
             default,
             baseline,
             emit_proof,
-            parse_two,
+            parse_two_class,
             show_two_class,
         )
     }
@@ -530,28 +493,8 @@ impl SchemeOps for TwoOps {
         program: &Program,
         classes: &[(VarId, String)],
         default: Option<&str>,
-        emit: Option<&str>,
     ) -> Result<(bool, String), String> {
-        prove_impl(
-            program,
-            &TwoPointScheme,
-            classes,
-            default,
-            emit,
-            parse_two,
-            |l| match l {
-                TwoPoint::Low => "low".to_string(),
-                TwoPoint::High => "high".to_string(),
-            },
-        )
-    }
-
-    fn checkproof_report(
-        &self,
-        program: &Program,
-        proof_text: &str,
-    ) -> Result<(bool, String), String> {
-        checkproof_impl(program, proof_text, |s| parse_two(s).ok())
+        prove_impl(program, &TwoPointScheme, classes, default, parse_two_class)
     }
 
     fn infer_report(
@@ -559,24 +502,12 @@ impl SchemeOps for TwoOps {
         program: &Program,
         pins: &[(VarId, String)],
     ) -> Result<(bool, String), String> {
-        infer_impl(program, &TwoPointScheme, pins, parse_two)
+        infer_impl(program, &TwoPointScheme, pins, parse_two_class)
     }
 }
 
 struct LinearOps {
     scheme: LinearScheme,
-}
-
-impl LinearOps {
-    fn parse(&self, s: &str) -> Result<Linear, String> {
-        let k: u32 = s
-            .trim_start_matches(['L', 'l'])
-            .parse()
-            .map_err(|_| format!("unknown class `{s}` (0..{})", self.scheme.levels() - 1))?;
-        self.scheme
-            .level(k)
-            .ok_or_else(|| format!("level {k} out of range (0..{})", self.scheme.levels() - 1))
-    }
 }
 
 impl SchemeOps for LinearOps {
@@ -598,7 +529,7 @@ impl SchemeOps for LinearOps {
             default,
             baseline,
             emit_proof,
-            |s| self.parse(s),
+            |s| parse_linear_class(&self.scheme, s),
             show_linear_class,
         )
     }
@@ -608,25 +539,10 @@ impl SchemeOps for LinearOps {
         program: &Program,
         classes: &[(VarId, String)],
         default: Option<&str>,
-        emit: Option<&str>,
     ) -> Result<(bool, String), String> {
-        prove_impl(
-            program,
-            &self.scheme,
-            classes,
-            default,
-            emit,
-            |s| self.parse(s),
-            |l| l.0.to_string(),
-        )
-    }
-
-    fn checkproof_report(
-        &self,
-        program: &Program,
-        proof_text: &str,
-    ) -> Result<(bool, String), String> {
-        checkproof_impl(program, proof_text, |s| self.parse(s).ok())
+        prove_impl(program, &self.scheme, classes, default, |s| {
+            parse_linear_class(&self.scheme, s)
+        })
     }
 
     fn infer_report(
@@ -634,7 +550,9 @@ impl SchemeOps for LinearOps {
         program: &Program,
         pins: &[(VarId, String)],
     ) -> Result<(bool, String), String> {
-        infer_impl(program, &self.scheme, pins, |s| self.parse(s))
+        infer_impl(program, &self.scheme, pins, |s| {
+            parse_linear_class(&self.scheme, s)
+        })
     }
 }
 
@@ -666,16 +584,11 @@ fn cmd_certify(args: &[String]) -> Result<ExitCode, CliError> {
 }
 
 fn cmd_prove(args: &[String]) -> Result<ExitCode, CliError> {
-    let opts = parse_opts(args, &["class", "default", "lattice", "emit"])?;
+    let opts = parse_opts(args, &["class", "default", "lattice"])?;
     let (program, _) = load_program(opts.file()?)?;
     let classes = parse_pairs(&program, opts.values("class"))?;
     let (ok, report) = with_scheme(&opts, |ops| {
-        ops.prove_report(
-            &program,
-            &classes,
-            opts.value("default"),
-            opts.value("emit"),
-        )
+        ops.prove_report(&program, &classes, opts.value("default"))
     })?;
     print!("{report}");
     Ok(if ok {
@@ -686,76 +599,30 @@ fn cmd_prove(args: &[String]) -> Result<ExitCode, CliError> {
 }
 
 fn cmd_checkproof(args: &[String]) -> Result<ExitCode, CliError> {
-    let opts = parse_opts(args, &["proof", "lattice", "json"])?;
-    let (program, source) = load_program(opts.file()?)?;
+    let opts = parse_opts(args, &["proof", "json"])?;
+    let (_, source) = load_program(opts.file()?)?;
     let proof_path = opts.value("proof").ok_or("missing --proof <file>")?;
-    let proof_text = std::fs::read_to_string(proof_path)
+    let cert = std::fs::read_to_string(proof_path)
         .map_err(|e| format!("cannot read `{proof_path}`: {e}"))?;
-    // Wire certificates are JSON objects; the legacy textual proof
-    // format never starts with `{`. The certificate names its own
-    // lattice, so --lattice is not consulted on this path.
-    if proof_text.trim_start().starts_with('{') {
-        return Ok(match validate_certificate(&source, &proof_text) {
-            Ok(summary) => {
-                if opts.has("json") {
-                    println!(
-                        "{}",
-                        Json::Obj(vec![
-                            ("valid".to_string(), Json::Bool(true)),
-                            ("proof_digest".to_string(), Json::Str(summary.digest)),
-                            ("proof_nodes".to_string(), Json::Num(summary.nodes as f64)),
-                            ("lattice".to_string(), Json::Str(summary.lattice)),
-                        ])
-                    );
-                } else {
-                    println!(
-                        "certificate checks ({} nodes, lattice {})\ndigest sha256:{}",
-                        summary.nodes, summary.lattice, summary.digest
-                    );
-                }
-                ExitCode::SUCCESS
-            }
-            Err(err) => {
-                if opts.has("json") {
-                    println!(
-                        "{}",
-                        Json::Obj(vec![
-                            ("valid".to_string(), Json::Bool(false)),
-                            (
-                                "reason".to_string(),
-                                Json::Obj(vec![
-                                    ("stage".to_string(), Json::Str(err.stage.to_string())),
-                                    ("message".to_string(), Json::Str(err.message)),
-                                ]),
-                            ),
-                        ])
-                    );
-                } else {
-                    println!(
-                        "certificate REJECTED at stage `{}`: {}",
-                        err.stage, err.message
-                    );
-                }
-                ExitCode::FAILURE
-            }
-        });
-    }
-    let (ok, report) = with_scheme(&opts, |ops| ops.checkproof_report(&program, &proof_text))?;
+    // The certificate names its own lattice; a rejection is a verdict
+    // (exit 1), not a usage error.
+    let verdict = validate_certificate(&source, &cert);
+    let valid = verdict.is_ok();
     if opts.has("json") {
-        println!(
-            "{}",
-            Json::Obj(vec![
-                ("valid".to_string(), Json::Bool(ok)),
-                (
-                    "report".to_string(),
-                    Json::Str(report.trim_end().to_string())
-                ),
-            ])
-        );
+        println!("{}", Json::Obj(verdict_fields(verdict)));
     } else {
-        print!("{report}");
+        match verdict {
+            Ok(summary) => println!(
+                "certificate checks ({} nodes, lattice {})\ndigest sha256:{}",
+                summary.nodes, summary.lattice, summary.digest
+            ),
+            Err(err) => println!(
+                "certificate REJECTED at stage `{}`: {}",
+                err.stage, err.message
+            ),
+        }
     }
-    Ok(if ok {
+    Ok(if valid {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE
@@ -958,7 +825,7 @@ fn cmd_flows(args: &[String]) -> Result<ExitCode, CliError> {
                 &TwoPointScheme,
                 &classes,
                 opts.value("default"),
-                parse_two,
+                parse_two_class,
             )?;
             print!("{}", graph.to_dot(&program, Some(&binding)));
         }

@@ -4,6 +4,8 @@
 use std::path::PathBuf;
 use std::process::{Command, Output};
 
+use secflow_server::{Json, Limits, Service};
+
 fn secflow(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_secflow"))
         .args(args)
@@ -109,6 +111,29 @@ fn certify_with_linear_lattice() {
         "b=1",
     ]);
     assert_eq!(bad.status.code(), Some(1));
+}
+
+#[test]
+fn a_linear_class_takes_at_most_one_level_prefix() {
+    let p = write_program("prefix.sfl", "var x, y : integer; x := y");
+    let certify = |class: &str| {
+        secflow(&[
+            "certify",
+            p.to_str().unwrap(),
+            "--lattice",
+            "linear:4",
+            "--class",
+            &format!("x={class}"),
+        ])
+    };
+    for good in ["3", "L3", "l3"] {
+        let out = certify(good);
+        assert!(out.status.success(), "{good}: {}", stdout(&out));
+    }
+    let out = certify("LL3");
+    assert_eq!(out.status.code(), Some(2));
+    let err = String::from_utf8_lossy(&out.stderr).into_owned();
+    assert!(err.contains("unknown class `LL3`"), "{err}");
 }
 
 #[test]
@@ -227,51 +252,73 @@ fn fig3_demo_runs() {
 }
 
 #[test]
-fn prove_emit_then_checkproof_round_trips() {
+fn certify_emit_proof_then_checkproof_round_trips() {
     let dir = std::env::temp_dir().join("secflow-cli-tests");
     std::fs::create_dir_all(&dir).unwrap();
     let prog = write_program("emitme.sfl", SYNC);
-    let proof_path = dir.join("emitted.sfp");
+    let prog = prog.to_str().unwrap();
+    let cert_path = dir.join("emitted.json");
     let out = secflow(&[
-        "prove",
-        prog.to_str().unwrap(),
+        "certify",
+        prog,
         "--default",
         "high",
-        "--emit",
-        proof_path.to_str().unwrap(),
+        "--emit-proof",
+        cert_path.to_str().unwrap(),
     ]);
     assert!(out.status.success(), "{}", stdout(&out));
-    assert!(proof_path.exists());
+    let cert = std::fs::read_to_string(&cert_path).unwrap();
 
-    // The emitted proof re-checks.
+    let out = secflow(&["checkproof", prog, "--proof", cert_path.to_str().unwrap()]);
+    assert!(out.status.success(), "{}", stdout(&out));
+    assert!(stdout(&out).contains("certificate checks"));
+
+    // `--json` prints exactly the verdict fields of the service's
+    // `checkproof` reply.
     let out = secflow(&[
         "checkproof",
-        prog.to_str().unwrap(),
+        prog,
         "--proof",
-        proof_path.to_str().unwrap(),
+        cert_path.to_str().unwrap(),
+        "--json",
     ]);
     assert!(out.status.success(), "{}", stdout(&out));
-    assert!(stdout(&out).contains("proof checks"));
+    let cli = Json::parse(stdout(&out).trim()).unwrap();
+    let req = Json::Obj(vec![
+        ("op".to_string(), Json::Str("checkproof".to_string())),
+        ("source".to_string(), Json::Str(SYNC.to_string())),
+        ("cert".to_string(), Json::Str(cert.clone())),
+    ]);
+    let reply = Service::new(4, Limits::default()).handle_line(&req.to_string());
+    let reply = Json::parse(&reply).unwrap();
+    let fields = cli.as_obj().unwrap();
+    assert_eq!(fields.len(), 4, "{cli}");
+    for (key, value) in fields {
+        assert_eq!(reply.get(key), Some(value), "{key}: {reply}");
+    }
 
-    // Tampering is caught by the checker.
-    let text = std::fs::read_to_string(&proof_path).unwrap();
-    let tampered_path = dir.join("tampered.sfp");
-    std::fs::write(&tampered_path, text.replacen("high", "low", 1)).unwrap();
+    // One flipped byte is caught by the digest.
+    let tampered_path = dir.join("tampered.json");
+    std::fs::write(&tampered_path, cert.replacen("cobegin", "cobegiN", 1)).unwrap();
     let out = secflow(&[
         "checkproof",
-        prog.to_str().unwrap(),
+        prog,
         "--proof",
         tampered_path.to_str().unwrap(),
     ]);
     assert_eq!(out.status.code(), Some(1), "{}", stdout(&out));
-    assert!(stdout(&out).contains("REJECTED"));
+    assert!(
+        stdout(&out).contains("REJECTED at stage `digest`"),
+        "{}",
+        stdout(&out)
+    );
 }
 
 #[test]
 fn checkproof_reports_syntax_errors() {
     let prog = write_program("cps.sfl", SAFE);
     let dir = std::env::temp_dir().join("secflow-cli-tests");
-    let bad = dir.join("bad.sfp");
+    let bad = dir.join("bad.txt");
     std::fs::write(&bad, "garbage {").unwrap();
     let out = secflow(&[
         "checkproof",
@@ -279,12 +326,11 @@ fn checkproof_reports_syntax_errors() {
         "--proof",
         bad.to_str().unwrap(),
     ]);
-    // An unparseable proof is a rejected proof (analysis failure, exit
-    // 1), not a usage error.
+    // A file that is not a certificate is a rejected proof (analysis
+    // failure, exit 1), not a usage error.
     assert_eq!(out.status.code(), Some(1));
     let s = stdout(&out);
-    assert!(s.contains("proof REJECTED"), "{s}");
-    assert!(s.contains("syntax error"), "{s}");
+    assert!(s.contains("certificate REJECTED at stage `json`"), "{s}");
 }
 
 #[test]
@@ -437,6 +483,8 @@ fn unknown_flags_are_usage_errors_that_name_the_flag() {
     for args in [
         ["serve", "--cachedir", dir.to_str().unwrap()],
         ["serve", "--front-end", "threaded"],
+        ["prove", "--emit", "proof"],
+        ["checkproof", "--lattice", "two"],
     ] {
         let out = secflow(&args);
         assert_eq!(out.status.code(), Some(2), "{args:?}");

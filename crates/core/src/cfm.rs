@@ -13,8 +13,8 @@
 //! The pass visits each AST node a constant number of times (the
 //! composition rule folds a running prefix join instead of re-checking all
 //! pairs), so certification runs in time linear in the program length —
-//! the paper's §6 efficiency claim, regenerated by the `linear_time`
-//! benchmark.
+//! the paper's §6 efficiency claim, regenerated as E7 by the
+//! `experiments` binary.
 
 use secflow_lang::{print_expr, Program, Stmt, SymbolTable};
 use secflow_lattice::{Extended, Lattice};

@@ -11,8 +11,8 @@
 //!
 //! - as an executable witness that the two readings of Figure 2 agree
 //!   (property-tested against [`crate::certify`] on random programs), and
-//! - as the ablation arm of the `linear_time` benchmark, where its
-//!   super-linear growth is visible against the flat production series.
+//! - as the ablation row of E7's table in the `experiments` binary, where
+//!   its super-linear growth is visible against the flat production rows.
 
 use secflow_lang::{Program, Stmt};
 use secflow_lattice::{Extended, Lattice};

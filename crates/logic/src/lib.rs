@@ -50,7 +50,6 @@ pub mod examples;
 pub mod lemma;
 pub mod proof;
 pub mod render;
-pub mod text;
 pub mod theorem1;
 
 pub use assertion::{Assertion, Atom, Bound, ClassExpr};
@@ -59,5 +58,4 @@ pub use entail::{entails, entails_bound, equivalent, EntailError, UpperBounds};
 pub use lemma::{check_lemma, LemmaViolation};
 pub use proof::{Proof, Rule};
 pub use render::{render_assertion, render_bound, render_class_expr, render_proof};
-pub use text::{parse_proof, write_proof, ProofParseError};
 pub use theorem1::{build_proof, is_completely_invariant, policy_assertion, prove, ProveError};

@@ -18,8 +18,13 @@
 //! - **Dedup on push.** A successor is claimed in the visited set
 //!   *before* it is enqueued, so no state ever sits in two deques. The
 //!   sequential explorer dedups at pop instead; both expand every
-//!   reachable state exactly once, so whenever no limit truncates the
-//!   search the two visit identical state sets.
+//!   reachable state once, so whenever no limit truncates the search
+//!   the two visit identical state sets. "Once" holds only up to
+//!   collision: both machine explorers key their visited sets on the
+//!   64-bit [`Machine::fingerprint`] alone, so two distinct states with
+//!   equal fingerprints are merged silently and the second one's
+//!   subtree goes unexplored. Exact dedup is the "exact, interned
+//!   explorer states" item of `ROADMAP.md`.
 //! - **Cooperative termination.** A shared `pending` counter tracks
 //!   states that are enqueued or mid-expansion. It is incremented
 //!   before a push and decremented only after the owning worker has

@@ -12,11 +12,14 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use secflow_analyze::AnalysisReport;
-use secflow_cert::{emit_certificate, show_linear_class, show_two_class, validate_certificate};
+use secflow_cert::{
+    emit_certificate, parse_linear_class, parse_two_class, show_linear_class, show_two_class,
+    validate_certificate, verdict_fields,
+};
 use secflow_core::{certify, denning_certify, infer_binding, FlowGraph, StaticBinding};
 use secflow_lang::span::LineIndex;
 use secflow_lang::{parse, Program, Severity};
-use secflow_lattice::{Extended, Lattice, LinearScheme, Scheme, TwoPoint, TwoPointScheme};
+use secflow_lattice::{Extended, Lattice, LinearScheme, Scheme, TwoPointScheme};
 use secflow_logic::prove;
 use secflow_runtime::{explore_with, pexplore_with, ExploreLimits};
 
@@ -1033,10 +1036,10 @@ impl Service {
             // Rejections are verdicts (ok:true, valid:false), not
             // protocol errors — a bad certificate is a result, not a
             // malfunction.
-            return Ok(checkproof_fields(
+            return Ok(verdict_fields(validate_certificate(
                 &req.source,
                 req.cert.as_deref().unwrap_or_default(),
-            ));
+            )));
         }
         match req.lattice.as_str() {
             "two" => run_op(
@@ -1140,25 +1143,6 @@ impl Service {
             ("truncated".to_string(), Json::Bool(report.truncated)),
         ])
     }
-}
-
-fn parse_two_class(s: &str) -> Result<TwoPoint, String> {
-    match s.to_ascii_lowercase().as_str() {
-        "low" | "l" => Ok(TwoPoint::Low),
-        "high" | "h" => Ok(TwoPoint::High),
-        other => Err(format!("unknown class `{other}` (low | high)")),
-    }
-}
-
-fn parse_linear_class(scheme: &LinearScheme, s: &str) -> Result<secflow_lattice::Linear, String> {
-    let top = scheme.levels() - 1;
-    let k: u32 = s
-        .trim_start_matches(['L', 'l'])
-        .parse()
-        .map_err(|_| format!("unknown class `{s}` (0..={top})"))?;
-    scheme
-        .level(k)
-        .ok_or_else(|| format!("level {k} out of range (0..={top})"))
 }
 
 /// The cluster routing fingerprint of `req`: the same FNV-1a hash the
@@ -1422,32 +1406,6 @@ where
     }
 }
 
-/// Response fields for the `checkproof` op. Both verdicts are `ok:true`
-/// results: `valid:true` carries the digest and node count, while
-/// `valid:false` carries a structured `reason` naming the validation
-/// stage that failed (`json`, `format`, `version`, `digest`, `program`,
-/// `source`, `lattice`, `proof`, `check`).
-fn checkproof_fields(source: &str, cert: &str) -> Vec<(String, Json)> {
-    match validate_certificate(source, cert) {
-        Ok(summary) => vec![
-            ("valid".to_string(), Json::Bool(true)),
-            ("proof_digest".to_string(), Json::Str(summary.digest)),
-            ("proof_nodes".to_string(), Json::Num(summary.nodes as f64)),
-            ("lattice".to_string(), Json::Str(summary.lattice)),
-        ],
-        Err(err) => vec![
-            ("valid".to_string(), Json::Bool(false)),
-            (
-                "reason".to_string(),
-                Json::Obj(vec![
-                    ("stage".to_string(), Json::Str(err.stage.to_string())),
-                    ("message".to_string(), Json::Str(err.message)),
-                ]),
-            ),
-        ],
-    }
-}
-
 /// Response fields for the `lint` op: aggregate counts plus one JSON
 /// object per diagnostic (deterministically ordered by the analyzer).
 fn lint_fields(report: &AnalysisReport, source: &str) -> Vec<(String, Json)> {
@@ -1672,6 +1630,26 @@ mod tests {
             .and_then(|e| e.get("kind"))
             .and_then(Json::as_str);
         assert_eq!(kind, Some("binding"));
+    }
+
+    #[test]
+    fn a_linear_class_takes_at_most_one_level_prefix() {
+        let s = svc();
+        let certify = |class: &str| {
+            let req = format!(
+                r#"{{"op":"certify","source":{},"lattice":"linear:4","classes":{{"x":{}}}}}"#,
+                Json::Str(ALIAS_SOURCE.to_string()),
+                Json::Str(class.to_string())
+            );
+            Json::parse(&s.handle_line(&req)).unwrap()
+        };
+        for good in ["3", "L3", "l3"] {
+            let v = certify(good);
+            assert_eq!(error_kind(&v), None, "{good}: {v}");
+        }
+        for bad in ["LL3", "lL3"] {
+            assert_eq!(error_kind(&certify(bad)), Some("binding"), "{bad}");
+        }
     }
 
     #[test]

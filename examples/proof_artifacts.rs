@@ -1,33 +1,19 @@
-//! Proofs as artifacts: construct, serialize, exchange, re-check, and
+//! Proofs as artifacts: construct, certify, exchange, validate, and
 //! catch tampering.
 //!
 //! Theorem 1 makes certification *constructive*: a certified program has
 //! a completely invariant flow proof, and this workspace can hand that
-//! proof to you as a plain-text file. Anyone can re-check it without
-//! trusting the prover — the checker re-derives every Figure 1 rule
-//! instance and side condition.
+//! proof to you as a certificate sealed to the exact source text. Anyone
+//! can validate it without trusting the prover — the validator
+//! re-derives every Figure 1 rule instance and side condition.
 //!
 //! Run with: `cargo run --example proof_artifacts`
 
+use secflow::cert::{emit_certificate, reseal, show_two_class, validate_certificate};
 use secflow::cfm::StaticBinding;
 use secflow::lang::parse;
 use secflow::lattice::{Extended, TwoPoint, TwoPointScheme};
-use secflow::logic::{check_proof, parse_proof, prove, write_proof};
-
-fn show(l: &TwoPoint) -> String {
-    match l {
-        TwoPoint::Low => "low".into(),
-        TwoPoint::High => "high".into(),
-    }
-}
-
-fn read(s: &str) -> Option<TwoPoint> {
-    match s {
-        "low" => Some(TwoPoint::Low),
-        "high" => Some(TwoPoint::High),
-        _ => None,
-    }
-}
+use secflow::logic::{check_proof, prove};
 
 fn main() {
     let source = "\
@@ -49,28 +35,32 @@ coend";
     check_proof(&program.body, &proof).expect("the independent checker agrees");
     println!("== constructed proof: {} nodes, checked ==\n", proof.size());
 
-    // 2. Serialize it to the textual artifact format.
-    let text = write_proof(&proof, &program.symbols, &show);
-    println!("== artifact (.sfp), first 12 lines ==");
-    for line in text.lines().take(12) {
-        println!("{line}");
-    }
-    println!("…\n");
-
-    // 3. A recipient re-parses and re-checks it from scratch.
-    let received = parse_proof(&text, &program.symbols, &read).expect("artifact parses");
-    assert_eq!(received, proof, "round trip is exact");
-    check_proof(&program.body, &received).expect("artifact re-checks");
+    // 2. Seal it into a certificate for this exact source text.
+    let cert = emit_certificate(&proof, &program.symbols, "two", source, &show_two_class);
     println!(
-        "== recipient: parsed and re-checked, {} nodes ==\n",
-        received.size()
+        "== certificate: {} bytes, digest sha256:{} ==\n{}…\n",
+        cert.text.len(),
+        cert.digest,
+        &cert.text[..160]
     );
 
-    // 4. Tampering does not survive: weaken one bound and the checker
-    //    pinpoints the broken rule.
-    let tampered_text = text.replacen("high", "low", 1);
-    let tampered = parse_proof(&tampered_text, &program.symbols, &read).expect("still parses");
-    let err = check_proof(&program.body, &tampered)
-        .expect_err("…but no longer constitutes a valid derivation");
-    println!("== tampered artifact rejected ==\n{err}");
+    // 3. A recipient validates it from scratch, with no prover.
+    let summary = validate_certificate(source, &cert.text).expect("certificate validates");
+    println!(
+        "== recipient: validated, {} nodes, lattice {} ==\n",
+        summary.nodes, summary.lattice
+    );
+
+    // 4. Tampering does not survive: relabel one class and the digest
+    //    no longer matches; reseal the digest and the checker pinpoints
+    //    the broken rule.
+    let tampered = cert.text.replacen("\"lit\":\"high\"", "\"lit\":\"low\"", 1);
+    let err = validate_certificate(source, &tampered).expect_err("the digest catches the edit");
+    assert_eq!(err.stage, "digest");
+    println!("== tampered certificate rejected ==\n{err}\n");
+    let resealed = reseal(&tampered).expect("still a JSON object");
+    let err = validate_certificate(source, &resealed)
+        .expect_err("…and a resealed forgery is no valid derivation");
+    assert_eq!(err.stage, "check");
+    println!("== resealed forgery rejected ==\n{err}");
 }

@@ -1,14 +1,16 @@
 //! Cross-crate pipeline properties: parse → print → reparse stability,
 //! analysis invariance under printing, policy layer round-trips, and the
 //! linearity of the check count (the cheap proxy for E7 validated in the
-//! test-suite; wall-clock linearity is the `linear_time` bench).
+//! test-suite; wall-clock linearity is E7's table in `experiments`).
 
 use proptest::prelude::*;
 
 use secflow::cfm::{certify, denning_certify, Policy, StaticBinding};
-use secflow::lang::{metrics::measure, parse, print_program};
+use secflow::lang::{metrics::measure, parse, print_program, Program};
 use secflow::lattice::{TwoPoint, TwoPointScheme};
-use secflow::workload::{generate, random_binding, sequential_chain, sync_heavy, GenConfig};
+use secflow::workload::{
+    branchy, generate, loop_heavy, random_binding, sequential_chain, sync_heavy, GenConfig,
+};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -72,37 +74,38 @@ proptest! {
 
 #[test]
 fn check_count_grows_linearly_with_program_length() {
-    // cert(S) evaluates O(1) checks per statement: the measured check
-    // count per statement must be flat as programs double.
-    let mut per_stmt = Vec::new();
-    for k in [128usize, 256, 512, 1024, 2048] {
-        let p = sequential_chain(k, 8);
-        let b = StaticBinding::uniform(&p.symbols, &TwoPointScheme);
-        let r = certify(&p, &b);
-        per_stmt.push(r.checks as f64 / p.statement_count() as f64);
-    }
+    // cert(S) evaluates O(1) checks per statement: for every E7 family
+    // the measured check count per statement must stay flat as the
+    // programs grow (branchy spans 255 to 65,535 statements). The sync
+    // family runs through the same helper in the test below.
+    let chain = [128, 256, 512, 1024, 2048].into_iter();
+    assert_flat_checks("chain", chain.map(|k| sequential_chain(k, 8)));
+    assert_flat_checks(
+        "loops",
+        [64, 128, 256, 512, 1024].into_iter().map(loop_heavy),
+    );
+    assert_flat_checks("branchy", (7..=15).map(branchy));
+}
+
+#[test]
+fn sync_heavy_check_count_is_linear_too() {
+    assert_flat_checks("sync", [64, 128, 256, 512].into_iter().map(sync_heavy));
+}
+
+fn assert_flat_checks(family: &str, programs: impl Iterator<Item = Program>) {
+    let per_stmt: Vec<f64> = programs
+        .map(|p| {
+            let b = StaticBinding::uniform(&p.symbols, &TwoPointScheme);
+            certify(&p, &b).checks as f64 / p.statement_count() as f64
+        })
+        .collect();
     let (min, max) = per_stmt
         .iter()
         .fold((f64::MAX, f64::MIN), |(lo, hi), &v| (lo.min(v), hi.max(v)));
     assert!(
         max / min < 1.05,
-        "checks per statement not flat: {per_stmt:?}"
+        "{family}: checks per statement not flat: {per_stmt:?}"
     );
-}
-
-#[test]
-fn sync_heavy_check_count_is_linear_too() {
-    let mut per_stmt = Vec::new();
-    for k in [64usize, 128, 256, 512] {
-        let p = sync_heavy(k);
-        let b = StaticBinding::uniform(&p.symbols, &TwoPointScheme);
-        let r = certify(&p, &b);
-        per_stmt.push(r.checks as f64 / p.statement_count() as f64);
-    }
-    let (min, max) = per_stmt
-        .iter()
-        .fold((f64::MAX, f64::MIN), |(lo, hi), &v| (lo.min(v), hi.max(v)));
-    assert!(max / min < 1.05, "not flat: {per_stmt:?}");
 }
 
 #[test]

@@ -1,6 +1,8 @@
 //! Experiment E4: §5.2 — the flow logic is strictly stronger than CFM.
 
+use secflow::cert::{emit_certificate, reseal, show_two_class, validate_certificate};
 use secflow::cfm::{certify, CheckRule};
+use secflow::lang::{parse, print_program};
 use secflow::lattice::Extended;
 use secflow::logic::examples::{relative_strength_program, relative_strength_proof};
 use secflow::logic::{
@@ -93,4 +95,61 @@ fn the_program_is_genuinely_noninterfering() {
         ExploreLimits::default(),
     );
     assert!(!r.interferes);
+}
+
+/// The printed §5.2 program and a certificate of the paper's proof
+/// about that exact text.
+fn paper_certificate() -> (String, String) {
+    let (program, _) = relative_strength_program();
+    let source = print_program(&program);
+    let proof = relative_strength_proof(&program);
+    let cert = emit_certificate(&proof, &program.symbols, "two", &source, &show_two_class);
+    (source, cert.text)
+}
+
+#[test]
+fn the_papers_proof_validates_as_a_certificate_cfm_would_not_issue() {
+    let (source, cert) = paper_certificate();
+    let (_, sbind) = relative_strength_program();
+    assert!(!certify(&parse(&source).unwrap(), &sbind).certified());
+    let summary = validate_certificate(&source, &cert).unwrap();
+    assert_eq!(summary.nodes, 5, "seq, two conseq, two assignment axioms");
+}
+
+#[test]
+fn a_weakened_bound_decodes_but_fails_the_checker() {
+    // The first `x ≤ low` is the root postcondition; `x ≤ high` there no
+    // longer matches what the composition derives.
+    let (source, cert) = paper_certificate();
+    let bound = r#"[{"atoms":["v:x"],"lit":null},{"atoms":[],"lit":"low"}]"#;
+    assert!(cert.contains(bound));
+    let forged = reseal(&cert.replacen(bound, &bound.replace("low", "high"), 1)).unwrap();
+    let err = validate_certificate(&source, &forged).unwrap_err();
+    assert_eq!(err.stage, "check", "{err}");
+}
+
+/// Swaps the first `from` rule name for `to` and reseals, so the forgery
+/// gets past the digest and must die in the decoder with `message`.
+fn assert_forged_rule_fails_in_the_decoder(from: &str, to: &str, message: &str) {
+    let (source, cert) = paper_certificate();
+    let from = format!(r#""rule":"{from}""#);
+    assert!(cert.contains(&from));
+    let forged = reseal(&cert.replacen(&from, &format!(r#""rule":"{to}""#), 1)).unwrap();
+    let err = validate_certificate(&source, &forged).unwrap_err();
+    assert_eq!(err.stage, "proof", "{err}");
+    assert!(err.message.contains(message), "{err}");
+}
+
+#[test]
+fn certificate_arity_errors_are_reported() {
+    assert_forged_rule_fails_in_the_decoder("seq", "while", "exactly one premise, found 2");
+    assert_forged_rule_fails_in_the_decoder("conseq", "cobegin", "at least two premises, found 1");
+}
+
+#[test]
+fn certificate_unknown_rule_and_trailing_bytes_are_rejected() {
+    assert_forged_rule_fails_in_the_decoder("assign", "frobnicate", "unknown rule `frobnicate`");
+    let (source, cert) = paper_certificate();
+    let err = validate_certificate(&source, &format!("{cert}\nextra")).unwrap_err();
+    assert_eq!(err.stage, "json", "{err}");
 }
