@@ -98,6 +98,11 @@ impl LineDecoder {
         self.ready.pop_front()
     }
 
+    /// Whether a completed event is waiting to be popped.
+    pub fn has_event(&self) -> bool {
+        !self.ready.is_empty()
+    }
+
     /// Whether a partial line is pending — bytes arrived (or are being
     /// discarded) with no newline yet. This is what the read-stall
     /// timeout watches: a client frozen mid-line is a slowloris, a
@@ -145,10 +150,17 @@ pub struct Conn<S> {
     pub read_closed: bool,
     /// Close once `wbuf` drains (set by the overload disconnect).
     pub closing: bool,
+    /// Set once the overload goodbye has flushed and the write side is
+    /// shut: unread request bytes are discarded until the client's EOF
+    /// or this deadline, so closing cannot reset the connection under
+    /// its last line.
+    pub(crate) linger_until: Option<Instant>,
     /// The last flushed byte was not a newline — the peer holds a
     /// truncated line, so anything appended after a backlog discard
     /// must be preceded by a fresh newline.
     mid_line_write: bool,
+    /// Bytes were queued since the last flush attempt.
+    unflushed: bool,
 }
 
 impl<S> Conn<S> {
@@ -163,7 +175,9 @@ impl<S> Conn<S> {
             last_activity: Instant::now(),
             read_closed: false,
             closing: false,
+            linger_until: None,
             mid_line_write: false,
+            unflushed: false,
         }
     }
 
@@ -171,6 +185,13 @@ impl<S> Conn<S> {
     pub fn enqueue_line(&mut self, line: &str) {
         self.wbuf.extend(line.as_bytes());
         self.wbuf.push_back(b'\n');
+        self.unflushed = true;
+    }
+
+    /// Whether bytes were queued since the last
+    /// [`flush_writes`](Conn::flush_writes).
+    pub(crate) fn unflushed(&self) -> bool {
+        self.unflushed
     }
 
     /// Converts an over-high-water backlog into a structured
@@ -209,6 +230,7 @@ impl<S: Write> Conn<S> {
     /// Returns `Ok(true)` if any bytes moved. `WouldBlock` is not an
     /// error — it just ends the attempt.
     pub fn flush_writes(&mut self) -> io::Result<bool> {
+        self.unflushed = false;
         let mut progressed = false;
         while !self.wbuf.is_empty() {
             let (front, _) = self.wbuf.as_slices();

@@ -73,7 +73,7 @@
 //! assert!(again.contains(r#""cached":true"#));
 //! ```
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod batch;

@@ -2,7 +2,9 @@
 //! (the poll loop of [`crate::poller`]). Both speak the JSON-lines
 //! protocol and share one [`Service`] and one [`Pool`]:
 //!
-//! - every op but `stats`, `ping` and `shutdown` is queued to the pool;
+//! - every op but `stats`, `ping` and `shutdown` is queued to the pool,
+//!   unless it is a program op the cache already answers (and not a
+//!   `with_proof` one): that hit is answered on the calling thread;
 //!   when the queue is full the request is refused immediately with an
 //!   `overloaded` error instead of growing an unbounded backlog. Each
 //!   queued job carries its request's deadline, so the pool's watchdog
@@ -143,11 +145,11 @@ fn build_service<F: Faults + Clone>(cfg: &ServerConfig, faults: &F) -> io::Resul
     Ok(service)
 }
 
-/// Where a dispatched request's reply line goes. The stdio front-end
-/// sinks into a plain channel drained by a writer thread; the poll loop
-/// sinks into a channel tagged with the owning connection's token.
-/// Either way the sink is infallible from the job's point of view — a
-/// vanished reader just drops the line.
+/// Where a pooled job's reply line goes. The stdio front-end sinks into
+/// a plain channel drained by a writer thread; the poll loop sinks into
+/// a channel tagged with the owning connection's token. Either way the
+/// sink is infallible from the job's point of view — a vanished reader
+/// just drops the line.
 pub(crate) trait ReplySink: Clone + Send + 'static {
     /// Delivers one complete response line (no trailing newline).
     fn send_line(&self, line: String);
@@ -218,12 +220,13 @@ fn with_pool_health(line: String, h: PoolHealth) -> String {
 
 /// How `dispatch` handled one request line.
 pub(crate) enum Dispatched {
-    /// The line was a `shutdown` request; the caller stops intake,
-    /// acknowledges, and drains. Nothing was sent to the sink.
-    Shutdown,
-    /// The reply was produced on the calling thread (stats, protocol
-    /// errors, overload refusals) and already sent to the sink.
-    Inline,
+    /// The line was a `shutdown` request with this `id`; the caller
+    /// stops intake, acknowledges, and drains.
+    Shutdown(Option<Json>),
+    /// The reply was produced on the calling thread (stats, ping,
+    /// protocol errors, overload refusals, cache hits); the caller
+    /// delivers it.
+    Inline(String),
     /// The request was queued to the pool; exactly one reply line will
     /// reach the sink later (the [`ReplyGuard`] guarantees it even
     /// through a worker panic).
@@ -231,9 +234,9 @@ pub(crate) enum Dispatched {
 }
 
 /// Dispatches one request line. Every outcome except
-/// [`Dispatched::Shutdown`] produces exactly one line in `reply` —
-/// immediately for inline answers, eventually for queued jobs — which
-/// is what lets the poll loop balance its in-flight accounting.
+/// [`Dispatched::Shutdown`] yields exactly one reply line — now for
+/// inline answers, later through `reply` for queued jobs — which is
+/// what lets the poll loop balance its in-flight accounting.
 pub(crate) fn dispatch<R: ReplySink, F: Faults>(
     line: &str,
     service: &Arc<Service>,
@@ -246,34 +249,44 @@ pub(crate) fn dispatch<R: ReplySink, F: Faults>(
         Ok(req) => req,
         Err((id, message)) => {
             Metrics::bump(&service.metrics.errors);
-            reply
-                .send_line(Response::error(id.as_ref(), ErrorKind::Protocol, &message).into_line());
-            return Dispatched::Inline;
+            return Dispatched::Inline(
+                Response::error(id.as_ref(), ErrorKind::Protocol, &message).into_line(),
+            );
         }
     };
     match req.op {
-        Op::Shutdown => Dispatched::Shutdown,
+        Op::Shutdown => Dispatched::Shutdown(req.id),
         // Stats answer inline so the service is observable while the
         // queue is saturated; pool health rides along.
-        Op::Stats => {
-            reply.send_line(with_pool_health(service.execute(&req), pool.health()));
-            Dispatched::Inline
-        }
+        Op::Stats => Dispatched::Inline(with_pool_health(service.execute(&req), pool.health())),
         // Ping answers inline too: it is the failure detector's probe,
         // and a probe refused as `overloaded` would make a merely busy
         // node look dead to every peer at once.
-        Op::Ping => {
-            reply.send_line(service.execute(&req));
-            Dispatched::Inline
-        }
+        Op::Ping => Dispatched::Inline(service.execute(&req)),
         _ => {
+            // Chaos decisions are drawn first (deterministically, from
+            // the plan's tick counter), so a seeded plan replays the
+            // same faults whether or not the cache answers.
+            let inject_latency = faults.latency();
+            let inject_panic = faults.worker_panic();
+            // A cache hit costs a probe and an encode of a payload the
+            // size of its request, so it is answered right here, with
+            // no handoff. A with-proof hit is not: its certificate is
+            // ~140x its source, too much to copy on a thread shared by
+            // every connection.
+            // A miss hands its lookup to the job, so the key is built
+            // once.
+            let probe = (inject_latency.is_none() && !inject_panic && !req.with_proof)
+                .then(|| service.cached_reply(&req))
+                .flatten();
+            let miss = match probe {
+                Some(Ok(line)) => return Dispatched::Inline(line),
+                Some(Err(lookup)) => Some(lookup),
+                None => None,
+            };
             let id = req.id.clone();
             let token = service.cancel_token(&req);
             let deadline = token.deadline();
-            // Chaos decisions are drawn here (deterministically, from
-            // the plan's tick counter) and moved into the job.
-            let inject_latency = faults.latency();
-            let inject_panic = faults.worker_panic();
             let service_job = Arc::clone(service);
             let reply_job = reply.clone();
             let job_id = req.id.clone();
@@ -291,7 +304,10 @@ pub(crate) fn dispatch<R: ReplySink, F: Faults>(
                     if inject_panic {
                         panic!("chaos: injected worker panic");
                     }
-                    let line = service_job.execute_with_cancel(&req, &token);
+                    let line = match miss {
+                        Some(lookup) => service_job.execute_miss(&req, lookup, &token),
+                        None => service_job.execute_with_cancel(&req, &token),
+                    };
                     guard.send(line);
                 },
                 deadline,
@@ -299,23 +315,18 @@ pub(crate) fn dispatch<R: ReplySink, F: Faults>(
                 Ok(()) => Dispatched::Queued,
                 Err(SubmitError::Full) => {
                     Metrics::bump(&service.metrics.overloaded);
-                    reply.send_line(
+                    Dispatched::Inline(
                         Response::error(
                             id.as_ref(),
                             ErrorKind::Overloaded,
                             "queue full; retry later",
                         )
                         .into_line(),
-                    );
-                    Dispatched::Inline
+                    )
                 }
-                Err(SubmitError::Closed) => {
-                    reply.send_line(
-                        Response::error(id.as_ref(), ErrorKind::Internal, "shutting down")
-                            .into_line(),
-                    );
-                    Dispatched::Inline
-                }
+                Err(SubmitError::Closed) => Dispatched::Inline(
+                    Response::error(id.as_ref(), ErrorKind::Internal, "shutting down").into_line(),
+                ),
             }
         }
     }
@@ -416,8 +427,7 @@ fn serve_stdio_with<F: Faults + Clone>(cfg: ServerConfig, faults: F) -> io::Resu
     let stdin = io::stdin();
     let mut reader = stdin.lock();
     let mut line = Vec::new();
-    let mut got_shutdown = false;
-    let mut shutdown_id = None;
+    let mut shutdown = None;
     loop {
         match read_bounded_line(&mut reader, &mut line, cfg.max_line_bytes)? {
             LineRead::Eof => break,
@@ -431,11 +441,15 @@ fn serve_stdio_with<F: Faults + Clone>(cfg: ServerConfig, faults: F) -> io::Resu
                 if trimmed.is_empty() {
                     continue;
                 }
-                if let Dispatched::Shutdown = dispatch(trimmed, &service, &pool, &reply_tx, &faults)
-                {
-                    got_shutdown = true;
-                    shutdown_id = Request::parse(trimmed).ok().and_then(|r| r.id);
-                    break;
+                match dispatch(trimmed, &service, &pool, &reply_tx, &faults) {
+                    Dispatched::Shutdown(id) => {
+                        shutdown = Some(id);
+                        break;
+                    }
+                    Dispatched::Inline(reply) => {
+                        let _ = reply_tx.send(reply);
+                    }
+                    Dispatched::Queued => {}
                 }
             }
         }
@@ -443,9 +457,9 @@ fn serve_stdio_with<F: Faults + Clone>(cfg: ServerConfig, faults: F) -> io::Resu
 
     // Drain all accepted work, then acknowledge the shutdown.
     pool.shutdown();
-    if got_shutdown {
+    if let Some(id) = shutdown {
         let _ = reply_tx.send(
-            Response::ok(shutdown_id.as_ref(), Op::Shutdown)
+            Response::ok(id.as_ref(), Op::Shutdown)
                 .field("drained", Json::Bool(true))
                 .into_line(),
         );
@@ -605,6 +619,74 @@ mod tests {
             read_bounded_line(&mut reader, &mut line, 4).unwrap(),
             LineRead::TooLong
         ));
+    }
+
+    /// A service whose cache already holds `line`'s answer.
+    fn warmed(line: &str) -> Arc<Service> {
+        let service = Arc::new(Service::new(16, Limits::default()));
+        service.handle_line(line);
+        service
+    }
+
+    fn certify_line(with_proof: bool) -> String {
+        format!(
+            r#"{{"id":7,"op":"certify","source":"var x, y : integer; cobegin y := x || x := 1 coend","with_proof":{with_proof}}}"#
+        )
+    }
+
+    #[test]
+    fn a_cached_certify_is_answered_inline() {
+        let line = certify_line(false);
+        let service = warmed(&line);
+        let pool = Pool::new(1, 4);
+        let (tx, rx) = mpsc::channel::<String>();
+        let Dispatched::Inline(reply) = dispatch(&line, &service, &pool, &tx, &NoFaults) else {
+            panic!("a cache hit left the calling thread");
+        };
+        let v = Json::parse(&reply).unwrap();
+        assert_eq!(v.get("cached").and_then(Json::as_bool), Some(true));
+        assert_eq!(v.get("id"), Some(&Json::Num(7.0)));
+        pool.shutdown();
+        assert!(rx.try_recv().is_err(), "nothing went through the sink");
+    }
+
+    #[test]
+    fn a_cached_with_proof_certify_is_queued() {
+        let line = certify_line(true);
+        let service = warmed(&line);
+        let pool = Pool::new(1, 4);
+        let (tx, rx) = mpsc::channel::<String>();
+        assert!(matches!(
+            dispatch(&line, &service, &pool, &tx, &NoFaults),
+            Dispatched::Queued
+        ));
+        pool.shutdown();
+        let v = Json::parse(&rx.recv().unwrap()).unwrap();
+        assert_eq!(v.get("cached").and_then(Json::as_bool), Some(true));
+        assert!(v.get("certificate").and_then(Json::as_str).is_some());
+    }
+
+    #[test]
+    fn an_injected_panic_outranks_a_cache_hit() {
+        let line = certify_line(false);
+        let service = warmed(&line);
+        let mut plan = FaultPlan::new(5);
+        plan.panic_per_mille = 1000;
+        let pool = Pool::new(1, 4);
+        let (tx, rx) = mpsc::channel::<String>();
+        assert!(matches!(
+            dispatch(&line, &service, &pool, &tx, &plan),
+            Dispatched::Queued
+        ));
+        pool.shutdown();
+        let v = Json::parse(&rx.recv().unwrap()).unwrap();
+        assert_eq!(
+            v.get("error")
+                .and_then(|e| e.get("kind"))
+                .and_then(Json::as_str),
+            Some("internal"),
+            "{v}"
+        );
     }
 
     #[test]

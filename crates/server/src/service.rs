@@ -219,6 +219,21 @@ enum FlightRole<'a> {
 /// Either response fields to report, or a categorized failure.
 type Outcome = Result<Vec<(String, Json)>, (ErrorKind, String)>;
 
+/// What a program-op request asks of the cache: its key, the budgets it
+/// runs under, and the per-response fields kept out of the payload.
+pub(crate) struct Lookup {
+    key: CacheKey,
+    fuel: u64,
+    threads: usize,
+    /// `threads` above the cap was lowered (counted as
+    /// `threads_clamped`).
+    clamped: bool,
+    /// `threads` is echoed per-response (like `cached`/`us`), never
+    /// spliced into the cached payload: a parallel request and a
+    /// sequential one share a cache entry.
+    extra: Vec<(String, Json)>,
+}
+
 impl Service {
     /// A service with a result cache of `cache_capacity` entries.
     pub fn new(cache_capacity: usize, limits: Limits) -> Service {
@@ -379,7 +394,7 @@ impl Service {
             Op::Replicate => self.replicate_op(req),
             Op::Repair => self.repair_op(req),
             Op::Certify | Op::Infer | Op::Flows | Op::Lint | Op::Explore | Op::Checkproof => {
-                self.compute_cached(req, start, token, 0)
+                self.compute_cached(req, self.lookup(req), start, token, 0)
             }
         };
         self.metrics.record_latency(start.elapsed());
@@ -440,7 +455,7 @@ impl Service {
                     )
                     .into_line();
                 }
-                self.compute_cached(&inner, start, token, req.hops)
+                self.compute_cached(&inner, self.lookup(&inner), start, token, req.hops)
             }
             // Control ops must not ride inside `forward`: a wrapped
             // `shutdown` would let any peer kill the node, and a
@@ -684,26 +699,44 @@ impl Service {
         }
     }
 
-    fn compute_cached(
+    /// Answers a program-op request from the cache alone, on the
+    /// calling thread. `Ok` is a hit's reply line, counted and timed
+    /// exactly as a worker would count and time it. `Err` is a miss,
+    /// which counts nothing and hands back its lookup for
+    /// [`execute_miss`](Self::execute_miss), so the key (a copy and hash
+    /// of the whole request) is built once. `None` for a request that is
+    /// not a program op.
+    pub(crate) fn cached_reply(&self, req: &Request) -> Option<Result<String, Lookup>> {
+        let start = Instant::now();
+        self.op_counter(req.op)?;
+        let lookup = self.lookup(req);
+        let Some(line) = self.reply_from_cache(req, &lookup, start) else {
+            return Some(Err(lookup));
+        };
+        self.count_op(req, &lookup);
+        self.metrics.record_latency(start.elapsed());
+        Some(Ok(line))
+    }
+
+    /// Executes a program-op request under `token` after its
+    /// [`cached_reply`](Self::cached_reply) probe missed, reusing that
+    /// probe's lookup (the caller counted the request).
+    pub(crate) fn execute_miss(
         &self,
         req: &Request,
-        start: Instant,
+        lookup: Lookup,
         token: &CancelToken,
-        hops: u64,
     ) -> String {
-        if let Some(counter) = self.op_counter(req.op) {
-            Metrics::bump(counter);
-        }
-        let effective_fuel = req.fuel.unwrap_or(u64::MAX).min(self.limits.max_fuel);
+        let start = Instant::now();
+        let line = self.compute_cached(req, lookup, start, token, 0);
+        self.metrics.record_latency(start.elapsed());
+        line
+    }
+
+    fn lookup(&self, req: &Request) -> Lookup {
+        let fuel = req.fuel.unwrap_or(u64::MAX).min(self.limits.max_fuel);
         let (threads, clamped) = self.limits.effective_threads(req);
-        let uses_threads = matches!(req.op, Op::Explore | Op::Lint);
-        if uses_threads && clamped {
-            Metrics::bump(&self.metrics.threads_clamped);
-        }
-        // `threads` is echoed per-response (like `cached`/`us`), never
-        // spliced into the cached payload: a parallel request and a
-        // sequential one share a cache entry.
-        let extra: Vec<(String, Json)> = if uses_threads && req.threads.is_some() {
+        let extra = if matches!(req.op, Op::Explore | Op::Lint) && req.threads.is_some() {
             vec![("threads".to_string(), Json::Num(threads as f64))]
         } else {
             Vec::new()
@@ -713,25 +746,64 @@ impl Service {
         // be able to hit a result cached by a patient one. `threads`
         // is excluded for the same reason — the parallel search merges
         // commutatively, so the answer is thread-count-independent.
-        let key = cache_key(req, effective_fuel);
+        Lookup {
+            key: cache_key(req, fuel),
+            fuel,
+            threads,
+            clamped,
+            extra,
+        }
+    }
+
+    /// Counts one program-op request, once, whichever path answers it.
+    fn count_op(&self, req: &Request, lookup: &Lookup) {
+        if let Some(counter) = self.op_counter(req.op) {
+            Metrics::bump(counter);
+        }
+        if lookup.clamped && matches!(req.op, Op::Explore | Op::Lint) {
+            Metrics::bump(&self.metrics.threads_clamped);
+        }
+    }
+
+    /// The hit branch shared by the worker path and the inline path:
+    /// probes the cache and, on a hit, counts it and renders the reply.
+    fn reply_from_cache(&self, req: &Request, lookup: &Lookup, start: Instant) -> Option<String> {
+        let hit = self.cache.lock().ok()?.get(&lookup.key)?;
+        Metrics::bump(&self.metrics.cache_hits);
+        if req.op == Op::Checkproof {
+            // The key is dominated by the certificate text, so this is
+            // a hit by content digest.
+            Metrics::bump(&self.metrics.checkproof_cache_hits);
+        }
+        if !hit.ok {
+            Metrics::bump(&self.metrics.errors);
+        }
+        Some(finish_line(req, &hit, true, start, &lookup.extra))
+    }
+
+    fn compute_cached(
+        &self,
+        req: &Request,
+        lookup: Lookup,
+        start: Instant,
+        token: &CancelToken,
+        hops: u64,
+    ) -> String {
+        self.count_op(req, &lookup);
+        let Lookup {
+            key,
+            fuel,
+            threads,
+            extra,
+            ..
+        } = &lookup;
         let mut guard = loop {
-            if let Ok(mut cache) = self.cache.lock() {
-                if let Some(hit) = cache.get(&key) {
-                    Metrics::bump(&self.metrics.cache_hits);
-                    if req.op == Op::Checkproof {
-                        // The key is dominated by the certificate text,
-                        // so this is a hit by content digest.
-                        Metrics::bump(&self.metrics.checkproof_cache_hits);
-                    }
-                    if !hit.ok {
-                        Metrics::bump(&self.metrics.errors);
-                    }
-                    return finish_line(req, &hit, true, start, &extra);
-                }
+            if let Some(line) = self.reply_from_cache(req, &lookup, start) {
+                return line;
             }
             // Single flight: if an identical computation is already in
             // progress, wait for its result instead of recomputing.
-            match self.join_flight(&key) {
+            match self.join_flight(key) {
                 FlightRole::Leader(guard) => break guard,
                 FlightRole::Waiter(flight) => match flight.wait(token) {
                     FlightWait::Published(result) => {
@@ -745,7 +817,7 @@ impl Service {
                         // Reported as `cached`: from this request's
                         // point of view the answer came from shared
                         // state, not its own computation.
-                        return finish_line(req, &result, true, start, &extra);
+                        return finish_line(req, &result, true, start, extra);
                     }
                     // The leader had nothing shareable (timeout or
                     // panic): go around again — the cache may have been
@@ -765,7 +837,7 @@ impl Service {
                                 ]),
                             )],
                         };
-                        return finish_line(req, &result, false, start, &extra);
+                        return finish_line(req, &result, false, start, extra);
                     }
                 },
             }
@@ -776,11 +848,11 @@ impl Service {
         // request into one computation cluster-wide. Falls through to
         // local computation when the cluster is unreachable, so a dead
         // owner costs latency, never availability.
-        if let Some(line) = self.forward_to_owner(req, &key, hops, &mut guard) {
+        if let Some(line) = self.forward_to_owner(req, key, hops, &mut guard) {
             return line;
         }
-        let result = self.lead(req, &key, effective_fuel, threads, token, guard);
-        finish_line(req, &result, false, start, &extra)
+        let result = self.lead(req, key, *fuel, *threads, token, guard);
+        finish_line(req, &result, false, start, extra)
     }
 
     /// The leader's half of a miss: compute `req` locally, then cache

@@ -406,33 +406,249 @@ fn write_high_water_bounds_the_unread_backlog_not_one_reply() {
     }
     assert_eq!(rejected_overloaded(&server), 0);
 
-    // A slow reader: 48 pipelined requests (13 MB of replies, more than
-    // the kernel buffers) sent in one write, then nothing read until
-    // the server has given up on it.
-    let slow = TcpStream::connect(server.local_addr()).expect("connect");
-    slow.set_read_timeout(Some(Duration::from_secs(60)))
-        .unwrap();
-    let batch: String = (0..48).map(|_| format!("{request}\n")).collect();
-    (&slow).write_all(batch.as_bytes()).expect("send batch");
-    let deadline = Instant::now() + Duration::from_secs(60);
-    while rejected_overloaded(&server) == 0 {
-        assert!(
-            Instant::now() < deadline,
-            "the slow reader was never cut off"
+    // A slow reader: pipelined requests (13 MB of replies for 48, more
+    // than the kernel buffers) sent in one write, then nothing read
+    // until the server has given up on it. 100 requests outrun the
+    // pipeline window, so some are still unread when the goodbye goes
+    // out; it must arrive all the same.
+    for (cut_off, requests) in [48, 100].into_iter().enumerate() {
+        let cut_off = cut_off as u64;
+        let slow = TcpStream::connect(server.local_addr()).expect("connect");
+        slow.set_read_timeout(Some(Duration::from_secs(60)))
+            .unwrap();
+        let batch: String = (0..requests).map(|_| format!("{request}\n")).collect();
+        (&slow).write_all(batch.as_bytes()).expect("send batch");
+        let deadline = Instant::now() + Duration::from_secs(60);
+        while rejected_overloaded(&server) == cut_off {
+            assert!(
+                Instant::now() < deadline,
+                "the slow reader of {requests} requests was never cut off"
+            );
+            std::thread::sleep(Duration::from_millis(20));
+        }
+        let mut received = Vec::new();
+        (&slow).read_to_end(&mut received).expect("drain to EOF");
+        let goodbyes: Vec<&[u8]> = received
+            .split(|&b| b == b'\n')
+            .filter(|line| line.windows(12).any(|w| w == b"\"overloaded\""))
+            .collect();
+        assert_eq!(
+            goodbyes.len(),
+            1,
+            "exactly one overloaded line for {requests} requests"
         );
-        std::thread::sleep(Duration::from_millis(20));
+        let goodbye = Json::parse(std::str::from_utf8(goodbyes[0]).unwrap()).unwrap();
+        assert_eq!(goodbye.get("ok").and_then(Json::as_bool), Some(false));
+        assert_eq!(rejected_overloaded(&server), cut_off + 1);
     }
-    let mut received = Vec::new();
-    (&slow).read_to_end(&mut received).expect("drain to EOF");
-    let goodbyes: Vec<&[u8]> = received
-        .split(|&b| b == b'\n')
-        .filter(|line| line.windows(12).any(|w| w == b"\"overloaded\""))
-        .collect();
-    assert_eq!(goodbyes.len(), 1, "exactly one overloaded line");
-    let goodbye = Json::parse(std::str::from_utf8(goodbyes[0]).unwrap()).unwrap();
-    assert_eq!(goodbye.get("ok").and_then(Json::as_bool), Some(false));
-    assert_eq!(rejected_overloaded(&server), 1);
 
+    client.send(r#"{"op":"shutdown"}"#);
+    client.recv().unwrap();
+    server.join().unwrap();
+}
+
+/// Cache hits answered on the poll loop still pass through the pipeline
+/// window: a client that pipelines far more hits than the high-water
+/// mark holds replies for, and reads them on a second thread, gets every
+/// reply and is never taken for a slow reader.
+#[test]
+fn pipelined_hits_that_are_read_are_never_cut_off() {
+    let server = serve_tcp(
+        "127.0.0.1:0",
+        ServerConfig {
+            write_high_water: 64 * 1024,
+            ..config(2, 128)
+        },
+    )
+    .unwrap();
+    let source = chain_source(10);
+    let mut client = Client::connect(&server);
+    client.send(&certify_line(0, &source, "{}"));
+    assert_eq!(
+        client.recv().unwrap().get("ok").and_then(Json::as_bool),
+        Some(true)
+    );
+
+    let requests = 2000u64;
+    let stream = TcpStream::connect(server.local_addr()).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(60)))
+        .unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let replies = std::thread::spawn(move || {
+        let mut replies = Vec::new();
+        let mut line = String::new();
+        while replies.len() < requests as usize && reader.read_line(&mut line).expect("read") > 0 {
+            replies.push(Json::parse(line.trim()).expect("reply is valid JSON"));
+            line.clear();
+        }
+        replies
+    });
+    let batch: String = (1..=requests)
+        .map(|id| certify_line(id, &source, "{}") + "\n")
+        .collect();
+    assert!(batch.len() > 64 * 1024, "the requests outgrow the mark");
+    (&stream).write_all(batch.as_bytes()).expect("send batch");
+    let replies = replies.join().unwrap();
+    if let Some(other) = replies
+        .iter()
+        .find(|v| v.get("cached").and_then(Json::as_bool) != Some(true))
+    {
+        panic!("after {} hits: {other}", replies.len());
+    }
+    let mut ids: Vec<u64> = replies
+        .iter()
+        .map(|v| v.get("id").and_then(Json::as_u64).expect("reply has an id"))
+        .collect();
+    ids.sort_unstable();
+    assert_eq!(
+        ids,
+        (1..=requests).collect::<Vec<_>>(),
+        "every reply arrived"
+    );
+    assert_eq!(rejected_overloaded(&server), 0);
+
+    client.send(r#"{"op":"shutdown"}"#);
+    client.recv().unwrap();
+    server.join().unwrap();
+}
+
+/// A cache hit answered on the poll loop is indistinguishable from one
+/// a worker answers: the same sequence sent twice over TCP (misses go
+/// to the pool, hits are answered on the loop) and twice through
+/// `Service::handle_line` gives the same replies, outside `us`, and
+/// the same counters.
+#[test]
+fn stats_cannot_tell_an_inline_hit_from_a_pooled_one() {
+    let clean = "var x, y : integer; cobegin y := x || x := 1 coend";
+    let leaky = "var x, y : integer; sem : semaphore;
+        cobegin if x = 0 then signal(sem) || begin wait(sem); y := 0 end coend";
+    let certificate = {
+        let prover = Service::new(4, Limits::default());
+        let reply = prover.handle_line(&format!(
+            r#"{{"op":"certify","source":{},"with_proof":true}}"#,
+            Json::Str(clean.to_string())
+        ));
+        let v = Json::parse(&reply).unwrap();
+        v.get("certificate")
+            .and_then(Json::as_str)
+            .unwrap()
+            .to_string()
+    };
+    let lines = [
+        certify_line(1, clean, r#"{"x":"high","y":"low"}"#),
+        // Fails to parse: an error reply, cached like any verdict.
+        r#"{"id":2,"op":"certify","source":"var x : integer; x :="}"#.to_string(),
+        format!(
+            r#"{{"id":3,"op":"checkproof","source":{},"cert":{}}}"#,
+            Json::Str(clean.to_string()),
+            Json::Str(certificate)
+        ),
+        // Far above `max_threads`: clamped, and the clamp is echoed.
+        format!(
+            r#"{{"id":4,"op":"explore","source":{},"inputs":{{"x":1}},"threads":64}}"#,
+            Json::Str(leaky.to_string())
+        ),
+    ];
+    let without_us = |line: &str| {
+        let Ok(Json::Obj(fields)) = Json::parse(line) else {
+            panic!("reply is not a JSON object: {line}");
+        };
+        Json::Obj(fields.into_iter().filter(|(k, _)| k != "us").collect()).to_string()
+    };
+
+    let server = serve_tcp("127.0.0.1:0", config(2, 64)).unwrap();
+    let mut client = Client::connect(&server);
+    let reference = Service::new(1024, Limits::default());
+    for round in 0..2 {
+        for line in &lines {
+            client.send(line);
+            let mut reply = String::new();
+            client.reader.read_line(&mut reply).expect("reply");
+            assert_eq!(
+                without_us(reply.trim_end()),
+                without_us(&reference.handle_line(line)),
+                "round {round}: {line}"
+            );
+        }
+    }
+
+    client.send(r#"{"op":"stats"}"#);
+    let over_tcp = client.recv().unwrap();
+    let direct = Json::parse(&reference.handle_line(r#"{"op":"stats"}"#)).unwrap();
+    let counter = |stats: &Json, path: &[&str]| {
+        path.iter()
+            .try_fold(stats, |v, key| v.get(key))
+            .and_then(Json::as_u64)
+            .unwrap_or_else(|| panic!("stats lacks {path:?}: {stats}"))
+    };
+    for path in [
+        &["requests"][..],
+        &["certify"],
+        &["checkproof"],
+        &["explore"],
+        &["cache_hits"],
+        &["cache_misses"],
+        &["errors"],
+        &["threads_clamped"],
+        &["cert", "cache_hits_by_digest"],
+    ] {
+        assert_eq!(
+            counter(&over_tcp, path),
+            counter(&direct, path),
+            "{path:?} differs"
+        );
+    }
+    assert_eq!(counter(&direct, &["cache_hits"]), 4, "the second round hit");
+    let samples = |stats: &Json| match stats.get("latency_histogram") {
+        Some(Json::Arr(buckets)) => buckets
+            .iter()
+            .map(|b| b.get("count").and_then(Json::as_u64).unwrap())
+            .sum::<u64>(),
+        other => panic!("latency_histogram is not an array: {other:?}"),
+    };
+    assert_eq!(samples(&over_tcp), samples(&direct), "latency samples");
+    assert_eq!(samples(&direct), 8);
+
+    client.send(r#"{"op":"shutdown"}"#);
+    client.recv().unwrap();
+    server.join().unwrap();
+}
+
+/// The loop's `poll` timeout comes from the deadlines it keeps: a
+/// connection that never sends a byte gives the loop nothing else to
+/// wake on, yet it is closed once its idle deadline passes.
+#[test]
+fn an_idle_connection_is_closed_at_its_deadline() {
+    let server = serve_tcp(
+        "127.0.0.1:0",
+        ServerConfig {
+            idle_timeout_ms: 200,
+            ..config(1, 4)
+        },
+    )
+    .unwrap();
+    let quiet = TcpStream::connect(server.local_addr()).expect("connect");
+    quiet
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let mut buf = [0u8; 16];
+    let n = (&quiet)
+        .read(&mut buf)
+        .expect("the server closes the connection before the read times out");
+    assert_eq!(n, 0, "EOF, not a reply");
+
+    let mut client = Client::connect(&server);
+    client.send(r#"{"op":"stats"}"#);
+    let stats = client.recv().unwrap();
+    assert_eq!(
+        stats
+            .get("conn")
+            .and_then(|c| c.get("stalled_closed"))
+            .and_then(Json::as_u64),
+        Some(1),
+        "{stats}"
+    );
     client.send(r#"{"op":"shutdown"}"#);
     client.recv().unwrap();
     server.join().unwrap();
