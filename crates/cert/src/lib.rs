@@ -54,7 +54,7 @@ pub mod wire;
 pub use digest::{sha256_hex, Sha256};
 pub use json::{Json, JsonError};
 pub use wire::{
-    emit_certificate, parse_linear_class, parse_two_class, program_fingerprint, reseal,
-    show_linear_class, show_two_class, validate_certificate, verdict_fields, CertError,
-    CertSummary, Certificate, CERT_FORMAT, CERT_VERSION,
+    emit_certificate, parse_lattice_spec, parse_linear_class, parse_two_class, program_fingerprint,
+    reseal, show_linear_class, show_two_class, validate_certificate, verdict_fields, CertError,
+    CertSummary, Certificate, LatticeSpec, CERT_FORMAT, CERT_VERSION,
 };

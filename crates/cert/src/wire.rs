@@ -163,6 +163,42 @@ pub fn parse_linear_class(scheme: &LinearScheme, s: &str) -> Result<Linear, Stri
         .ok_or_else(|| format!("level {k} out of range (0..={top})"))
 }
 
+/// A lattice as a request or a certificate names it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum LatticeSpec {
+    /// The two-point lattice `low < high`, named `two`.
+    Two,
+    /// The chain `0 < 1 < … < N-1`, named `linear:N`.
+    Linear(LinearScheme),
+}
+
+/// Displays the canonical descriptor that certificates name: `two`,
+/// or `linear:N` with `N` in plain decimal.
+impl fmt::Display for LatticeSpec {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            LatticeSpec::Two => f.write_str("two"),
+            LatticeSpec::Linear(scheme) => write!(f, "linear:{}", scheme.levels()),
+        }
+    }
+}
+
+/// Reads a lattice spec: `two`, or `linear:N` for any `N >= 1` that
+/// `u32` parses, so `linear:04` names the same lattice as `linear:4`.
+/// Requests and certificates both go through this one reader.
+pub fn parse_lattice_spec(spec: &str) -> Result<LatticeSpec, String> {
+    if spec == "two" {
+        return Ok(LatticeSpec::Two);
+    }
+    let levels = spec
+        .strip_prefix("linear:")
+        .and_then(|n| n.parse::<u32>().ok())
+        .ok_or_else(|| format!("bad lattice `{spec}` (expected `two` or `linear:N`)"))?;
+    LinearScheme::new(levels)
+        .map(LatticeSpec::Linear)
+        .ok_or_else(|| "linear lattice needs N >= 1".to_string())
+}
+
 fn parse_two_lit(s: &str) -> Option<TwoPoint> {
     match s {
         "low" => Some(TwoPoint::Low),
@@ -187,7 +223,8 @@ fn parse_linear_lit(s: &str, levels: u32) -> Option<Linear> {
 
 /// Serializes a proof into a canonical certificate for `source`.
 ///
-/// `lattice` is the descriptor validators will dispatch on (`"two"` or
+/// `lattice` is the descriptor validators will dispatch on, in its
+/// canonical spelling (a [`LatticeSpec`] displayed: `"two"` or
 /// `"linear:N"`); `show_lit` must render class literals in the
 /// canonical spelling for that descriptor ([`show_two_class`] /
 /// [`show_linear_class`]).
@@ -413,11 +450,12 @@ pub fn validate_certificate(source: &str, cert_text: &str) -> Result<CertSummary
     let program = parse(source).map_err(|d| CertError::new("source", d.render(source)))?;
 
     let proof_json = &fields[4].1;
-    let nodes = match parse_lattice(&lattice)? {
-        LatticeKind::Two => check_decoded(&program, proof_json, &parse_two_lit)?,
-        LatticeKind::Linear(levels) => {
-            check_decoded(&program, proof_json, &|s: &str| parse_linear_lit(s, levels))?
-        }
+    let spec = parse_lattice_spec(&lattice).map_err(|e| CertError::new("lattice", e))?;
+    let nodes = match spec {
+        LatticeSpec::Two => check_decoded(&program, proof_json, &parse_two_lit)?,
+        LatticeSpec::Linear(scheme) => check_decoded(&program, proof_json, &|s: &str| {
+            parse_linear_lit(s, scheme.levels())
+        })?,
     };
     Ok(CertSummary {
         nodes,
@@ -449,33 +487,6 @@ pub fn verdict_fields(verdict: Result<CertSummary, CertError>) -> Vec<(String, J
             ),
         ],
     }
-}
-
-enum LatticeKind {
-    Two,
-    Linear(u32),
-}
-
-fn parse_lattice(descriptor: &str) -> Result<LatticeKind, CertError> {
-    if descriptor == "two" {
-        return Ok(LatticeKind::Two);
-    }
-    if let Some(n) = descriptor.strip_prefix("linear:") {
-        let levels: u32 = n
-            .parse()
-            .map_err(|_| CertError::new("lattice", format!("bad linear level count `{n}`")))?;
-        if LinearScheme::new(levels).is_none() {
-            return Err(CertError::new(
-                "lattice",
-                format!("`linear:{levels}` is not a valid scheme"),
-            ));
-        }
-        return Ok(LatticeKind::Linear(levels));
-    }
-    Err(CertError::new(
-        "lattice",
-        format!("unknown lattice descriptor `{descriptor}` (expected `two` or `linear:N`)"),
-    ))
 }
 
 fn check_decoded<L: Lattice>(
@@ -753,16 +764,14 @@ mod tests {
         let top = scheme.level(3).unwrap();
         let sbind = StaticBinding::constant(&program.symbols, &scheme, top);
         let proof = prove(&program, &sbind, Extended::Nil, Extended::Nil).unwrap();
-        let cert = emit_certificate(
-            &proof,
-            &program.symbols,
-            "linear:4",
-            src,
-            &show_linear_class,
-        );
-        let summary = validate_certificate(src, &cert.text).unwrap();
-        assert_eq!(summary.lattice, "linear:4");
-        assert_eq!(summary.nodes, cert.nodes);
+        // The emitters write `linear:4`; a certificate stored under
+        // `linear:04` still validates, and is reported as it names it.
+        for lattice in ["linear:4", "linear:04"] {
+            let cert = emit_certificate(&proof, &program.symbols, lattice, src, &show_linear_class);
+            let summary = validate_certificate(src, &cert.text).unwrap();
+            assert_eq!(summary.lattice, lattice);
+            assert_eq!(summary.nodes, cert.nodes);
+        }
     }
 
     #[test]
@@ -864,6 +873,18 @@ mod tests {
             let err = validate_certificate(CHANNEL, &t).unwrap_err();
             // linear:0 dies at the descriptor; the rest never match a scheme.
             assert_eq!(err.stage, "lattice", "{bad}: {err}");
+        }
+    }
+
+    #[test]
+    fn a_spec_reads_every_spelling_of_n_and_displays_one() {
+        for spec in ["linear:4", "linear:04", "linear:+4"] {
+            let parsed = parse_lattice_spec(spec).unwrap();
+            assert_eq!(parsed.to_string(), "linear:4", "{spec}");
+        }
+        assert_eq!(parse_lattice_spec("two").unwrap(), LatticeSpec::Two);
+        for bad in ["Two", "linear:0", "linear:", "linear:-1", "powerset"] {
+            assert!(parse_lattice_spec(bad).is_err(), "{bad}");
         }
     }
 

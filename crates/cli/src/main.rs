@@ -17,25 +17,19 @@
 //! with `--lattice linear:n`.
 
 use std::collections::BTreeMap;
-use std::fmt::Display;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 use secflow_analyze::AnalysisReport;
-use secflow_cert::{
-    emit_certificate, parse_linear_class, parse_two_class, show_linear_class, show_two_class,
-    validate_certificate, verdict_fields, Json,
-};
-use secflow_core::{
-    certify, check_atomicity, denning_certify, infer_binding, FlowGraph, StaticBinding,
-};
+use secflow_cert::{validate_certificate, verdict_fields, Json};
+use secflow_core::{certify, check_atomicity, denning_certify};
 use secflow_lang::{parse, print_program, Diag, Program, Severity, VarId};
-use secflow_lattice::{Extended, Lattice, LinearScheme, Scheme, TwoPoint, TwoPointScheme};
-use secflow_logic::{check_proof, prove, render_proof};
 use secflow_runtime::{
     check_noninterference, explore_with, pexplore_with, run_traced, ExploreLimits, Machine,
     RandomSched, RoundRobin,
 };
+use secflow_server::ops::{self, Inferred, OpError, Proved};
+use secflow_server::{Op, Request};
 use secflow_workload::{fig3_baseline_gap_binding, fig3_program, FIG3_SOURCE};
 
 const USAGE: &str = "\
@@ -139,6 +133,14 @@ impl From<String> for CliError {
 impl From<&str> for CliError {
     fn from(msg: &str) -> CliError {
         CliError::Usage(msg.to_string())
+    }
+}
+
+/// Every op failure is a bad invocation (a class, name or lattice the
+/// flags got wrong), so it exits 2 like any other usage error.
+impl From<OpError> for CliError {
+    fn from((_, msg): OpError) -> CliError {
+        CliError::Usage(msg)
     }
 }
 
@@ -265,15 +267,18 @@ fn load_program(path: &str) -> Result<(Program, String), CliError> {
     Ok((program, source))
 }
 
+fn split_pair(spec: &str) -> Result<(&str, &str), String> {
+    spec.split_once('=')
+        .ok_or_else(|| format!("expected name=value, got `{spec}`"))
+}
+
 fn parse_pairs<'a>(
     program: &Program,
     specs: impl IntoIterator<Item = &'a String>,
 ) -> Result<Vec<(VarId, String)>, String> {
     let mut out = Vec::new();
     for spec in specs {
-        let (name, value) = spec
-            .split_once('=')
-            .ok_or_else(|| format!("expected name=value, got `{spec}`"))?;
+        let (name, value) = split_pair(spec)?;
         let id = program
             .symbols
             .lookup(name)
@@ -283,276 +288,33 @@ fn parse_pairs<'a>(
     Ok(out)
 }
 
-// ---- lattice dispatch ---------------------------------------------------
+/// Loads `<file>` and builds an `op` request for it from the binding
+/// flags: each `--{class_flag}` pair, `--default` and `--lattice`.
+fn program_request(opts: &Opts, op: Op, class_flag: &str) -> Result<(Program, Request), CliError> {
+    let (program, source) = load_program(opts.file()?)?;
+    let mut req = Request::new(op, source);
+    for spec in opts.values(class_flag) {
+        let (name, class) = split_pair(spec)?;
+        req.classes.push((name.to_string(), class.to_string()));
+    }
+    req.default_class = opts.value("default").map(str::to_string);
+    if let Some(lattice) = opts.value("lattice") {
+        req.lattice = lattice.to_string();
+    }
+    Ok((program, req))
+}
 
-/// Runs `f` with the scheme selected by `--lattice` (monomorphized per
-/// scheme; classes arrive pre-parsed).
-fn with_scheme<R>(
-    opts: &Opts,
-    f: impl FnOnce(&dyn SchemeOps) -> Result<R, String>,
-) -> Result<R, String> {
-    match opts.value("lattice").unwrap_or("two") {
-        "two" => f(&TwoOps),
-        spec => {
-            let n = spec
-                .strip_prefix("linear:")
-                .and_then(|s| s.parse::<u32>().ok())
-                .ok_or_else(|| format!("bad --lattice `{spec}` (two | linear:N)"))?;
-            let scheme =
-                LinearScheme::new(n).ok_or_else(|| "linear lattice needs N >= 1".to_string())?;
-            f(&LinearOps { scheme })
-        }
+fn print_binding(binding: &[(String, String)]) {
+    for (name, class) in binding {
+        println!("{name}: {class}");
     }
 }
 
-/// Object-safe operations over a chosen scheme (the CLI needs exactly
-/// these: build a binding, certify, prove, infer).
-trait SchemeOps {
-    fn certify_report(
-        &self,
-        program: &Program,
-        source: &str,
-        classes: &[(VarId, String)],
-        default: Option<&str>,
-        baseline: bool,
-        emit_proof: Option<&str>,
-    ) -> Result<(bool, String), String>;
-
-    fn prove_report(
-        &self,
-        program: &Program,
-        classes: &[(VarId, String)],
-        default: Option<&str>,
-    ) -> Result<(bool, String), String>;
-
-    fn infer_report(
-        &self,
-        program: &Program,
-        pins: &[(VarId, String)],
-    ) -> Result<(bool, String), String>;
-}
-
-fn build_binding<S: Scheme>(
-    program: &Program,
-    scheme: &S,
-    classes: &[(VarId, String)],
-    default: Option<&str>,
-    parse_class: impl Fn(&str) -> Result<S::Elem, String>,
-) -> Result<StaticBinding<S::Elem>, String>
-where
-    S::Elem: Lattice,
-{
-    let base = match default {
-        Some(c) => parse_class(c)?,
-        None => scheme.low(),
-    };
-    let mut binding = StaticBinding::constant(&program.symbols, scheme, base);
-    for (id, class) in classes {
-        binding.set(*id, parse_class(class)?);
-    }
-    Ok(binding)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn certify_impl<S: Scheme>(
-    program: &Program,
-    source: &str,
-    scheme: &S,
-    lattice_desc: &str,
-    classes: &[(VarId, String)],
-    default: Option<&str>,
-    baseline: bool,
-    emit_proof: Option<&str>,
-    parse_class: impl Fn(&str) -> Result<S::Elem, String>,
-    show_class: impl Fn(&S::Elem) -> String,
-) -> Result<(bool, String), String>
-where
-    S::Elem: Lattice + Display,
-{
-    if emit_proof.is_some() && baseline {
-        return Err(
-            "--emit-proof needs the CFM flow logic; the Denning baseline has no proof".to_string(),
-        );
-    }
-    let binding = build_binding(program, scheme, classes, default, parse_class)?;
-    let report = if baseline {
-        denning_certify(program, &binding)
+fn exit_code(ok: bool) -> ExitCode {
+    if ok {
+        ExitCode::SUCCESS
     } else {
-        certify(program, &binding)
-    };
-    let mut out = String::new();
-    out.push_str(&binding.render(program));
-    out.push_str(&report.render(source));
-    if let Some(path) = emit_proof {
-        if report.certified() {
-            // Theorem 1 guarantees a proof exists for any CFM-certified
-            // program; a prover failure here is a bug, not bad input.
-            let proof = prove(program, &binding, Extended::Nil, Extended::Nil)
-                .map_err(|e| format!("Theorem 1 prover failed on a certified program: {e}"))?;
-            let cert = emit_certificate(&proof, &program.symbols, lattice_desc, source, &|l| {
-                show_class(l)
-            });
-            std::fs::write(path, &cert.text).map_err(|e| format!("cannot write `{path}`: {e}"))?;
-            out.push_str(&format!(
-                "certificate written to {path} ({} nodes, digest sha256:{})\n",
-                cert.nodes, cert.digest
-            ));
-        } else {
-            out.push_str("no certificate: the program was not certified\n");
-        }
-    }
-    Ok((report.certified(), out))
-}
-
-fn prove_impl<S: Scheme>(
-    program: &Program,
-    scheme: &S,
-    classes: &[(VarId, String)],
-    default: Option<&str>,
-    parse_class: impl Fn(&str) -> Result<S::Elem, String>,
-) -> Result<(bool, String), String>
-where
-    S::Elem: Lattice + Display,
-{
-    let binding = build_binding(program, scheme, classes, default, parse_class)?;
-    match prove(program, &binding, Extended::Nil, Extended::Nil) {
-        Ok(proof) => {
-            check_proof(&program.body, &proof).map_err(|e| e.to_string())?;
-            Ok((
-                true,
-                format!(
-                    "completely invariant flow proof found ({} nodes):\n{}",
-                    proof.size(),
-                    render_proof(&proof, &program.symbols)
-                ),
-            ))
-        }
-        Err(e) => Ok((false, format!("no completely invariant proof: {e}\n"))),
-    }
-}
-
-fn infer_impl<S: Scheme>(
-    program: &Program,
-    scheme: &S,
-    pins: &[(VarId, String)],
-    parse_class: impl Fn(&str) -> Result<S::Elem, String>,
-) -> Result<(bool, String), String>
-where
-    S::Elem: Lattice + Display,
-{
-    let mut parsed = Vec::new();
-    for (id, c) in pins {
-        parsed.push((*id, parse_class(c)?));
-    }
-    match infer_binding(program, scheme, parsed) {
-        Ok(binding) => Ok((
-            true,
-            format!("least certifying binding:\n{}", binding.render(program)),
-        )),
-        Err(unsat) => Ok((
-            false,
-            format!(
-                "no certifying binding: {} is pinned at {} but needs {}\nflow chain: {}\n",
-                program.symbols.name(unsat.var),
-                unsat.pinned,
-                unsat.required,
-                unsat.render_path(program)
-            ),
-        )),
-    }
-}
-
-struct TwoOps;
-
-impl SchemeOps for TwoOps {
-    fn certify_report(
-        &self,
-        program: &Program,
-        source: &str,
-        classes: &[(VarId, String)],
-        default: Option<&str>,
-        baseline: bool,
-        emit_proof: Option<&str>,
-    ) -> Result<(bool, String), String> {
-        certify_impl(
-            program,
-            source,
-            &TwoPointScheme,
-            "two",
-            classes,
-            default,
-            baseline,
-            emit_proof,
-            parse_two_class,
-            show_two_class,
-        )
-    }
-
-    fn prove_report(
-        &self,
-        program: &Program,
-        classes: &[(VarId, String)],
-        default: Option<&str>,
-    ) -> Result<(bool, String), String> {
-        prove_impl(program, &TwoPointScheme, classes, default, parse_two_class)
-    }
-
-    fn infer_report(
-        &self,
-        program: &Program,
-        pins: &[(VarId, String)],
-    ) -> Result<(bool, String), String> {
-        infer_impl(program, &TwoPointScheme, pins, parse_two_class)
-    }
-}
-
-struct LinearOps {
-    scheme: LinearScheme,
-}
-
-impl SchemeOps for LinearOps {
-    fn certify_report(
-        &self,
-        program: &Program,
-        source: &str,
-        classes: &[(VarId, String)],
-        default: Option<&str>,
-        baseline: bool,
-        emit_proof: Option<&str>,
-    ) -> Result<(bool, String), String> {
-        certify_impl(
-            program,
-            source,
-            &self.scheme,
-            &format!("linear:{}", self.scheme.levels()),
-            classes,
-            default,
-            baseline,
-            emit_proof,
-            |s| parse_linear_class(&self.scheme, s),
-            show_linear_class,
-        )
-    }
-
-    fn prove_report(
-        &self,
-        program: &Program,
-        classes: &[(VarId, String)],
-        default: Option<&str>,
-    ) -> Result<(bool, String), String> {
-        prove_impl(program, &self.scheme, classes, default, |s| {
-            parse_linear_class(&self.scheme, s)
-        })
-    }
-
-    fn infer_report(
-        &self,
-        program: &Program,
-        pins: &[(VarId, String)],
-    ) -> Result<(bool, String), String> {
-        infer_impl(program, &self.scheme, pins, |s| {
-            parse_linear_class(&self.scheme, s)
-        })
+        ExitCode::FAILURE
     }
 }
 
@@ -563,39 +325,46 @@ fn cmd_certify(args: &[String]) -> Result<ExitCode, CliError> {
         args,
         &["class", "default", "lattice", "baseline", "emit-proof"],
     )?;
-    let (program, source) = load_program(opts.file()?)?;
-    let classes = parse_pairs(&program, opts.values("class"))?;
-    let (ok, report) = with_scheme(&opts, |ops| {
-        ops.certify_report(
-            &program,
-            &source,
-            &classes,
-            opts.value("default"),
-            opts.has("baseline"),
-            opts.value("emit-proof"),
-        )
-    })?;
-    print!("{report}");
-    Ok(if ok {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    })
+    let (program, mut req) = program_request(&opts, Op::Certify, "class")?;
+    let emit_proof = opts.value("emit-proof");
+    req.baseline = opts.has("baseline");
+    req.with_proof = emit_proof.is_some();
+    if req.with_proof && req.baseline {
+        return Err(
+            "--emit-proof needs the CFM flow logic; the Denning baseline has no proof".into(),
+        );
+    }
+    let outcome = ops::certify(&req, &program)?;
+    let note = match (emit_proof, &outcome.certificate) {
+        (None, _) => String::new(),
+        (Some(path), Some(cert)) => {
+            std::fs::write(path, &cert.text).map_err(|e| format!("cannot write `{path}`: {e}"))?;
+            format!(
+                "certificate written to {path} ({} nodes, digest sha256:{})\n",
+                cert.nodes, cert.digest
+            )
+        }
+        (Some(_), None) => "no certificate: the program was not certified\n".to_string(),
+    };
+    print_binding(&outcome.binding);
+    print!("{}{note}", outcome.report);
+    Ok(exit_code(outcome.certified))
 }
 
 fn cmd_prove(args: &[String]) -> Result<ExitCode, CliError> {
     let opts = parse_opts(args, &["class", "default", "lattice"])?;
-    let (program, _) = load_program(opts.file()?)?;
-    let classes = parse_pairs(&program, opts.values("class"))?;
-    let (ok, report) = with_scheme(&opts, |ops| {
-        ops.prove_report(&program, &classes, opts.value("default"))
-    })?;
-    print!("{report}");
-    Ok(if ok {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    })
+    // `prove` is no wire op: it reads the binding of a certify request.
+    let (program, req) = program_request(&opts, Op::Certify, "class")?;
+    Ok(exit_code(match ops::prove(&req, &program)? {
+        Proved::Proof { nodes, text } => {
+            print!("completely invariant flow proof found ({nodes} nodes):\n{text}");
+            true
+        }
+        Proved::NoProof(reason) => {
+            println!("no completely invariant proof: {reason}");
+            false
+        }
+    }))
 }
 
 fn cmd_checkproof(args: &[String]) -> Result<ExitCode, CliError> {
@@ -622,11 +391,7 @@ fn cmd_checkproof(args: &[String]) -> Result<ExitCode, CliError> {
             ),
         }
     }
-    Ok(if valid {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    })
+    Ok(exit_code(valid))
 }
 
 fn parse_inputs(program: &Program, opts: &Opts) -> Result<Vec<(VarId, i64)>, String> {
@@ -662,11 +427,7 @@ fn cmd_run(args: &[String]) -> Result<ExitCode, CliError> {
     for (id, info) in program.symbols.iter() {
         println!("{} = {}", info.name, machine.get(id));
     }
-    Ok(if trace.outcome.terminated() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    })
+    Ok(exit_code(trace.outcome.terminated()))
 }
 
 fn cmd_explore(args: &[String]) -> Result<ExitCode, CliError> {
@@ -800,38 +561,25 @@ fn cmd_leaktest(args: &[String]) -> Result<ExitCode, CliError> {
 
 fn cmd_infer(args: &[String]) -> Result<ExitCode, CliError> {
     let opts = parse_opts(args, &["pin", "lattice"])?;
-    let (program, _) = load_program(opts.file()?)?;
-    let pins = parse_pairs(&program, opts.values("pin"))?;
-    let (ok, report) = with_scheme(&opts, |ops| ops.infer_report(&program, &pins))?;
-    print!("{report}");
-    Ok(if ok {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    })
+    let (program, req) = program_request(&opts, Op::Infer, "pin")?;
+    Ok(exit_code(match ops::infer(&req, &program)? {
+        Inferred::Binding(binding) => {
+            println!("least certifying binding:");
+            print_binding(&binding);
+            true
+        }
+        Inferred::Conflict { conflict, chain } => {
+            println!("no certifying binding: {conflict}\nflow chain: {chain}");
+            false
+        }
+    }))
 }
 
 fn cmd_flows(args: &[String]) -> Result<ExitCode, CliError> {
     let opts = parse_opts(args, &["class", "default", "dot"])?;
-    let (program, _) = load_program(opts.file()?)?;
-    let graph = FlowGraph::of(&program);
-    if opts.has("dot") {
-        let classes = parse_pairs(&program, opts.values("class"))?;
-        if classes.is_empty() && opts.value("default").is_none() {
-            print!("{}", graph.to_dot::<TwoPoint>(&program, None));
-        } else {
-            let binding = build_binding(
-                &program,
-                &TwoPointScheme,
-                &classes,
-                opts.value("default"),
-                parse_two_class,
-            )?;
-            print!("{}", graph.to_dot(&program, Some(&binding)));
-        }
-    } else {
-        print!("{}", graph.render(&program));
-    }
+    let (program, mut req) = program_request(&opts, Op::Flows, "class")?;
+    req.dot = opts.has("dot");
+    print!("{}", ops::flows(&req, &program)?);
     Ok(ExitCode::SUCCESS)
 }
 
@@ -840,11 +588,7 @@ fn cmd_atomicity(args: &[String]) -> Result<ExitCode, CliError> {
     let (program, source) = load_program(opts.file()?)?;
     let report = check_atomicity(&program);
     print!("{}", report.render(&source));
-    Ok(if report.single_reference() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    })
+    Ok(exit_code(report.single_reference()))
 }
 
 fn cmd_lint(args: &[String]) -> Result<ExitCode, CliError> {
@@ -855,17 +599,8 @@ fn cmd_lint(args: &[String]) -> Result<ExitCode, CliError> {
         .value("threads")
         .map_or(Ok(1), |v| v.parse().map_err(|_| "bad --threads"))?;
     let path = std::path::Path::new(&target);
-    let files: Vec<PathBuf> = if path.is_dir() {
-        let mut files: Vec<PathBuf> = std::fs::read_dir(path)
-            .map_err(|e| format!("cannot read `{target}`: {e}"))?
-            .filter_map(|entry| entry.ok().map(|e| e.path()))
-            .filter(|p| p.extension().is_some_and(|ext| ext == "sf"))
-            .collect();
-        files.sort();
-        if files.is_empty() {
-            return Err(format!("no *.sf files in `{target}`").into());
-        }
-        files
+    let files = if path.is_dir() {
+        secflow_server::sf_files(path)?
     } else {
         vec![path.to_path_buf()]
     };
@@ -897,11 +632,7 @@ fn cmd_lint(args: &[String]) -> Result<ExitCode, CliError> {
             files.len()
         );
     }
-    Ok(if errors > 0 {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
-    })
+    Ok(exit_code(errors == 0))
 }
 
 /// The flags [`server_config`] reads: `serve`, `router` and `batch` all
@@ -1230,11 +961,7 @@ fn cmd_cluster_status(args: &[String]) -> Result<ExitCode, CliError> {
             }
         }
     }
-    Ok(if down == 0 {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    })
+    Ok(exit_code(down == 0))
 }
 
 /// `secflow repair`: one round of pairwise anti-entropy across the
@@ -1344,11 +1071,7 @@ fn cmd_repair(args: &[String]) -> Result<ExitCode, CliError> {
             "repair: {installed_total} installed, {failures} failure(s), converged: {converged}"
         );
     }
-    Ok(if converged {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    })
+    Ok(exit_code(converged))
 }
 
 /// `secflow cache-inspect <dir>`: scans a durable store offline (no
@@ -1387,11 +1110,7 @@ fn cmd_cache_inspect(args: &[String]) -> Result<ExitCode, CliError> {
     } else {
         print!("{}", secflow_server::render_report(&report));
     }
-    Ok(if report.clean() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    })
+    Ok(exit_code(report.clean()))
 }
 
 fn cmd_batch(args: &[String]) -> Result<ExitCode, CliError> {
@@ -1438,11 +1157,7 @@ fn cmd_batch(args: &[String]) -> Result<ExitCode, CliError> {
         )?,
     };
     print!("{}", secflow_server::render_summary(&summary));
-    Ok(if summary.errored == 0 {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    })
+    Ok(exit_code(summary.errored == 0))
 }
 
 /// Generates a synthetic workload program — a sequential assignment

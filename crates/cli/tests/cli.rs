@@ -333,6 +333,56 @@ fn checkproof_reports_syntax_errors() {
     assert!(s.contains("certificate REJECTED at stage `json`"), "{s}");
 }
 
+/// However a client spells the lattice, the certificate names it once:
+/// `certify --emit-proof` and the service write the same bytes for
+/// `linear:04`, and the service writes them for `linear:4` too.
+#[test]
+fn certificates_name_the_lattice_canonically_in_the_cli_and_the_service() {
+    const SOURCE: &str = "var a, b : integer; b := a";
+    let prog = write_program("canonical.sfl", SOURCE);
+    let cert_path = std::env::temp_dir()
+        .join("secflow-cli-tests")
+        .join("canonical.json");
+    let out = secflow(&[
+        "certify",
+        prog.to_str().unwrap(),
+        "--lattice",
+        "linear:04",
+        "--class",
+        "a=1",
+        "--class",
+        "b=3",
+        "--emit-proof",
+        cert_path.to_str().unwrap(),
+    ]);
+    assert!(out.status.success(), "{}", stdout(&out));
+    let cli = std::fs::read_to_string(&cert_path).unwrap();
+
+    let service = Service::new(4, Limits::default());
+    let certificate = |lattice: &str| {
+        let req = Json::Obj(vec![
+            ("op".to_string(), Json::Str("certify".to_string())),
+            ("source".to_string(), Json::Str(SOURCE.to_string())),
+            ("lattice".to_string(), Json::Str(lattice.to_string())),
+            (
+                "classes".to_string(),
+                Json::Obj(vec![
+                    ("a".to_string(), Json::Str("1".to_string())),
+                    ("b".to_string(), Json::Str("3".to_string())),
+                ]),
+            ),
+            ("with_proof".to_string(), Json::Bool(true)),
+        ]);
+        let reply = Json::parse(&service.handle_line(&req.to_string())).unwrap();
+        let cert = reply.get("certificate").and_then(Json::as_str);
+        cert.unwrap_or_else(|| panic!("{reply}")).to_string()
+    };
+    let padded = certificate("linear:04");
+    assert_eq!(cli, padded, "the CLI and the service disagree");
+    assert_eq!(padded, certificate("linear:4"), "the spelling leaked in");
+    assert!(cli.contains(r#""lattice":"linear:4""#), "{cli}");
+}
+
 #[test]
 fn flows_lists_constraints() {
     let p = write_program("flows.sfl", SYNC);

@@ -2,7 +2,6 @@
 //! same worker pool and cache as the online server.
 
 use std::path::{Path, PathBuf};
-use std::sync::atomic::Ordering::Relaxed;
 use std::sync::{mpsc, Arc};
 use std::time::Instant;
 
@@ -59,51 +58,22 @@ pub fn run_batch(
     lattice: &str,
     cfg: ServerConfig,
 ) -> Result<BatchSummary, String> {
-    let mut paths: Vec<PathBuf> = std::fs::read_dir(dir)
-        .map_err(|e| format!("cannot read `{}`: {e}", dir.display()))?
-        .filter_map(|entry| entry.ok().map(|e| e.path()))
-        .filter(|p| p.extension().is_some_and(|ext| ext == "sf"))
-        .collect();
-    paths.sort();
-    if paths.is_empty() {
-        return Err(format!("no *.sf files in `{}`", dir.display()));
-    }
-
+    let paths = sf_files(dir)?;
     let service = Arc::new(Service::new(cfg.cache_capacity, cfg.limits));
     let pool = Pool::new(cfg.workers, cfg.queue_capacity);
     let (tx, rx) = mpsc::channel::<FileOutcome>();
     let start = Instant::now();
 
-    for path in &paths {
-        let source = match std::fs::read_to_string(path) {
-            Ok(s) => s,
-            Err(e) => {
-                let _ = tx.send(FileOutcome {
-                    path: path.clone(),
-                    status: format!("unreadable ({e})"),
-                    statements: 0,
-                    cached: false,
-                    us: 0,
-                    lint: None,
-                });
+    for path in paths {
+        let req = match file_request(&path, classes, default_class, lattice) {
+            Ok(req) => req,
+            Err(unreadable) => {
+                let _ = tx.send(unreadable);
                 continue;
             }
         };
-        // Drop class pins the file does not declare, so one policy can
-        // span heterogeneous programs. (Parse errors surface in the
-        // job; here they just leave the pin list untouched.)
-        let declared: Vec<(String, String)> = match secflow_lang::parse(&source) {
-            Ok(program) => classes
-                .iter()
-                .filter(|(name, _)| program.symbols.lookup(name).is_some())
-                .cloned()
-                .collect(),
-            Err(_) => classes.to_vec(),
-        };
-        let req = certify_request(source, declared, default_class, lattice);
         let service = Arc::clone(&service);
         let tx = tx.clone();
-        let path = path.clone();
         // Blocking submit: in batch mode the producer waits for queue
         // space instead of shedding load.
         service.note_request();
@@ -119,25 +89,9 @@ pub fn run_batch(
         .map_err(|_| "worker pool closed unexpectedly".to_string())?;
     }
     drop(tx);
-
-    let mut summary = BatchSummary::default();
-    for outcome in rx {
-        match outcome.status.as_str() {
-            "certified" => summary.certified += 1,
-            "REJECTED" => summary.rejected += 1,
-            _ => summary.errored += 1,
-        }
-        if outcome.cached {
-            summary.cache_hits += 1;
-        }
-        summary.files.push(outcome);
-    }
+    let files = rx.into_iter().collect();
     pool.shutdown();
-    summary.files.sort_by(|a, b| a.path.cmp(&b.path));
-    summary.wall_us = start.elapsed().as_micros() as u64;
-    // Cross-check against service metrics (cache hits recorded there).
-    summary.cache_hits = service.metrics.cache_hits.load(Relaxed) as usize;
-    Ok(summary)
+    Ok(BatchSummary::of(files, start))
 }
 
 /// Certifies every `*.sf` file under `dir` against a remote server at
@@ -152,6 +106,34 @@ pub fn run_batch_remote(
     addr: &str,
     policy: RetryPolicy,
 ) -> Result<BatchSummary, String> {
+    let paths = sf_files(dir)?;
+    let mut client = RemoteClient::new(addr, policy);
+    let start = Instant::now();
+    let mut files = Vec::new();
+    for path in paths {
+        let req = match file_request(&path, classes, default_class, lattice) {
+            Ok(req) => req,
+            Err(unreadable) => {
+                files.push(unreadable);
+                continue;
+            }
+        };
+        let line = match client.call(&req) {
+            Ok(line) => line,
+            Err(e) => {
+                files.push(FileOutcome::failed(path, format!("unreachable ({e})")));
+                continue;
+            }
+        };
+        let lint_line = client.call(&lint_request(req.source.clone())).ok();
+        files.push(file_outcome(path, &line, lint_line.as_deref()));
+    }
+    Ok(BatchSummary::of(files, start))
+}
+
+/// The `*.sf` files directly under `dir`, sorted; an error when it
+/// cannot be read or holds none.
+pub fn sf_files(dir: &Path) -> Result<Vec<PathBuf>, String> {
     let mut paths: Vec<PathBuf> = std::fs::read_dir(dir)
         .map_err(|e| format!("cannot read `{}`: {e}", dir.display()))?
         .filter_map(|entry| entry.ok().map(|e| e.path()))
@@ -161,80 +143,70 @@ pub fn run_batch_remote(
     if paths.is_empty() {
         return Err(format!("no *.sf files in `{}`", dir.display()));
     }
-
-    let mut client = RemoteClient::new(addr, policy);
-    let start = Instant::now();
-    let mut summary = BatchSummary::default();
-    for path in paths {
-        let source = match std::fs::read_to_string(&path) {
-            Ok(s) => s,
-            Err(e) => {
-                summary.files.push(FileOutcome {
-                    path,
-                    status: format!("unreadable ({e})"),
-                    statements: 0,
-                    cached: false,
-                    us: 0,
-                    lint: None,
-                });
-                continue;
-            }
-        };
-        let declared: Vec<(String, String)> = match secflow_lang::parse(&source) {
-            Ok(program) => classes
-                .iter()
-                .filter(|(name, _)| program.symbols.lookup(name).is_some())
-                .cloned()
-                .collect(),
-            Err(_) => classes.to_vec(),
-        };
-        let req = certify_request(source, declared, default_class, lattice);
-        let line = match client.call(&req) {
-            Ok(line) => line,
-            Err(e) => {
-                summary.files.push(FileOutcome {
-                    path,
-                    status: format!("unreachable ({e})"),
-                    statements: 0,
-                    cached: false,
-                    us: 0,
-                    lint: None,
-                });
-                continue;
-            }
-        };
-        let lint_line = client.call(&lint_request(req.source.clone())).ok();
-        summary
-            .files
-            .push(file_outcome(path, &line, lint_line.as_deref()));
-    }
-
-    for outcome in &summary.files {
-        match outcome.status.as_str() {
-            "certified" => summary.certified += 1,
-            "REJECTED" => summary.rejected += 1,
-            _ => summary.errored += 1,
-        }
-        if outcome.cached {
-            summary.cache_hits += 1;
-        }
-    }
-    summary.files.sort_by(|a, b| a.path.cmp(&b.path));
-    summary.wall_us = start.elapsed().as_micros() as u64;
-    Ok(summary)
+    Ok(paths)
 }
 
-fn certify_request(
-    source: String,
-    classes: Vec<(String, String)>,
+impl FileOutcome {
+    /// A file that got no reply: unreadable, or its server unreachable.
+    fn failed(path: PathBuf, status: String) -> FileOutcome {
+        FileOutcome {
+            path,
+            status,
+            statements: 0,
+            cached: false,
+            us: 0,
+            lint: None,
+        }
+    }
+}
+
+impl BatchSummary {
+    /// Tallies the per-file outcomes of a batch that began at `start`.
+    fn of(mut files: Vec<FileOutcome>, start: Instant) -> BatchSummary {
+        files.sort_by(|a, b| a.path.cmp(&b.path));
+        let mut summary = BatchSummary::default();
+        for outcome in &files {
+            match outcome.status.as_str() {
+                "certified" => summary.certified += 1,
+                "REJECTED" => summary.rejected += 1,
+                _ => summary.errored += 1,
+            }
+            if outcome.cached {
+                summary.cache_hits += 1;
+            }
+        }
+        summary.files = files;
+        summary.wall_us = start.elapsed().as_micros() as u64;
+        summary
+    }
+}
+
+/// Reads `path` and builds its certify request, or the outcome of a
+/// file that cannot be read. Class pins the file does not declare are
+/// dropped, so one policy can span heterogeneous programs; a file that
+/// does not parse keeps them all, and its parse error surfaces in the
+/// reply.
+fn file_request(
+    path: &Path,
+    classes: &[(String, String)],
     default_class: Option<&str>,
     lattice: &str,
-) -> Request {
+) -> Result<Request, FileOutcome> {
+    let source = std::fs::read_to_string(path)
+        .map_err(|e| FileOutcome::failed(path.to_path_buf(), format!("unreadable ({e})")))?;
+    let declared = match secflow_lang::parse(&source) {
+        Ok(program) => classes
+            .iter()
+            .filter(|(name, _)| program.symbols.lookup(name).is_some())
+            .cloned()
+            .collect(),
+        Err(_) => classes.to_vec(),
+    };
     let mut req = Request::new(Op::Certify, source);
-    req.classes = classes;
+    req.classes = declared;
     req.default_class = default_class.map(str::to_string);
     req.lattice = lattice.to_string();
-    req
+    Ok(req)
 }
 
 fn lint_request(source: String) -> Request {
@@ -330,4 +302,36 @@ pub fn render_summary(summary: &BatchSummary) -> String {
         summary.wall_us as f64 / 1e3,
     ));
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Two identical files and one other: the second copy's certify is
+    /// the batch's one cache hit, and its lint is a hit the summary must
+    /// not count.
+    #[test]
+    fn cache_hits_count_certify_rows_not_lint_hits() {
+        let dir = std::env::temp_dir().join(format!("secflow-batch-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let same = "var h, l : integer; l := h";
+        std::fs::write(dir.join("a.sf"), same).unwrap();
+        std::fs::write(dir.join("b.sf"), same).unwrap();
+        std::fs::write(dir.join("c.sf"), "var x : integer; x := 1").unwrap();
+        let classes = [("h".to_string(), "high".to_string())];
+        // One worker: the copies run in order, so the second finds both
+        // of its entries cached rather than still in flight.
+        let cfg = ServerConfig {
+            workers: 1,
+            ..ServerConfig::default()
+        };
+        let summary = run_batch(&dir, &classes, None, "two", cfg).unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+
+        let cached_rows = summary.files.iter().filter(|f| f.cached).count();
+        assert_eq!(summary.cache_hits, 1, "{}", render_summary(&summary));
+        assert_eq!(summary.cache_hits, cached_rows);
+        assert_eq!((summary.certified, summary.rejected), (1, 2));
+    }
 }

@@ -12,6 +12,10 @@
 //!   and five peer ops (`forward`, `peer-sync`, `ping`, `replicate`,
 //!   `repair`), served over stdin/stdout ([`serve_stdio`]) or TCP
 //!   ([`serve_tcp`]);
+//! - [`ops`]: `certify`, `infer`, `flows` and `prove` as pure functions
+//!   from a request and its parsed program to a typed outcome — the one
+//!   implementation behind both the service and the `secflow` CLI's
+//!   `certify`, `prove`, `infer` and `flows`;
 //! - [`conn`] / [`poller`]: the TCP front-end — a resumable line
 //!   decoder and per-connection state machine, driven by a single
 //!   nonblocking poll loop with pipelining, bounded in-flight windows,
@@ -84,6 +88,7 @@ pub mod deadline;
 pub mod fault;
 pub mod health;
 pub mod metrics;
+pub mod ops;
 pub mod peer;
 pub mod persist;
 pub mod poller;
@@ -99,7 +104,7 @@ pub mod snapshot;
 /// protocol share one parser).
 pub use secflow_cert::json;
 
-pub use batch::{render_summary, run_batch, run_batch_remote, BatchSummary, FileOutcome};
+pub use batch::{render_summary, run_batch, run_batch_remote, sf_files, BatchSummary, FileOutcome};
 pub use cache::{fnv1a, CacheKey, CachedResult, ResultCache};
 pub use client::{Backoff, ClientError, PipelinedClient, RemoteClient, RetryPolicy};
 pub use conn::{Conn, ConnToken, Decoded, LineDecoder};

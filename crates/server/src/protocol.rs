@@ -138,6 +138,15 @@ impl Op {
             Op::Repair => "repair",
         }
     }
+
+    /// Whether the op computes over a program: it needs `source`, the
+    /// result cache answers it, and `forward` may carry it.
+    pub fn is_program(self) -> bool {
+        matches!(
+            self,
+            Op::Certify | Op::Infer | Op::Flows | Op::Lint | Op::Explore | Op::Checkproof
+        )
+    }
 }
 
 /// A parsed request line.
@@ -230,15 +239,10 @@ impl Request {
         let source = match value.get("source") {
             Some(Json::Str(s)) => s.clone(),
             Some(_) => return Err(fail("`source` must be a string".into())),
-            None => {
-                if matches!(
-                    op,
-                    Op::Certify | Op::Infer | Op::Flows | Op::Lint | Op::Explore | Op::Checkproof
-                ) {
-                    return Err(fail(format!("op `{}` needs `source`", op.name())));
-                }
-                String::new()
+            None if op.is_program() => {
+                return Err(fail(format!("op `{}` needs `source`", op.name())));
             }
+            None => String::new(),
         };
 
         let class_field = match op {

@@ -1,26 +1,22 @@
-//! Request execution: parse → certify/infer/flows → respond, with the
-//! result cache and metrics wired through.
+//! Request execution: parse → compute → respond, with the result
+//! cache, single flight, metrics and the cluster hops wired through.
+//! `certify`, `infer` and `flows` compute in [`crate::ops`], which the
+//! `secflow` CLI calls too; `lint`, `explore` and `checkproof` call
+//! their library entry points directly.
 //!
 //! A [`Service`] is shared (behind `Arc`) between every worker and
 //! connection; all interior state is synchronized (the cache behind a
 //! `Mutex`, metrics lock-free).
 
 use std::collections::HashMap;
-use std::fmt::Display;
 use std::sync::atomic::Ordering::Relaxed;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use secflow_analyze::AnalysisReport;
-use secflow_cert::{
-    emit_certificate, parse_linear_class, parse_two_class, show_linear_class, show_two_class,
-    validate_certificate, verdict_fields,
-};
-use secflow_core::{certify, denning_certify, infer_binding, FlowGraph, StaticBinding};
+use secflow_cert::{validate_certificate, verdict_fields};
 use secflow_lang::span::LineIndex;
 use secflow_lang::{parse, Program, Severity};
-use secflow_lattice::{Extended, Lattice, LinearScheme, Scheme, TwoPointScheme};
-use secflow_logic::prove;
 use secflow_runtime::{explore_with, pexplore_with, ExploreLimits};
 
 use crate::cache::{CacheKey, CachedResult, ResultCache};
@@ -28,6 +24,7 @@ use crate::deadline::CancelToken;
 use crate::fault::{Faults, NoFaults};
 use crate::json::Json;
 use crate::metrics::Metrics;
+use crate::ops::{self, Certified, Inferred};
 use crate::peer::{
     ClusterConfig, ClusterState, DEFAULT_MAX_HOPS, DEFAULT_PEER_TIMEOUT_MS, MAX_SYNC_PAGE,
 };
@@ -393,9 +390,8 @@ impl Service {
             Op::Ping => self.ping_op(req),
             Op::Replicate => self.replicate_op(req),
             Op::Repair => self.repair_op(req),
-            Op::Certify | Op::Infer | Op::Flows | Op::Lint | Op::Explore | Op::Checkproof => {
-                self.compute_cached(req, self.lookup(req), start, token, 0)
-            }
+            // The rest are the program ops (`Op::is_program`).
+            _ => self.compute_cached(req, self.lookup(req), start, token, 0),
         };
         self.metrics.record_latency(start.elapsed());
         line
@@ -431,45 +427,40 @@ impl Service {
                 .into_line();
             }
         };
-        match inner.op {
-            Op::Certify | Op::Infer | Op::Flows | Op::Lint | Op::Explore | Op::Checkproof => {
-                // Loop guard: a sender following the protocol stops
-                // forwarding at the hop budget, so a count past it means
-                // a routing loop or a non-conforming peer. Refuse with a
-                // structured (permanent) error instead of computing — the
-                // sender's relay path treats the refusal as "try the next
-                // candidate, else compute locally", so availability is
-                // preserved while the loop is broken.
-                let budget = self
-                    .cluster
-                    .as_ref()
-                    .map(|c| c.max_hops())
-                    .unwrap_or(DEFAULT_MAX_HOPS);
-                if req.hops > budget {
-                    Metrics::bump(&self.metrics.cluster_forward_hop_exhausted);
-                    Metrics::bump(&self.metrics.errors);
-                    return Response::error(
-                        inner.id.as_ref(),
-                        ErrorKind::MaxHopsExhausted,
-                        &format!("forward chain exceeded the hop budget of {budget}"),
-                    )
-                    .into_line();
-                }
-                self.compute_cached(&inner, self.lookup(&inner), start, token, req.hops)
-            }
-            // Control ops must not ride inside `forward`: a wrapped
-            // `shutdown` would let any peer kill the node, and a
-            // wrapped `forward` would defeat the hop budget.
-            _ => {
-                Metrics::bump(&self.metrics.errors);
-                Response::error(
-                    inner.id.as_ref(),
-                    ErrorKind::Protocol,
-                    &format!("op `{}` cannot be forwarded", inner.op.name()),
-                )
-                .into_line()
-            }
+        // Control ops must not ride inside `forward`: a wrapped
+        // `shutdown` would let any peer kill the node, and a wrapped
+        // `forward` would defeat the hop budget.
+        if !inner.op.is_program() {
+            Metrics::bump(&self.metrics.errors);
+            return Response::error(
+                inner.id.as_ref(),
+                ErrorKind::Protocol,
+                &format!("op `{}` cannot be forwarded", inner.op.name()),
+            )
+            .into_line();
         }
+        // Loop guard: a sender following the protocol stops forwarding
+        // at the hop budget, so a count past it means a routing loop or
+        // a non-conforming peer. Refuse with a structured (permanent)
+        // error instead of computing — the sender's relay path treats
+        // the refusal as "try the next candidate, else compute locally",
+        // so availability is preserved while the loop is broken.
+        let budget = self
+            .cluster
+            .as_ref()
+            .map(|c| c.max_hops())
+            .unwrap_or(DEFAULT_MAX_HOPS);
+        if req.hops > budget {
+            Metrics::bump(&self.metrics.cluster_forward_hop_exhausted);
+            Metrics::bump(&self.metrics.errors);
+            return Response::error(
+                inner.id.as_ref(),
+                ErrorKind::MaxHopsExhausted,
+                &format!("forward chain exceeded the hop budget of {budget}"),
+            )
+            .into_line();
+        }
+        self.compute_cached(&inner, self.lookup(&inner), start, token, req.hops)
     }
 
     /// The `peer-sync` op: one page of the cache as journal record
@@ -708,7 +699,9 @@ impl Service {
     /// not a program op.
     pub(crate) fn cached_reply(&self, req: &Request) -> Option<Result<String, Lookup>> {
         let start = Instant::now();
-        self.op_counter(req.op)?;
+        if !req.op.is_program() {
+            return None;
+        }
         let lookup = self.lookup(req);
         let Some(line) = self.reply_from_cache(req, &lookup, start) else {
             return Some(Err(lookup));
@@ -872,34 +865,7 @@ impl Service {
         let outcome = self.compute(req, effective_fuel, threads, token);
         let timed_out = matches!(outcome, Err((ErrorKind::Timeout, _)));
         let result = match outcome {
-            Ok(fields) => {
-                // Certificate bookkeeping happens only on this fresh
-                // path — cached and warm-started replies re-serve the
-                // stored certificate without touching the prover, and
-                // the counters prove it.
-                if let Some(cert) = fields
-                    .iter()
-                    .find(|(k, _)| k == "certificate")
-                    .and_then(|(_, v)| v.as_str())
-                {
-                    Metrics::bump(&self.metrics.proofs_emitted);
-                    self.metrics
-                        .proof_bytes_total
-                        .fetch_add(cert.len() as u64, Relaxed);
-                }
-                if req.op == Op::Checkproof {
-                    let valid = fields
-                        .iter()
-                        .find(|(k, _)| k == "valid")
-                        .and_then(|(_, v)| v.as_bool());
-                    if valid == Some(true) {
-                        Metrics::bump(&self.metrics.checkproof_valid);
-                    } else {
-                        Metrics::bump(&self.metrics.checkproof_rejected);
-                    }
-                }
-                CachedResult { ok: true, fields }
-            }
+            Ok(fields) => CachedResult { ok: true, fields },
             Err((kind, message)) => {
                 Metrics::bump(&self.metrics.errors);
                 if kind == ErrorKind::Timeout {
@@ -1084,62 +1050,57 @@ impl Service {
             ));
         }
         let stop = || token.expired();
-        if req.op == Op::Lint {
-            // Lint needs no binding or lattice; it is still routed
-            // through `compute_cached`, so results are cached and
-            // counted like every other program-level op.
-            let report = secflow_analyze::analyze_threads(&program, threads, &stop);
-            if report.cancelled {
-                return Err(self.timeout_error(req));
+        match req.op {
+            Op::Certify => {
+                let certified = ops::certify(req, &program)?;
+                // Only a fresh computation reaches this: cached and
+                // warm-started replies re-serve the stored certificate
+                // without touching the prover, and the counters prove it.
+                if let Some(cert) = &certified.certificate {
+                    Metrics::bump(&self.metrics.proofs_emitted);
+                    self.metrics
+                        .proof_bytes_total
+                        .fetch_add(cert.text.len() as u64, Relaxed);
+                }
+                Ok(certify_fields(certified))
             }
-            if report.pass_panics > 0 {
-                self.metrics
-                    .pass_panics
-                    .fetch_add(report.pass_panics as u64, Relaxed);
+            Op::Infer => Ok(infer_fields(ops::infer(req, &program)?)),
+            Op::Flows => Ok(vec![(
+                "graph".to_string(),
+                Json::Str(ops::flows(req, &program)?),
+            )]),
+            Op::Lint => {
+                let report = secflow_analyze::analyze_threads(&program, threads, &stop);
+                if report.cancelled {
+                    return Err(self.timeout_error(req));
+                }
+                if report.pass_panics > 0 {
+                    self.metrics
+                        .pass_panics
+                        .fetch_add(report.pass_panics as u64, Relaxed);
+                }
+                Ok(lint_fields(&report, &req.source))
             }
-            return Ok(lint_fields(&report, &req.source));
-        }
-        if req.op == Op::Explore {
-            return self.explore(req, &program, threads, &stop);
-        }
-        if req.op == Op::Checkproof {
-            // The validator never re-runs Theorem 1 search: it decodes
-            // the certificate and replays the checker's side conditions.
-            // Rejections are verdicts (ok:true, valid:false), not
-            // protocol errors — a bad certificate is a result, not a
-            // malfunction.
-            return Ok(verdict_fields(validate_certificate(
-                &req.source,
-                req.cert.as_deref().unwrap_or_default(),
-            )));
-        }
-        match req.lattice.as_str() {
-            "two" => run_op(
-                req,
-                &program,
-                &TwoPointScheme,
-                &parse_two_class,
-                &show_two_class,
-            ),
-            spec => {
-                let n = spec
-                    .strip_prefix("linear:")
-                    .and_then(|s| s.parse::<u32>().ok())
-                    .ok_or_else(|| {
-                        (
-                            ErrorKind::Binding,
-                            format!("bad lattice `{spec}` (expected `two` or `linear:N`)"),
-                        )
-                    })?;
-                let scheme = LinearScheme::new(n).ok_or_else(|| {
-                    (
-                        ErrorKind::Binding,
-                        "linear lattice needs N >= 1".to_string(),
-                    )
-                })?;
-                let parse_class = move |s: &str| parse_linear_class(&scheme, s);
-                run_op(req, &program, &scheme, &parse_class, &show_linear_class)
+            Op::Explore => self.explore(req, &program, threads, &stop),
+            Op::Checkproof => {
+                // The validator never re-runs Theorem 1 search: it
+                // decodes the certificate and replays the checker's side
+                // conditions. Rejections are verdicts (ok:true,
+                // valid:false), not protocol errors — a bad certificate
+                // is a result, not a malfunction.
+                let verdict =
+                    validate_certificate(&req.source, req.cert.as_deref().unwrap_or_default());
+                Metrics::bump(if verdict.is_ok() {
+                    &self.metrics.checkproof_valid
+                } else {
+                    &self.metrics.checkproof_rejected
+                });
+                Ok(verdict_fields(verdict))
             }
+            op => Err((
+                ErrorKind::Protocol,
+                format!("op `{}` is not a program op", op.name()),
+            )),
         }
     }
 
@@ -1342,142 +1303,6 @@ fn elapsed_field(start: Instant) -> (String, Json) {
     )
 }
 
-/// Executes the op-specific part under a concrete scheme.
-/// `show_class` renders a lattice element in the certificate's
-/// canonical spelling (`"low"`/`"high"`, `"0"`..`"N-1"`) — the `Display`
-/// impls (`Low`, `L3`) are for humans, not for the wire.
-fn run_op<S: Scheme>(
-    req: &Request,
-    program: &Program,
-    scheme: &S,
-    parse_class: &dyn Fn(&str) -> Result<S::Elem, String>,
-    show_class: &dyn Fn(&S::Elem) -> String,
-) -> Outcome
-where
-    S::Elem: Lattice + Display,
-{
-    match req.op {
-        Op::Certify => {
-            if req.with_proof && req.baseline {
-                return Err((
-                    ErrorKind::Binding,
-                    "`with_proof` needs the CFM flow logic; the Denning baseline has no proof"
-                        .to_string(),
-                ));
-            }
-            let binding = build_binding(req, program, scheme, parse_class)?;
-            let report = if req.baseline {
-                denning_certify(program, &binding)
-            } else {
-                certify(program, &binding)
-            };
-            let mut fields = vec![
-                ("certified".to_string(), Json::Bool(report.certified())),
-                (
-                    "violations".to_string(),
-                    Json::Num(report.violations.len() as f64),
-                ),
-                ("checks".to_string(), Json::Num(report.checks as f64)),
-                (
-                    "statements".to_string(),
-                    Json::Num(program.statement_count() as f64),
-                ),
-                ("report".to_string(), Json::Str(report.render(&req.source))),
-            ];
-            if req.with_proof && report.certified() {
-                // Theorem 1: a CFM-certified program always has a proof
-                // in the flow logic, so a failure here is a bug in the
-                // prover, not in the request.
-                let proof =
-                    prove(program, &binding, Extended::Nil, Extended::Nil).map_err(|e| {
-                        (
-                            ErrorKind::Internal,
-                            format!("Theorem 1 prover failed on a certified program: {e}"),
-                        )
-                    })?;
-                let cert = emit_certificate(
-                    &proof,
-                    &program.symbols,
-                    &req.lattice,
-                    &req.source,
-                    show_class,
-                );
-                fields.push(("certificate".to_string(), Json::Str(cert.text)));
-                fields.push(("proof_digest".to_string(), Json::Str(cert.digest)));
-                fields.push(("proof_nodes".to_string(), Json::Num(cert.nodes as f64)));
-            }
-            Ok(fields)
-        }
-        Op::Infer => {
-            let mut pins = Vec::new();
-            for (name, class) in &req.classes {
-                let id = program
-                    .symbols
-                    .lookup(name)
-                    .ok_or_else(|| (ErrorKind::Binding, format!("`{name}` is not declared")))?;
-                let c = parse_class(class).map_err(|e| (ErrorKind::Binding, e))?;
-                pins.push((id, c));
-            }
-            match infer_binding(program, scheme, pins) {
-                Ok(binding) => {
-                    let classes: Vec<(String, Json)> = binding
-                        .iter()
-                        .map(|(id, class)| {
-                            (
-                                program.symbols.name(id).to_string(),
-                                Json::Str(class.to_string()),
-                            )
-                        })
-                        .collect();
-                    Ok(vec![
-                        ("satisfiable".to_string(), Json::Bool(true)),
-                        ("binding".to_string(), Json::Obj(classes)),
-                    ])
-                }
-                Err(unsat) => Ok(vec![
-                    ("satisfiable".to_string(), Json::Bool(false)),
-                    (
-                        "conflict".to_string(),
-                        Json::Str(format!(
-                            "{} is pinned at {} but needs {}",
-                            program.symbols.name(unsat.var),
-                            unsat.pinned,
-                            unsat.required
-                        )),
-                    ),
-                    ("chain".to_string(), Json::Str(unsat.render_path(program))),
-                ]),
-            }
-        }
-        Op::Flows => {
-            let graph = FlowGraph::of(program);
-            let rendered = if req.dot {
-                let binding = if req.classes.is_empty() && req.default_class.is_none() {
-                    None
-                } else {
-                    Some(build_binding(req, program, scheme, parse_class)?)
-                };
-                graph.to_dot(program, binding.as_ref())
-            } else {
-                graph.render(program)
-            };
-            Ok(vec![("graph".to_string(), Json::Str(rendered))])
-        }
-        Op::Lint
-        | Op::Explore
-        | Op::Checkproof
-        | Op::Stats
-        | Op::Shutdown
-        | Op::Forward
-        | Op::PeerSync
-        | Op::Ping
-        | Op::Replicate
-        | Op::Repair => {
-            unreachable!("handled before dispatch")
-        }
-    }
-}
-
 /// Response fields for the `lint` op: aggregate counts plus one JSON
 /// object per diagnostic (deterministically ordered by the analyzer).
 fn lint_fields(report: &AnalysisReport, source: &str) -> Vec<(String, Json)> {
@@ -1513,29 +1338,46 @@ fn lint_fields(report: &AnalysisReport, source: &str) -> Vec<(String, Json)> {
     ]
 }
 
-fn build_binding<S: Scheme>(
-    req: &Request,
-    program: &Program,
-    scheme: &S,
-    parse_class: &dyn Fn(&str) -> Result<S::Elem, String>,
-) -> Result<StaticBinding<S::Elem>, (ErrorKind, String)>
-where
-    S::Elem: Lattice,
-{
-    let base = match &req.default_class {
-        Some(c) => parse_class(c).map_err(|e| (ErrorKind::Binding, e))?,
-        None => scheme.low(),
-    };
-    let mut binding = StaticBinding::constant(&program.symbols, scheme, base);
-    for (name, class) in &req.classes {
-        let id = program
-            .symbols
-            .lookup(name)
-            .ok_or_else(|| (ErrorKind::Binding, format!("`{name}` is not declared")))?;
-        let c = parse_class(class).map_err(|e| (ErrorKind::Binding, e))?;
-        binding.set(id, c);
+/// Reply fields for a `certify` verdict, with the certificate, its
+/// digest and its size when one was emitted.
+fn certify_fields(c: Certified) -> Vec<(String, Json)> {
+    let mut fields = vec![
+        ("certified".to_string(), Json::Bool(c.certified)),
+        ("violations".to_string(), Json::Num(c.violations as f64)),
+        ("checks".to_string(), Json::Num(c.checks as f64)),
+        ("statements".to_string(), Json::Num(c.statements as f64)),
+        ("report".to_string(), Json::Str(c.report)),
+    ];
+    if let Some(cert) = c.certificate {
+        fields.push(("certificate".to_string(), Json::Str(cert.text)));
+        fields.push(("proof_digest".to_string(), Json::Str(cert.digest)));
+        fields.push(("proof_nodes".to_string(), Json::Num(cert.nodes as f64)));
     }
-    Ok(binding)
+    fields
+}
+
+/// Reply fields for an `infer` result: the binding as a name → class
+/// object, or the conflicting pin and its flow chain.
+fn infer_fields(inferred: Inferred) -> Vec<(String, Json)> {
+    match inferred {
+        Inferred::Binding(classes) => vec![
+            ("satisfiable".to_string(), Json::Bool(true)),
+            (
+                "binding".to_string(),
+                Json::Obj(
+                    classes
+                        .into_iter()
+                        .map(|(name, class)| (name, Json::Str(class)))
+                        .collect(),
+                ),
+            ),
+        ],
+        Inferred::Conflict { conflict, chain } => vec![
+            ("satisfiable".to_string(), Json::Bool(false)),
+            ("conflict".to_string(), Json::Str(conflict)),
+            ("chain".to_string(), Json::Str(chain)),
+        ],
+    }
 }
 
 #[cfg(test)]
