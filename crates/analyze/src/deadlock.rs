@@ -16,6 +16,18 @@
 //!    the `x ≠ 0` path) from Fig. 3 (deadlock-free: the two `if`s on
 //!    `x = 0` / `x # 0` are complementary, so the "both skipped" path
 //!    is infeasible).
+//!
+//!    The search fuses *invisible* steps: a `skip` or an assignment (a
+//!    `Leaf`) and a `begin` unfolding touch no semaphore and no atom,
+//!    so they commute with every other task's step, nothing can
+//!    disable them, and a task about to take one is not blocked. Every
+//!    task takes its invisible steps at once, right after the step that
+//!    exposed them (`settle`). Each deadlocked skeleton state is still
+//!    reached (move each invisible step of a path to it to just after
+//!    the step that exposed it), and each state the fused search visits
+//!    is one the unfused search visits, so `may_deadlock` and
+//!    `blocked_waits` are those of the full skeleton whenever neither
+//!    search truncates, on far fewer states (DESIGN §8).
 //! 2. **Blocking graph** (SF011): for every `signal(s)` site, a forward
 //!    must-analysis computes which semaphores have *always* been waited
 //!    on first. If zero-initialized semaphores form a cycle of such
@@ -26,7 +38,8 @@ use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::hash::{Hash, Hasher};
 
 use secflow_lang::{BinOp, Diag, Expr, Program, Span, Stmt, UnOp, VarId};
-use secflow_runtime::pexplore::{fnv64_of, parallel_search, Expansion};
+use secflow_runtime::pexplore::{parallel_search, Expansion, CANCEL_POLL_STATES};
+use secflow_runtime::{WordBuildHasher, WordHasher};
 
 use crate::pass::AnalysisPass;
 
@@ -160,11 +173,8 @@ pub fn deadlock_analysis(program: &Program, max_states: usize) -> DeadlockReport
     deadlock_analysis_with(program, max_states, &|| false)
 }
 
-/// States to explore between `should_stop` polls.
-const CANCEL_POLL_STATES: usize = 256;
-
 /// [`deadlock_analysis`] with a cooperative cancellation hook, polled
-/// every `CANCEL_POLL_STATES` popped states. A `true` return abandons
+/// every [`CANCEL_POLL_STATES`] popped states. A `true` return abandons
 /// the exploration with `cancelled` (and `truncated`) set.
 pub fn deadlock_analysis_with(
     program: &Program,
@@ -175,7 +185,7 @@ pub fn deadlock_analysis_with(
         return capped_report();
     }
     let ir = Ir::build(program);
-    let mut seen: HashSet<Hashed> = HashSet::new();
+    let mut seen: HashSet<Hashed, WordBuildHasher> = HashSet::default();
     let init = Hashed::new(initial_state(&ir));
     seen.insert(init.clone());
     let mut stack = vec![init];
@@ -314,7 +324,7 @@ fn capped_report() -> DeadlockReport {
 }
 
 /// The abstract start state: one root task, initial semaphore counters,
-/// every stable atom unbound.
+/// every stable atom unbound, and the root's invisible steps taken.
 fn initial_state(ir: &Ir) -> State {
     let root = Task {
         frames: vec![Frame::Run(ir.root)],
@@ -328,7 +338,7 @@ fn initial_state(ir: &Ir) -> State {
         sems: ir.sem_init.clone(),
         vals: vec![-1; ir.n_atoms],
     };
-    cascade(&mut init, 0);
+    settle(ir, &mut init, 0);
     init
 }
 
@@ -628,7 +638,8 @@ struct State {
     vals: Vec<i8>,
 }
 
-/// A state paired with its FNV-1a fingerprint, computed exactly once.
+/// A state paired with its [`WordHasher`] fingerprint, computed exactly
+/// once.
 ///
 /// Every visited-set probe used to re-hash the full state (tasks, frames,
 /// semaphores, atoms) — twice per successor, once for `contains` and once
@@ -643,7 +654,7 @@ struct Hashed {
 
 impl Hashed {
     fn new(state: State) -> Hashed {
-        let hash = fnv64_of(&state);
+        let hash = WordHasher::of(&state);
         Hashed { state, hash }
     }
 }
@@ -662,22 +673,39 @@ impl Hash for Hashed {
     }
 }
 
-/// Marks task `i` (and transitively its ancestors) done once it has no
-/// frames and no pending children.
-fn cascade(st: &mut State, mut i: usize) {
+/// Takes task `i`'s invisible steps at once: while the task is eligible
+/// and its next frame is a `Leaf` or a `Seq` to unfold, runs it. A task
+/// left with no frames and no pending children is done; its parent then
+/// has one child fewer, and is settled in turn. Every state the search
+/// visits is settled, so `Leaf` and `Seq` frames never reach [`step`].
+fn settle(ir: &Ir, st: &mut State, mut i: usize) {
     loop {
         let t = &mut st.tasks[i];
-        if !t.frames.is_empty() || t.pending != 0 || t.done || t.diverged {
+        if t.pending != 0 || t.done || t.diverged {
             return;
         }
-        t.done = true;
-        match t.parent {
-            Some(p) => {
-                let p = p as usize;
+        match t.frames.last() {
+            Some(&Frame::Run(id)) => match &ir.nodes[id as usize] {
+                Node::Leaf => {
+                    t.frames.pop();
+                }
+                Node::Seq { children } => {
+                    t.frames.pop();
+                    t.frames
+                        .extend(children.iter().rev().map(|&c| Frame::Run(c)));
+                }
+                _ => return,
+            },
+            Some(Frame::Loop(..)) => return,
+            None => {
+                t.done = true;
+                let Some(p) = t.parent else {
+                    return;
+                };
+                let p = usize::from(p);
                 st.tasks[p].pending -= 1;
                 i = p;
             }
-            None => return,
         }
     }
 }
@@ -707,12 +735,7 @@ fn step(ir: &Ir, st: &State, i: usize, overflow: &mut bool) -> Vec<State> {
         .expect("eligible task has a frame");
     match frame {
         Frame::Run(id) => match &ir.nodes[id as usize] {
-            Node::Leaf => {
-                let mut s = st.clone();
-                s.tasks[i].frames.pop();
-                cascade(&mut s, i);
-                vec![s]
-            }
+            Node::Leaf | Node::Seq { .. } => unreachable!("settle takes invisible steps"),
             Node::Wait { sem, .. } => {
                 if st.sems[*sem as usize] == 0 {
                     return Vec::new();
@@ -720,7 +743,7 @@ fn step(ir: &Ir, st: &State, i: usize, overflow: &mut bool) -> Vec<State> {
                 let mut s = st.clone();
                 s.sems[*sem as usize] -= 1;
                 s.tasks[i].frames.pop();
-                cascade(&mut s, i);
+                settle(ir, &mut s, i);
                 vec![s]
             }
             Node::Signal { sem } => {
@@ -728,16 +751,7 @@ fn step(ir: &Ir, st: &State, i: usize, overflow: &mut bool) -> Vec<State> {
                 let c = &mut s.sems[*sem as usize];
                 *c = (*c + 1).min(SEM_CAP);
                 s.tasks[i].frames.pop();
-                cascade(&mut s, i);
-                vec![s]
-            }
-            Node::Seq { children } => {
-                let mut s = st.clone();
-                s.tasks[i].frames.pop();
-                for &c in children.iter().rev() {
-                    s.tasks[i].frames.push(Frame::Run(c));
-                }
-                cascade(&mut s, i);
+                settle(ir, &mut s, i);
                 vec![s]
             }
             Node::Cobegin { children } => {
@@ -759,9 +773,9 @@ fn step(ir: &Ir, st: &State, i: usize, overflow: &mut bool) -> Vec<State> {
                 }
                 let spawned = s.tasks.len() - children.len()..s.tasks.len();
                 for j in spawned {
-                    cascade(&mut s, j);
+                    settle(ir, &mut s, j);
                 }
-                cascade(&mut s, i);
+                settle(ir, &mut s, i);
                 vec![s]
             }
             Node::If {
@@ -781,7 +795,7 @@ fn step(ir: &Ir, st: &State, i: usize, overflow: &mut bool) -> Vec<State> {
                     } else if let Some(e) = else_ {
                         s.tasks[i].frames.push(Frame::Run(*e));
                     }
-                    cascade(&mut s, i);
+                    settle(ir, &mut s, i);
                     succs.push(s);
                 }
                 succs
@@ -811,7 +825,7 @@ fn loop_step(ir: &Ir, st: &State, i: usize, id: u32, k: u8) -> Vec<State> {
         }
         if !truth {
             s.tasks[i].frames.pop();
-            cascade(&mut s, i);
+            settle(ir, &mut s, i);
             succs.push(s);
             continue;
         }
@@ -833,6 +847,7 @@ fn loop_step(ir: &Ir, st: &State, i: usize, id: u32, k: u8) -> Vec<State> {
             let top = s.tasks[i].frames.len() - 1;
             s.tasks[i].frames[top] = Frame::Loop(id, k + 1);
             s.tasks[i].frames.push(Frame::Run(body));
+            settle(ir, &mut s, i);
             succs.push(s);
         } else {
             // Enough unrolling: treat the task as spinning (enabled
@@ -1117,9 +1132,9 @@ coend";
         // with a fresh recomputation over the full state.
         assert_eq!(a.hash, b.hash);
         assert!(a == b);
-        assert_eq!(a.hash, fnv64_of(&a.state));
+        assert_eq!(a.hash, WordHasher::of(&a.state));
         // The `Hash` impl feeds probes only the cached word.
-        assert_eq!(fnv64_of(&a), fnv64_of(&a.hash));
+        assert_eq!(WordHasher::of(&a), WordHasher::of(&a.hash));
     }
 
     #[test]
@@ -1135,6 +1150,51 @@ coend";
                 assert_eq!(par.states, seq.states, "threads = {threads}");
             }
         }
+    }
+
+    #[test]
+    fn fused_skeleton_state_counts_are_pinned() {
+        // Exact counts of the fused search on three lint shapes of the
+        // explore_sweep benchmark. They move only when the skeleton or
+        // its reduction changes; the unfused search took 5,348, 2,917
+        // and 1,712 states.
+        use secflow_workload::{dining_philosophers, kbit_channel, readers_writers};
+        for (name, program, states) in [
+            ("philosophers(3, 1)", dining_philosophers(3, 1, false), 1786),
+            ("readers_writers(2, 2)", readers_writers(2, 2), 902),
+            ("kbit_channel(3)", kbit_channel(3), 507),
+        ] {
+            let r = deadlock_analysis(&program, 50_000);
+            assert!(!r.truncated, "{name}");
+            assert_eq!(r.states, states, "{name}");
+        }
+    }
+
+    #[test]
+    fn four_philosophers_get_a_verdict() {
+        // The unfused skeleton truncated both tables at 50,000 states
+        // (SF012, no verdict). Fused, the naive table deadlocks on every
+        // fork wait and the ordered one is clean, as the runtime
+        // explorer finds.
+        use secflow_workload::dining_philosophers;
+        let naive = dining_philosophers(4, 1, false);
+        let mut out = Vec::new();
+        DeadlockPass::default().run(&naive, &mut out);
+        let codes: Vec<_> = out.iter().map(|d| d.code).collect();
+        assert!(!codes.contains(&"SF012"), "{codes:?}");
+        let sf010: Vec<_> = out.iter().filter(|d| d.code == "SF010").collect();
+        assert_eq!(sf010.len(), 4, "{codes:?}");
+        for d in &sf010 {
+            assert!(d.message.contains("`wait(fork"), "{}", d.message);
+        }
+
+        let mut out = Vec::new();
+        DeadlockPass::default().run(&dining_philosophers(4, 1, true), &mut out);
+        let codes: Vec<_> = out.iter().map(|d| d.code).collect();
+        assert!(
+            !codes.contains(&"SF010") && !codes.contains(&"SF012"),
+            "{codes:?}"
+        );
     }
 
     #[test]

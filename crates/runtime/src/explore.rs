@@ -20,7 +20,9 @@ use std::collections::{BTreeSet, HashMap};
 use secflow_lang::{Program, VarId};
 
 use crate::footprint::FootprintTable;
+use crate::hash::WordBuildHasher;
 use crate::machine::{Machine, ProcId, Status};
+use crate::pexplore::CANCEL_POLL_STATES;
 
 /// Search limits and reduction switches.
 #[derive(Clone, Copy, Debug)]
@@ -126,13 +128,8 @@ pub fn explore(program: &Program, inputs: &[(VarId, i64)], limits: ExploreLimits
     explore_with(program, inputs, limits, &|| false)
 }
 
-/// How many states to expand between `should_stop` polls. Small enough
-/// that a deadline overrun is noticed within a fraction of the typical
-/// per-state cost budget, large enough that the hook is off the hot path.
-const CANCEL_POLL_STATES: usize = 256;
-
 /// [`explore`] with a cooperative cancellation hook: `should_stop` is
-/// polled every `CANCEL_POLL_STATES` expanded states, and a `true`
+/// polled every [`CANCEL_POLL_STATES`] expanded states, and a `true`
 /// return abandons the search with `cancelled` (and `truncated`) set.
 pub fn explore_with(
     program: &Program,
@@ -157,7 +154,7 @@ pub fn explore_with(
     // state with a *smaller* sleep set must re-expand exactly the
     // transitions slept before but awake now, else the reduction could
     // miss sink states hiding behind a previously-slept move.
-    let mut seen: HashMap<u64, u64> = HashMap::new();
+    let mut seen: HashMap<u64, u64, WordBuildHasher> = HashMap::default();
     let mut stack: Vec<(Machine<'_>, usize, u64)> = vec![(machine, 0, 0)];
     while let Some((m, depth, sleep)) = stack.pop() {
         // Sleep sets need one bit per process id; past 64 processes the
@@ -226,7 +223,9 @@ pub fn explore_with(
             None => &enabled,
         };
         let mut cur: u64 = sleep;
-        for &pid in candidates {
+        let mut m = Some(m);
+        for (k, &pid) in candidates.iter().enumerate() {
+            let here = m.as_ref().expect("only the last candidate takes the state");
             let bit = 1u64 << pid.0.min(63);
             if sleep_ok && cur & bit != 0 {
                 // A sibling branch of the DFS already explores this
@@ -237,27 +236,31 @@ pub fn explore_with(
                 continue;
             }
             if wake.is_none_or(|w| w & bit != 0) {
-                let mut next = m.clone();
-                match next.step(pid) {
-                    Ok(_) => {
-                        let child_sleep = if sleep_ok {
-                            // Keep only the slept moves that commute
-                            // with this step; dependent ones wake up.
-                            let (mut kept, mut rest) = (0u64, cur);
-                            while rest != 0 {
-                                let q = ProcId(rest.trailing_zeros() as usize);
-                                rest &= rest - 1;
-                                let t = table.as_ref().expect("sleep_ok implies table");
-                                if t.independent_at(&m, q, pid) {
-                                    kept |= 1 << q.0;
-                                }
-                            }
-                            kept
-                        } else {
-                            0
-                        };
-                        stack.push((next, depth + 1, child_sleep));
+                let child_sleep = if sleep_ok {
+                    // Keep only the slept moves that commute with this
+                    // step; dependent ones wake up.
+                    let (mut kept, mut rest) = (0u64, cur);
+                    while rest != 0 {
+                        let q = ProcId(rest.trailing_zeros() as usize);
+                        rest &= rest - 1;
+                        let t = table.as_ref().expect("sleep_ok implies table");
+                        if t.independent_at(here, q, pid) {
+                            kept |= 1 << q.0;
+                        }
                     }
+                    kept
+                } else {
+                    0
+                };
+                // The last candidate steps the state itself instead of a
+                // copy: nothing reads it after its last successor.
+                let mut next = if k + 1 == candidates.len() {
+                    m.take().expect("the state is still here")
+                } else {
+                    here.clone()
+                };
+                match next.step(pid) {
+                    Ok(_) => stack.push((next, depth + 1, child_sleep)),
                     Err(_) => report.faults += 1,
                 }
             }

@@ -19,9 +19,10 @@
 //!   statement.
 //!
 //! Both are keyed by statement identity (`&Stmt` address, the same
-//! scheme [`Machine::fingerprint`](crate::Machine::fingerprint) uses),
-//! so the explorer's hot loop does O(1) lookups and O(1) bitmask
-//! conflict tests.
+//! scheme [`Machine::fingerprint`](crate::Machine::fingerprint) uses)
+//! and hashed with one [`WordHasher`](crate::WordHasher) step, so the
+//! explorer's hot loop does O(1) lookups and O(1) bitmask conflict
+//! tests.
 //!
 //! On top of the table, [`FootprintTable::persistent_singleton`] picks a
 //! singleton *persistent set* at a machine state when one exists: an
@@ -35,6 +36,7 @@ use std::collections::{HashMap, HashSet};
 
 use secflow_lang::{BinOp, Expr, Program, Stmt, VarId};
 
+use crate::hash::WordBuildHasher;
 use crate::machine::{Machine, ProcId};
 
 /// A set of variables as a fixed-width bitmask. Variable indices at or
@@ -85,6 +87,20 @@ impl VarSet {
     /// Set union, in place.
     pub fn union_with(&mut self, other: VarSet) {
         self.bits |= other.bits;
+    }
+
+    /// The members of both sets, the overflow bit included.
+    fn meet(self, other: VarSet) -> VarSet {
+        VarSet {
+            bits: self.bits & other.bits,
+        }
+    }
+
+    /// The members of `self` not in `other`, the overflow bit included.
+    fn minus(self, other: VarSet) -> VarSet {
+        VarSet {
+            bits: self.bits & !other.bits,
+        }
     }
 
     /// `true` iff the sets share a variable. The universal bit
@@ -162,6 +178,48 @@ impl Footprint {
     /// `true` iff nothing is touched.
     pub fn is_empty(&self) -> bool {
         self.reads.is_empty() && self.writes.is_empty() && self.sems.is_empty()
+    }
+
+    fn meet(&self, other: &Footprint) -> Footprint {
+        Footprint {
+            reads: self.reads.meet(other.reads),
+            writes: self.writes.meet(other.writes),
+            sems: self.sems.meet(other.sems),
+        }
+    }
+
+    fn minus(&self, other: &Footprint) -> Footprint {
+        Footprint {
+            reads: self.reads.minus(other.reads),
+            writes: self.writes.minus(other.writes),
+            sems: self.sems.minus(other.sems),
+        }
+    }
+}
+
+/// The regions of a state's live processes, folded so that the union of
+/// all of them but one costs two bitwise operations: `all` has each bit
+/// that some region has, `twice` each bit that two or more regions have.
+/// A bit is in some *other* region than `r` iff it is in `twice`, or in
+/// `all` but not in `r`.
+#[derive(Default)]
+struct Regions {
+    all: Footprint,
+    twice: Footprint,
+}
+
+impl Regions {
+    fn add(&mut self, region: &Footprint) {
+        self.twice.union_with(&self.all.meet(region));
+        self.all.union_with(region);
+    }
+
+    /// The union of every added region except `region`, which must be
+    /// one of them.
+    fn without(&self, region: &Footprint) -> Footprint {
+        let mut others = self.all.minus(region);
+        others.union_with(&self.twice);
+        others
     }
 }
 
@@ -295,15 +353,15 @@ fn for_each_spine_stmt<'p>(stmt: &'p Stmt, f: &mut impl FnMut(&'p Stmt)) {
 /// Precomputed action and region footprints for every statement of one
 /// program, plus the derived independence tests the explorers consume.
 pub struct FootprintTable {
-    actions: HashMap<usize, Footprint>,
-    regions: HashMap<usize, Footprint>,
+    actions: HashMap<usize, Footprint, WordBuildHasher>,
+    regions: HashMap<usize, Footprint, WordBuildHasher>,
     /// `while` statements certified as *monotone-progress loops*: every
     /// complete body iteration takes a constant step on a variable that
     /// moves in that one direction everywhere in the program, so the
     /// store can never return across the loop's back edge and the back
     /// edge can never lie on a state-graph cycle. Only these loops'
     /// guard re-tests may be persistent singletons (the cycle proviso).
-    progress_loops: HashSet<usize>,
+    progress_loops: HashSet<usize, WordBuildHasher>,
 }
 
 impl FootprintTable {
@@ -311,9 +369,9 @@ impl FootprintTable {
     pub fn new(program: &Program) -> FootprintTable {
         let count = program.body.statement_count();
         let mut table = FootprintTable {
-            actions: HashMap::with_capacity(count),
-            regions: HashMap::with_capacity(count),
-            progress_loops: HashSet::new(),
+            actions: HashMap::with_capacity_and_hasher(count, WordBuildHasher::default()),
+            regions: HashMap::with_capacity_and_hasher(count, WordBuildHasher::default()),
+            progress_loops: HashSet::default(),
         };
         table.build(&program.body);
         let mut mono = vec![Mono::Unused; program.symbols.len()];
@@ -475,11 +533,26 @@ impl FootprintTable {
     /// to commute with it, and a parent can never move before the
     /// candidate's own process finishes — which it can only do through
     /// the candidate (see DESIGN §12).
+    ///
+    /// Each live process's region is computed once per call (and a
+    /// candidate's own once more), not once per (candidate, process)
+    /// pair: a conflict test is a disjunction of set intersections, so
+    /// an action conflicts with some other process's region iff it
+    /// conflicts with the union of those regions. Two running unions,
+    /// of the bits some region has and of the bits two or more have,
+    /// give that union for every candidate without allocating.
     pub fn persistent_singleton(&self, m: &Machine<'_>, enabled: &[ProcId]) -> Option<ProcId> {
         if enabled.len() < 2 {
             return None;
         }
-        'candidates: for &pid in enabled {
+        let mut live = Regions::default();
+        for q in 0..m.proc_count() {
+            let q = ProcId(q);
+            if !m.is_done(q) {
+                live.add(&self.proc_region(m, q));
+            }
+        }
+        for &pid in enabled {
             let stmt = match m.pending_stmt(pid) {
                 Some(s) => s,
                 None => continue,
@@ -491,17 +564,10 @@ impl FootprintTable {
                 // eligible.
                 continue;
             }
-            let action = self.action(stmt);
-            for q in 0..m.proc_count() {
-                let q = ProcId(q);
-                if q == pid || m.is_done(q) {
-                    continue;
-                }
-                if action.conflicts(&self.proc_region(m, q)) {
-                    continue 'candidates;
-                }
+            let others = live.without(&self.proc_region(m, pid));
+            if !self.action(stmt).conflicts(&others) {
+                return Some(pid);
             }
-            return Some(pid);
         }
         None
     }

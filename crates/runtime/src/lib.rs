@@ -17,6 +17,7 @@
 //!   memoization (possibilistic outcome sets, deadlock detection);
 //! - [`pexplore`](mod@pexplore) — the same search on N work-stealing
 //!   workers with a sharded visited set and commutative result merging;
+//! - [`hash`] — the word-at-a-time hash every state search keys on;
 //! - [`monitor`] — a classic purely-dynamic taint monitor, kept as a
 //!   comparator whose blind spots (untaken branches, synchronization)
 //!   CFM closes;
@@ -41,6 +42,7 @@
 
 pub mod explore;
 pub mod footprint;
+pub mod hash;
 pub mod machine;
 pub mod monitor;
 pub mod nitest;
@@ -51,13 +53,14 @@ pub mod trace;
 
 pub use explore::{can_deadlock, explore, explore_with, ExploreLimits, ExploreReport};
 pub use footprint::{action_footprint, Footprint, FootprintTable, VarSet};
+pub use hash::{WordBuildHasher, WordHasher};
 pub use machine::{eval, Action, Fault, Machine, ProcId, Status};
 pub use monitor::TaintMonitor;
 pub use nitest::{
     check_binary_secret, check_noninterference, observe, NiReport, Observation, Witness,
 };
 pub use pexplore::{
-    fnv64_of, parallel_search, pexplore, pexplore_with, Expansion, Fnv64, SearchOutcome, ShardedSet,
+    parallel_search, pexplore, pexplore_with, Expansion, SearchOutcome, ShardedSet,
 };
 pub use rng::SplitMix64;
 pub use sched::{run, RandomSched, RoundRobin, RunOutcome, Scheduler};

@@ -13,8 +13,11 @@
 //! enabled and some are alive, the machine is deadlocked.
 
 use std::fmt;
+use std::hash::Hasher;
 
 use secflow_lang::{BinOp, Expr, Program, Span, Stmt, UnOp, VarId};
+
+use crate::hash::WordHasher;
 
 /// Identifies a process within a machine.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
@@ -300,38 +303,33 @@ impl<'p> Machine<'p> {
         if self.procs.iter().all(|p| p.state == ProcState::Done) {
             return Status::Terminated;
         }
-        if self.enabled().is_empty() {
-            Status::Deadlocked
-        } else {
+        if (0..self.procs.len()).any(|p| self.is_enabled(ProcId(p))) {
             Status::Running
+        } else {
+            Status::Deadlocked
         }
     }
 
-    /// A fingerprint of the full machine state (store + process
-    /// continuations), used by the interleaving explorer.
+    /// A fingerprint of the full machine state, used by the interleaving
+    /// explorers: one [`WordHasher`] step per word, over every store
+    /// value, each process's status, and the identity of each of its
+    /// continuation frames.
     pub fn fingerprint(&self) -> u64 {
-        // FNV-1a over the store and continuation fingerprints.
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut mix = |x: u64| {
-            for b in x.to_le_bytes() {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(0x100_0000_01b3);
-            }
-        };
+        let mut h = WordHasher::default();
         for v in &self.store {
-            mix(*v as u64);
+            h.word(*v as u64);
         }
         for p in &self.procs {
-            mix(match p.state {
+            h.word(match p.state {
                 ProcState::Runnable => 1,
                 ProcState::Waiting { remaining } => 0x1000 + remaining as u64,
                 ProcState::Done => 2,
             });
             for f in &p.frames {
-                mix(f.fingerprint());
+                h.word(f.fingerprint());
             }
         }
-        h
+        h.finish()
     }
 
     /// Takes one atomic step of process `pid`.
@@ -618,6 +616,31 @@ mod tests {
         let m1 = Machine::new(&p);
         let m2 = Machine::with_inputs(&p, &[(p.var("x"), 42)]);
         assert_ne!(m1.fingerprint(), m2.fingerprint());
+    }
+
+    #[test]
+    fn fingerprint_follows_the_state() {
+        let p = parse(
+            "var a, b : integer; s : semaphore;
+             cobegin begin a := 1; signal(s) end || begin wait(s); b := a end coend",
+        )
+        .unwrap();
+        let mut m = Machine::new(&p);
+        let mut seen = vec![m.fingerprint()];
+        while m.status() == Status::Running {
+            let pid = m.enabled()[0];
+            m.step(pid).unwrap();
+            // A clone is the same state; every step makes a new one.
+            assert_eq!(m.clone().fingerprint(), m.fingerprint());
+            assert!(!seen.contains(&m.fingerprint()), "step {}", m.steps());
+            seen.push(m.fingerprint());
+        }
+        // The store is hashed in order, not as a multiset.
+        let q = parse("var x, y : integer; skip").unwrap();
+        let (x, y) = (q.var("x"), q.var("y"));
+        let m12 = Machine::with_inputs(&q, &[(x, 1), (y, 2)]);
+        let m21 = Machine::with_inputs(&q, &[(x, 2), (y, 1)]);
+        assert_ne!(m12.fingerprint(), m21.fingerprint());
     }
 
     #[test]

@@ -12,7 +12,8 @@
 //!   sit closest to the root and therefore head the largest unexplored
 //!   subtrees.
 //! - **Sharded visited set.** State keys are deduplicated in a
-//!   lock-striped [`ShardedSet`]: the state's FNV-1a hash picks one of
+//!   lock-striped [`ShardedSet`]: the state's hash (a
+//!   [`WordHasher`](crate::WordHasher) value) picks one of
 //!   [`VISITED_SHARDS`] shards, so concurrent insertions of different
 //!   states almost never contend on the same lock.
 //! - **Dedup on push.** A successor is claimed in the visited set
@@ -39,11 +40,11 @@
 //!
 //! The caller's `should_stop` hook is polled every
 //! [`CANCEL_POLL_STATES`] expanded states *per worker* (the same
-//! quantum as the sequential explorer), so deadline overruns are
-//! bounded by one quantum per worker.
+//! quantum as the sequential explorer and the deadlock analyzer), so
+//! deadline overruns are bounded by one quantum per worker.
 
 use std::collections::{BTreeSet, HashSet, VecDeque};
-use std::hash::{Hash, Hasher};
+use std::hash::Hash;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::thread;
@@ -52,53 +53,23 @@ use secflow_lang::Program;
 
 use crate::explore::{ExploreLimits, ExploreReport};
 use crate::footprint::FootprintTable;
+use crate::hash::WordBuildHasher;
 use crate::machine::{Machine, Status};
 
-/// States to expand between `should_stop` polls, per worker. Matches
-/// the sequential explorer's quantum so cancellation latency does not
-/// regress when `--threads` is enabled.
+/// States to expand between `should_stop` polls: per worker here, and
+/// per search in the sequential explorer ([`explore_with`]) and the
+/// deadlock analyzer's skeleton search, which all poll on this one
+/// quantum. Small enough that a deadline overrun is noticed within a
+/// fraction of the typical per-state budget, large enough that the hook
+/// stays off the hot path.
+///
+/// [`explore_with`]: crate::explore::explore_with
 pub const CANCEL_POLL_STATES: usize = 256;
 
 /// Lock stripes in a [`ShardedSet`]. 64 stripes keep the probability of
 /// two workers colliding on one lock low even at 8 threads, while the
 /// per-set overhead (64 mutexes + empty tables) stays trivial.
 pub const VISITED_SHARDS: usize = 64;
-
-// ---------------------------------------------------------------------------
-// FNV-1a
-// ---------------------------------------------------------------------------
-
-/// FNV-1a 64-bit [`Hasher`]: the same function [`Machine::fingerprint`]
-/// uses, exposed so callers can hash arbitrary `Hash` state (the
-/// deadlock analyzer caches one FNV hash per abstract state and reuses
-/// it for both set probes and shard selection).
-pub struct Fnv64(u64);
-
-impl Default for Fnv64 {
-    fn default() -> Fnv64 {
-        Fnv64(0xcbf2_9ce4_8422_2325)
-    }
-}
-
-impl Hasher for Fnv64 {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x100_0000_01b3);
-        }
-    }
-}
-
-/// The FNV-1a 64-bit hash of any hashable value.
-pub fn fnv64_of<T: Hash + ?Sized>(value: &T) -> u64 {
-    let mut h = Fnv64::default();
-    value.hash(&mut h);
-    h.finish()
-}
 
 // ---------------------------------------------------------------------------
 // Sharded visited set
@@ -108,7 +79,7 @@ pub fn fnv64_of<T: Hash + ?Sized>(value: &T) -> u64 {
 /// selects the stripe, so insertions of different states contend only
 /// when their hashes collide modulo the stripe count.
 pub struct ShardedSet<K> {
-    shards: Vec<Mutex<HashSet<K>>>,
+    shards: Vec<Mutex<HashSet<K, WordBuildHasher>>>,
     mask: usize,
 }
 
@@ -118,7 +89,7 @@ impl<K: Hash + Eq> ShardedSet<K> {
     pub fn new(shards: usize) -> ShardedSet<K> {
         let n = shards.max(1).next_power_of_two();
         ShardedSet {
-            shards: (0..n).map(|_| Mutex::new(HashSet::new())).collect(),
+            shards: (0..n).map(|_| Mutex::new(HashSet::default())).collect(),
             mask: n - 1,
         }
     }
@@ -179,7 +150,7 @@ pub struct SearchOutcome<R> {
 
 /// Explores the graph reachable from `roots` with `threads` workers.
 ///
-/// `key_of` maps a state to `(fnv_hash, dedup_key)`; the hash selects
+/// `key_of` maps a state to `(hash, dedup_key)`; the hash selects
 /// the visited-set stripe and the key decides uniqueness (use the hash
 /// itself as the key only when collisions are acceptable, as the
 /// fingerprint-based machine explorer already does). `expand` consumes
@@ -412,8 +383,16 @@ pub fn pexplore_with(
                 }
                 None => &enabled[..],
             };
-            for &pid in candidates {
-                let mut next = m.clone();
+            let mut m = Some(m);
+            for (k, &pid) in candidates.iter().enumerate() {
+                // The last candidate steps the state itself instead of a
+                // copy: nothing reads it after its last successor.
+                let mut next = if k + 1 == candidates.len() {
+                    m.take()
+                } else {
+                    m.clone()
+                }
+                .expect("only the last candidate takes the state");
                 match next.step(pid) {
                     Ok(_) => succs.push((next, depth + 1)),
                     Err(_) => partial.faults += 1,
@@ -447,6 +426,7 @@ pub fn pexplore_with(
 mod tests {
     use super::*;
     use crate::explore::explore;
+    use crate::hash::WordHasher;
     use secflow_lang::parse;
 
     fn lim() -> ExploreLimits {
@@ -454,26 +434,14 @@ mod tests {
     }
 
     #[test]
-    fn fnv_hasher_matches_reference_vectors() {
-        // FNV-1a 64 test vectors from the reference implementation.
-        assert_eq!(Fnv64::default().finish(), 0xcbf2_9ce4_8422_2325);
-        let mut h = Fnv64::default();
-        h.write(b"a");
-        assert_eq!(h.finish(), 0xaf63_dc4c_8601_ec8c);
-        let mut h = Fnv64::default();
-        h.write(b"foobar");
-        assert_eq!(h.finish(), 0x8594_4171_f739_67e8);
-    }
-
-    #[test]
     fn sharded_set_dedups_across_stripes() {
         let set: ShardedSet<u64> = ShardedSet::new(VISITED_SHARDS);
         assert!(set.is_empty());
         for k in 0..1000u64 {
-            assert!(set.insert(fnv64_of(&k), k));
+            assert!(set.insert(WordHasher::of(&k), k));
         }
         for k in 0..1000u64 {
-            assert!(!set.insert(fnv64_of(&k), k), "{k} inserted twice");
+            assert!(!set.insert(WordHasher::of(&k), k), "{k} inserted twice");
         }
         assert_eq!(set.len(), 1000);
     }

@@ -102,6 +102,21 @@ impl Spelled for LinearScheme {
     }
 }
 
+/// `class` in its canonical spelling under `spec` (`HIGH` and `h` as
+/// `high`, `L3` as `3`), or `None` when it names no class there.
+pub(crate) fn canonical_class(spec: &LatticeSpec, class: &str) -> Option<String> {
+    match spec {
+        LatticeSpec::Two => TwoPointScheme
+            .parse_class(class)
+            .ok()
+            .map(|c| show_two_class(&c)),
+        LatticeSpec::Linear(scheme) => scheme
+            .parse_class(class)
+            .ok()
+            .map(|c| show_linear_class(&c)),
+    }
+}
+
 fn lattice(req: &Request) -> Result<LatticeSpec, OpError> {
     parse_lattice_spec(&req.lattice).map_err(|e| (ErrorKind::Binding, e))
 }

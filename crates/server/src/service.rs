@@ -14,7 +14,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use secflow_analyze::AnalysisReport;
-use secflow_cert::{validate_certificate, verdict_fields};
+use secflow_cert::{parse_lattice_spec, validate_certificate, verdict_fields};
 use secflow_lang::span::LineIndex;
 use secflow_lang::{parse, Program, Severity};
 use secflow_runtime::{explore_with, pexplore_with, ExploreLimits};
@@ -1221,6 +1221,19 @@ fn is_timeout(result: &CachedResult) -> bool {
 }
 
 fn cache_key(req: &Request, effective_fuel: u64) -> CacheKey {
+    // A lattice or class spelling that parses is keyed in its canonical
+    // form, so `linear:04` and `linear:4`, or `HIGH`, `h` and `high`,
+    // share one entry, journal record and ring position: they give
+    // byte-identical results. One that does not parse stays raw. Only
+    // these strings are parsed, never the program, since cache hits
+    // build the key on the loop thread.
+    let spec = parse_lattice_spec(&req.lattice).ok();
+    let lattice = spec.map_or_else(|| req.lattice.clone(), |s| s.to_string());
+    let class = |c: &str| {
+        spec.as_ref()
+            .and_then(|s| ops::canonical_class(s, c))
+            .unwrap_or_else(|| c.to_string())
+    };
     // Names and class strings are arbitrary JSON strings, so each one
     // is length-prefixed: `{"x":"low;y=high"}` must not spell the same
     // key part as `{"x":"low","y":"high"}`. An input value is an integer
@@ -1229,8 +1242,12 @@ fn cache_key(req: &Request, effective_fuel: u64) -> CacheKey {
     let classes: String = req
         .classes
         .iter()
-        .map(|(n, c)| format!("{}:{n}{}:{c}", n.len(), c.len()))
+        .map(|(n, c)| {
+            let c = class(c);
+            format!("{}:{n}{}:{c}", n.len(), c.len())
+        })
         .collect();
+    let default_class = req.default_class.as_deref().map(class).unwrap_or_default();
     let inputs: String = req
         .inputs
         .iter()
@@ -1240,8 +1257,8 @@ fn cache_key(req: &Request, effective_fuel: u64) -> CacheKey {
     let max_states = req.max_states.map(|n| n.to_string()).unwrap_or_default();
     CacheKey::of(&[
         req.op.name(),
-        &req.lattice,
-        req.default_class.as_deref().unwrap_or(""),
+        &lattice,
+        &default_class,
         if req.baseline { "baseline" } else { "" },
         if req.dot { "dot" } else { "" },
         if req.with_proof { "with_proof" } else { "" },
@@ -1563,6 +1580,45 @@ mod tests {
         }
         for bad in ["LL3", "lL3"] {
             assert_eq!(error_kind(&certify(bad)), Some("binding"), "{bad}");
+        }
+    }
+
+    #[test]
+    fn every_spelling_of_a_lattice_and_class_shares_one_entry() {
+        let s = svc();
+        let request = |op: &str, lattice: &str, class: &str| {
+            let classes = if op == "infer" { "pins" } else { "classes" };
+            let dot = if op == "flows" { r#","dot":true"# } else { "" };
+            format!(
+                r#"{{"op":"{op}","source":{},"lattice":"{lattice}","{classes}":{{"x":"{class}"}}{dot}}}"#,
+                Json::Str(ALIAS_SOURCE.to_string())
+            )
+        };
+        // Whether a reply was cached, and its fields but `cached`/`us`.
+        let answer = |line: String| {
+            let v = Json::parse(&s.handle_line(&line)).unwrap();
+            assert_eq!(error_kind(&v), None, "{line}: {v}");
+            let cached = v.get("cached").and_then(Json::as_bool).unwrap();
+            let fields: Vec<(String, Json)> = v
+                .as_obj()
+                .unwrap()
+                .iter()
+                .filter(|(k, _)| k != "cached" && k != "us")
+                .cloned()
+                .collect();
+            (cached, fields)
+        };
+        for op in ["certify", "infer", "flows"] {
+            for [(lattice1, class1), (lattice2, class2)] in [
+                [("linear:04", "L3"), ("linear:4", "3")],
+                [("two", "HIGH"), ("two", "high")],
+            ] {
+                let (cached, first) = answer(request(op, lattice1, class1));
+                assert!(!cached, "{op} {lattice1} {class1}");
+                let (cached, second) = answer(request(op, lattice2, class2));
+                assert!(cached, "{op} {lattice2} {class2} missed");
+                assert_eq!(first, second, "{op} {lattice2} {class2}");
+            }
         }
     }
 
