@@ -2,12 +2,12 @@
 //!
 //! A [`CancelToken`] is created when a request is accepted (its
 //! deadline computed from the request's `timeout_ms`, capped by
-//! [`crate::Limits`]) and shared between the connection, the worker
-//! running the request, and the pool watchdog. Long-running work
-//! (deadlock exploration in `secflow-analyze`, the interleaving
-//! explorer in `secflow-runtime`) polls the token every few hundred
-//! states and unwinds cooperatively; the service then answers with a
-//! structured `timeout` error instead of running unbounded.
+//! [`crate::Limits`]) and travels with the request to the worker that
+//! runs it. Long-running work (deadlock exploration in
+//! `secflow-analyze`, the interleaving explorer in `secflow-runtime`)
+//! polls the token every few hundred states and unwinds cooperatively;
+//! the service then answers with a structured `timeout` error instead
+//! of running unbounded.
 //!
 //! Deadline arithmetic is saturating everywhere: a `timeout_ms` of
 //! `u64::MAX` (or anything that would push an [`Instant`] past its
@@ -89,11 +89,6 @@ impl CancelToken {
         }
     }
 
-    /// The absolute deadline, if one was set.
-    pub fn deadline(&self) -> Option<Instant> {
-        self.inner.deadline
-    }
-
     /// Time left before the deadline (`None` without one; zero once
     /// past it).
     pub fn remaining(&self) -> Option<Duration> {
@@ -120,7 +115,6 @@ mod tests {
     fn unbounded_token_never_expires() {
         let t = CancelToken::unbounded();
         assert!(!t.expired());
-        assert_eq!(t.deadline(), None);
         assert_eq!(t.remaining(), None);
         t.cancel();
         assert!(t.expired());
@@ -139,7 +133,7 @@ mod tests {
     #[test]
     fn zero_and_huge_timeouts_mean_no_deadline() {
         assert!(!CancelToken::after_ms(0).expired());
-        assert_eq!(CancelToken::after_ms(0).deadline(), None);
+        assert_eq!(CancelToken::after_ms(0).remaining(), None);
         // Saturates instead of panicking near the Instant range end.
         let t = CancelToken::after_ms(u64::MAX);
         assert!(!t.expired());

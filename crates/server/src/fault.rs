@@ -3,7 +3,7 @@
 //! A [`FaultPlan`] makes the server misbehave *on purpose* — read
 //! errors, artificial latency, worker panics, short reads at the TCP
 //! framing layer, dropped connection attempts — so the robustness
-//! machinery (supervision, deadlines, the retrying client) can be
+//! machinery (panic isolation, deadlines, the retrying client) can be
 //! exercised in tests and CI instead of waiting for production to do
 //! it.
 //!

@@ -20,10 +20,10 @@
 //!   decoder and per-connection state machine, driven by a single
 //!   nonblocking poll loop with pipelining, bounded in-flight windows,
 //!   stall/idle timeouts, and slow-reader disconnects;
-//! - [`pool`]: a supervised, bounded worker pool (`std::thread` +
-//!   `mpsc`) with fail-fast backpressure, per-job panic isolation,
-//!   automatic respawn of dead workers, a deadline watchdog, and
-//!   graceful drain on shutdown;
+//! - [`pool`]: a bounded worker pool (`std::thread` + `mpsc`) with
+//!   fail-fast backpressure, per-job panic isolation (a worker survives
+//!   its job's panic and takes the next job), and graceful drain on
+//!   shutdown;
 //! - [`deadline`]: per-request deadlines as shared cancellation tokens,
 //!   polled cooperatively by the long-running searches;
 //! - [`client`]: a retrying TCP client (exponential backoff with

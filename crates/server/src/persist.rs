@@ -4,7 +4,7 @@
 //! CFM certification is deterministic and content-addressed (paper
 //! §6.0: the verdict is a pure function of the canonical request text),
 //! so every cached verdict is permanently valid. This module makes the
-//! result cache survive restarts, panic-recycles and `kill -9`:
+//! result cache survive restarts and `kill -9`:
 //!
 //! - **Journal** (`journal.wal`): every newly computed result is
 //!   appended as one length-prefixed, CRC32-framed record before the

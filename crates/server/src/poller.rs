@@ -3,8 +3,8 @@
 //!
 //! Every socket (the listener included) runs nonblocking; a single loop
 //! owns accept, read, decode, dispatch, and write for a slab of
-//! [`Conn`] state machines, while CPU work still runs on the supervised
-//! worker [`Pool`]. Ten thousand idle or slow connections therefore
+//! [`Conn`] state machines, while CPU work still runs on the worker
+//! [`Pool`]. Ten thousand idle or slow connections therefore
 //! cost buffers, not threads — the paper's certification service is
 //! supposed to sit in front of *every* program admitted to a shared
 //! system, so the front door must not fall over when the whole system

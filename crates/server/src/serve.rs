@@ -7,12 +7,12 @@
 //!   `with_proof` one): that hit is answered on the calling thread;
 //!   when the queue is full the request is refused immediately with an
 //!   `overloaded` error instead of growing an unbounded backlog. Each
-//!   queued job carries its request's deadline, so the pool's watchdog
-//!   can spot workers stuck past it.
+//!   queued job carries its request's cancellation token, which bounds
+//!   its work.
 //! - `stats` and `ping` are answered inline, bypassing the queue, so the
 //!   service stays observable (and visible to peers' failure detectors)
-//!   under load. `stats` includes the supervisor's pool-health counters
-//!   (`pool.restarts` etc.).
+//!   under load. `stats` ends with the pool's health (`pool.workers`,
+//!   `pool.busy`).
 //! - `shutdown` stops intake, drains everything already accepted, and
 //!   exits. Pipelined responses may arrive out of order; correlate by
 //!   `id`.
@@ -47,7 +47,7 @@ use crate::json::Json;
 use crate::metrics::Metrics;
 use crate::peer::ClusterConfig;
 use crate::persist::{DurableStore, PersistConfig};
-use crate::pool::{Pool, PoolHealth, SubmitError};
+use crate::pool::{Pool, SubmitError};
 use crate::protocol::{ErrorKind, Op, Request, Response};
 use crate::service::{Limits, Service};
 
@@ -195,29 +195,6 @@ impl<R: ReplySink> Drop for ReplyGuard<R> {
     }
 }
 
-/// Splices the supervisor's pool health into a `stats` response line as
-/// a nested `"pool"` object.
-fn with_pool_health(line: String, h: PoolHealth) -> String {
-    let Ok(Json::Obj(mut fields)) = Json::parse(&line) else {
-        return line;
-    };
-    fields.push((
-        "pool".to_string(),
-        Json::Obj(vec![
-            ("workers".to_string(), Json::Num(h.workers as f64)),
-            ("busy".to_string(), Json::Num(h.busy as f64)),
-            ("restarts".to_string(), Json::Num(h.restarts as f64)),
-            ("panics".to_string(), Json::Num(h.panics as f64)),
-            ("recycles".to_string(), Json::Num(h.recycles as f64)),
-            (
-                "max_consecutive_failures".to_string(),
-                Json::Num(h.max_consecutive_failures as f64),
-            ),
-        ]),
-    ));
-    Json::Obj(fields).to_string()
-}
-
 /// How `dispatch` handled one request line.
 pub(crate) enum Dispatched {
     /// The line was a `shutdown` request with this `id`; the caller
@@ -258,7 +235,7 @@ pub(crate) fn dispatch<R: ReplySink, F: Faults>(
         Op::Shutdown => Dispatched::Shutdown(req.id),
         // Stats answer inline so the service is observable while the
         // queue is saturated; pool health rides along.
-        Op::Stats => Dispatched::Inline(with_pool_health(service.execute(&req), pool.health())),
+        Op::Stats => Dispatched::Inline(service.execute_stats(&req, pool.health())),
         // Ping answers inline too: it is the failure detector's probe,
         // and a probe refused as `overloaded` would make a merely busy
         // node look dead to every peer at once.
@@ -286,32 +263,28 @@ pub(crate) fn dispatch<R: ReplySink, F: Faults>(
             };
             let id = req.id.clone();
             let token = service.cancel_token(&req);
-            let deadline = token.deadline();
             let service_job = Arc::clone(service);
             let reply_job = reply.clone();
             let job_id = req.id.clone();
-            match pool.try_submit_with(
-                move || {
-                    let mut guard = ReplyGuard {
-                        reply: reply_job,
-                        service: Arc::clone(&service_job),
-                        id: job_id,
-                        sent: false,
-                    };
-                    if let Some(pause) = inject_latency {
-                        thread::sleep(pause);
-                    }
-                    if inject_panic {
-                        panic!("chaos: injected worker panic");
-                    }
-                    let line = match miss {
-                        Some(lookup) => service_job.execute_miss(&req, lookup, &token),
-                        None => service_job.execute_with_cancel(&req, &token),
-                    };
-                    guard.send(line);
-                },
-                deadline,
-            ) {
+            match pool.try_submit(move || {
+                let mut guard = ReplyGuard {
+                    reply: reply_job,
+                    service: Arc::clone(&service_job),
+                    id: job_id,
+                    sent: false,
+                };
+                if let Some(pause) = inject_latency {
+                    thread::sleep(pause);
+                }
+                if inject_panic {
+                    panic!("chaos: injected worker panic");
+                }
+                let line = match miss {
+                    Some(lookup) => service_job.execute_miss(&req, lookup, &token),
+                    None => service_job.execute_with_cancel(&req, &token),
+                };
+                guard.send(line);
+            }) {
                 Ok(()) => Dispatched::Queued,
                 Err(SubmitError::Full) => {
                     Metrics::bump(&service.metrics.overloaded);
@@ -691,25 +664,19 @@ mod tests {
 
     #[test]
     fn stats_line_carries_pool_health() {
-        let line = r#"{"ok":true,"op":"stats","requests":3}"#.to_string();
-        let health = PoolHealth {
-            workers: 4,
-            busy: 1,
-            restarts: 2,
-            panics: 2,
-            recycles: 1,
-            max_consecutive_failures: 1,
+        let line = r#"{"id":3,"op":"stats"}"#;
+        let service = Arc::new(Service::new(16, Limits::default()));
+        let pool = Pool::new(4, 4);
+        let (tx, _rx) = mpsc::channel::<String>();
+        let Dispatched::Inline(reply) = dispatch(line, &service, &pool, &tx, &NoFaults) else {
+            panic!("stats left the calling thread");
         };
-        let spliced = with_pool_health(line, health);
-        let v = Json::parse(&spliced).unwrap();
-        assert_eq!(
-            v.get("pool").and_then(|p| p.get("restarts")),
-            Some(&Json::Num(2.0))
-        );
-        assert_eq!(
-            v.get("pool").and_then(|p| p.get("workers")),
-            Some(&Json::Num(4.0))
-        );
-        assert_eq!(v.get("requests"), Some(&Json::Num(3.0)));
+        pool.shutdown();
+        // The same reply as a service without a pool gives (with the
+        // same history), plus a last `pool` object with exactly these
+        // keys.
+        let plain = Service::new(16, Limits::default()).handle_line(line);
+        let pool_json = r#","pool":{"workers":4,"busy":0}}"#;
+        assert_eq!(reply, format!("{}{pool_json}", &plain[..plain.len() - 1]));
     }
 }

@@ -29,6 +29,7 @@ use crate::peer::{
     ClusterConfig, ClusterState, DEFAULT_MAX_HOPS, DEFAULT_PEER_TIMEOUT_MS, MAX_SYNC_PAGE,
 };
 use crate::persist::{encode_record, DurableStore};
+use crate::pool::PoolHealth;
 use crate::protocol::{ErrorKind, Op, Request, Response};
 
 /// Work limits enforced per request.
@@ -66,6 +67,22 @@ impl Default for Limits {
 }
 
 impl Limits {
+    /// Effective statement budget for `req`: its `fuel`, clamped by
+    /// `max_fuel`.
+    pub(crate) fn effective_fuel(&self, req: &Request) -> u64 {
+        req.fuel.unwrap_or(u64::MAX).min(self.max_fuel)
+    }
+
+    /// Effective `explore` state budget for a request's `max_states`:
+    /// the explorer's default without one, clamped by
+    /// `max_explore_states`.
+    pub(crate) fn effective_max_states(&self, max_states: Option<u64>) -> usize {
+        max_states
+            .map(|n| n.min(usize::MAX as u64) as usize)
+            .unwrap_or(ExploreLimits::default().max_states)
+            .min(self.max_explore_states)
+    }
+
     /// Effective timeout for `req` in milliseconds: the request's
     /// `timeout_ms` (or the configured default), clamped by
     /// `max_timeout_ms`. `0` disables the deadline.
@@ -327,7 +344,8 @@ impl Service {
     }
 
     /// Builds the cancellation token for `req` from its effective
-    /// timeout. The serve loop shares this token with the pool watchdog.
+    /// timeout. The serve loop builds it on dispatch and hands it to the
+    /// pooled job.
     pub fn cancel_token(&self, req: &Request) -> CancelToken {
         CancelToken::after_ms(self.limits.effective_timeout_ms(req))
     }
@@ -339,51 +357,12 @@ impl Service {
     }
 
     /// Executes an already-parsed request under an externally-owned
-    /// cancellation token (so the connection or watchdog can revoke the
-    /// work).
+    /// cancellation token, whose deadline (or explicit cancel) stops
+    /// the work.
     pub fn execute_with_cancel(&self, req: &Request, token: &CancelToken) -> String {
         let start = Instant::now();
         let line = match req.op {
-            Op::Stats => {
-                let mut fields = self.metrics.snapshot_fields();
-                // Splice the live cluster view (digest, per-peer
-                // health) into the counters' cluster object.
-                if let Some((_, Json::Obj(cluster))) =
-                    fields.iter_mut().find(|(k, _)| k == "cluster")
-                {
-                    cluster.push((
-                        "shard_digest".to_string(),
-                        Json::Str(self.shard_digest_hex()),
-                    ));
-                    if let Some(state) = &self.cluster {
-                        let peers: Vec<Json> = state
-                            .health()
-                            .snapshot()
-                            .into_iter()
-                            .map(|r| {
-                                Json::Obj(vec![
-                                    ("addr".to_string(), Json::Str(r.addr)),
-                                    ("health".to_string(), Json::Str(r.health.name().to_string())),
-                                    (
-                                        "last_seen_ms".to_string(),
-                                        r.last_seen_ms
-                                            .map(|ms| Json::Num(ms as f64))
-                                            .unwrap_or(Json::Null),
-                                    ),
-                                ])
-                            })
-                            .collect();
-                        cluster.push(("peers".to_string(), Json::Arr(peers)));
-                    }
-                }
-                let mut resp = Response::ok(req.id.as_ref(), Op::Stats)
-                    .fields(&fields)
-                    .field("cache_entries", Json::Num(self.cache_len() as f64));
-                if let Some(stats) = self.persist_stats() {
-                    resp = resp.field("persist", Json::Obj(stats.fields()));
-                }
-                resp.into_line()
-            }
+            Op::Stats => self.stats_line(req, None),
             Op::Shutdown => Response::ok(req.id.as_ref(), Op::Shutdown).into_line(),
             Op::Forward => self.forward_op(req, start, token),
             Op::PeerSync => self.peer_sync_op(req),
@@ -395,6 +374,65 @@ impl Service {
         };
         self.metrics.record_latency(start.elapsed());
         line
+    }
+
+    /// Executes a `stats` request for a front-end that owns a worker
+    /// pool: [`execute`](Self::execute)'s reply plus a last `pool`
+    /// object with that pool's health.
+    pub(crate) fn execute_stats(&self, req: &Request, pool: PoolHealth) -> String {
+        let start = Instant::now();
+        let line = self.stats_line(req, Some(pool));
+        self.metrics.record_latency(start.elapsed());
+        line
+    }
+
+    /// The `stats` reply; `pool`, when given, is its last field.
+    fn stats_line(&self, req: &Request, pool: Option<PoolHealth>) -> String {
+        let mut fields = self.metrics.snapshot_fields();
+        // Splice the live cluster view (digest, per-peer health) into
+        // the counters' cluster object.
+        if let Some((_, Json::Obj(cluster))) = fields.iter_mut().find(|(k, _)| k == "cluster") {
+            cluster.push((
+                "shard_digest".to_string(),
+                Json::Str(self.shard_digest_hex()),
+            ));
+            if let Some(state) = &self.cluster {
+                let peers: Vec<Json> = state
+                    .health()
+                    .snapshot()
+                    .into_iter()
+                    .map(|r| {
+                        Json::Obj(vec![
+                            ("addr".to_string(), Json::Str(r.addr)),
+                            ("health".to_string(), Json::Str(r.health.name().to_string())),
+                            (
+                                "last_seen_ms".to_string(),
+                                r.last_seen_ms
+                                    .map(|ms| Json::Num(ms as f64))
+                                    .unwrap_or(Json::Null),
+                            ),
+                        ])
+                    })
+                    .collect();
+                cluster.push(("peers".to_string(), Json::Arr(peers)));
+            }
+        }
+        let mut resp = Response::ok(req.id.as_ref(), Op::Stats)
+            .fields(&fields)
+            .field("cache_entries", Json::Num(self.cache_len() as f64));
+        if let Some(stats) = self.persist_stats() {
+            resp = resp.field("persist", Json::Obj(stats.fields()));
+        }
+        if let Some(h) = pool {
+            resp = resp.field(
+                "pool",
+                Json::Obj(vec![
+                    ("workers".to_string(), Json::Num(h.workers as f64)),
+                    ("busy".to_string(), Json::Num(h.busy as f64)),
+                ]),
+            );
+        }
+        resp.into_line()
     }
 
     fn op_counter(&self, op: Op) -> Option<&std::sync::atomic::AtomicU64> {
@@ -727,7 +765,7 @@ impl Service {
     }
 
     fn lookup(&self, req: &Request) -> Lookup {
-        let fuel = req.fuel.unwrap_or(u64::MAX).min(self.limits.max_fuel);
+        let fuel = self.limits.effective_fuel(req);
         let (threads, clamped) = self.limits.effective_threads(req);
         let extra = if matches!(req.op, Op::Explore | Op::Lint) && req.threads.is_some() {
             vec![("threads".to_string(), Json::Num(threads as f64))]
@@ -740,7 +778,7 @@ impl Service {
         // is excluded for the same reason — the parallel search merges
         // commutatively, so the answer is thread-count-independent.
         Lookup {
-            key: cache_key(req, fuel),
+            key: cache_key(req, &self.limits),
             fuel,
             threads,
             clamped,
@@ -1122,15 +1160,9 @@ impl Service {
                 .ok_or_else(|| (ErrorKind::Binding, format!("`{name}` is not declared")))?;
             inputs.push((id, *value));
         }
-        let default = ExploreLimits::default();
         let base = ExploreLimits {
-            max_states: req
-                .max_states
-                .map(|n| n.min(usize::MAX as u64) as usize)
-                .unwrap_or(default.max_states)
-                .min(self.limits.max_explore_states),
-            max_depth: default.max_depth,
-            ..default
+            max_states: self.limits.effective_max_states(req.max_states),
+            ..ExploreLimits::default()
         };
         // Persistent-set-only reduction on both engines: the parallel
         // explorer cannot use sleep sets (they are traversal-order
@@ -1179,12 +1211,11 @@ impl Service {
 }
 
 /// The cluster routing fingerprint of `req`: the same FNV-1a hash the
-/// result cache keys on, computed with the default limits' fuel cap so
-/// every router, client, and node — whatever its own serving limits —
-/// maps a given request to the same ring position.
+/// result cache keys on, computed with the default limits' fuel and
+/// state caps so every router, client, and node — whatever its own
+/// serving limits — maps a given request to the same ring position.
 pub fn route_fingerprint(req: &Request) -> u64 {
-    let fuel = req.fuel.unwrap_or(u64::MAX).min(Limits::default().max_fuel);
-    cache_key(req, fuel).hash
+    cache_key(req, &Limits::default()).hash
 }
 
 /// Interprets a peer's reply to a `forward` as the inner request's
@@ -1220,7 +1251,7 @@ fn is_timeout(result: &CachedResult) -> bool {
             .any(|(k, v)| k == "error" && v.get("kind").and_then(Json::as_str) == Some("timeout"))
 }
 
-fn cache_key(req: &Request, effective_fuel: u64) -> CacheKey {
+fn cache_key(req: &Request, limits: &Limits) -> CacheKey {
     // A lattice or class spelling that parses is keyed in its canonical
     // form, so `linear:04` and `linear:4`, or `HIGH`, `h` and `high`,
     // share one entry, journal record and ring position: they give
@@ -1253,8 +1284,18 @@ fn cache_key(req: &Request, effective_fuel: u64) -> CacheKey {
         .iter()
         .map(|(n, v)| format!("{}:{n}{v};", n.len()))
         .collect();
-    let fuel = effective_fuel.to_string();
-    let max_states = req.max_states.map(|n| n.to_string()).unwrap_or_default();
+    let fuel = limits.effective_fuel(req).to_string();
+    // Only `explore` reads `max_states` and `por`, so no other op keys
+    // them. Its budget is keyed as clamped, and spelled "" when it is
+    // the budget of a request without the field: spellings of one
+    // search share one entry.
+    let explore = req.op == Op::Explore;
+    let budget = limits.effective_max_states(req.max_states);
+    let max_states = if explore && budget != limits.effective_max_states(None) {
+        budget.to_string()
+    } else {
+        String::new()
+    };
     CacheKey::of(&[
         req.op.name(),
         &lattice,
@@ -1269,7 +1310,7 @@ fn cache_key(req: &Request, effective_fuel: u64) -> CacheKey {
         &max_states,
         // The reduced and full searches return different `states`
         // counts, so the mode is part of the identity of the result.
-        if req.por { "" } else { "no-por" },
+        if explore && !req.por { "no-por" } else { "" },
         &req.source,
     ])
 }
@@ -1788,6 +1829,29 @@ mod tests {
     }
 
     #[test]
+    fn fields_only_explore_reads_do_not_split_cache_entries() {
+        let s = svc();
+        let source = Json::Str(LEAKY.to_string());
+        let cached = |extra: &str, op: &str| {
+            let line = format!(r#"{{"op":"{op}","source":{source}{extra}}}"#);
+            let v = Json::parse(&s.handle_line(&line)).unwrap();
+            v.get("cached").and_then(Json::as_bool).unwrap()
+        };
+        // The default budget, spelled out, is the request without one.
+        assert!(!cached("", "explore"));
+        assert!(cached(r#","max_states":200000"#, "explore"));
+        // Budgets above the cap are the capped search.
+        assert!(!cached(r#","max_states":5000000"#, "explore"));
+        assert!(cached(r#","max_states":9000000"#, "explore"));
+        assert!(cached(r#","max_states":1000000"#, "explore"));
+        // Ops that read neither field ignore both.
+        assert!(!cached("", "certify"));
+        assert!(cached(r#","por":false,"max_states":7"#, "certify"));
+        assert!(!cached("", "lint"));
+        assert!(cached(r#","por":false"#, "lint"));
+    }
+
+    #[test]
     fn parallel_lint_matches_sequential_lint() {
         let s = svc();
         let seq = format!(
@@ -2090,9 +2154,9 @@ mod tests {
     /// first, then the waiters'.
     fn stampede(s: &Arc<Service>, line: &str, k: usize) -> Vec<String> {
         let req = Request::parse(line).unwrap();
-        let fuel = req.fuel.unwrap_or(u64::MAX).min(s.limits.max_fuel);
+        let fuel = s.limits.effective_fuel(&req);
         let (threads, _) = s.limits.effective_threads(&req);
-        let key = cache_key(&req, fuel);
+        let key = cache_key(&req, &s.limits);
         let FlightRole::Leader(Some(guard)) = s.join_flight(&key) else {
             panic!("the flight table is empty and healthy");
         };
@@ -2196,8 +2260,7 @@ mod tests {
         let s = Arc::new(svc());
         let bad = line("var x integer; x := ", r#"{}"#);
         let req = Request::parse(&bad).unwrap();
-        let fuel = req.fuel.unwrap_or(u64::MAX).min(s.limits.max_fuel);
-        let key = cache_key(&req, fuel);
+        let key = cache_key(&req, &s.limits);
         let flight = Arc::new(Flight::new());
         s.inflight
             .lock()
@@ -2253,8 +2316,7 @@ mod tests {
         let s = Arc::new(svc());
         let bad = line("var x integer; x := ", r#"{}"#);
         let req = Request::parse(&bad).unwrap();
-        let fuel = req.fuel.unwrap_or(u64::MAX).min(s.limits.max_fuel);
-        let key = cache_key(&req, fuel);
+        let key = cache_key(&req, &s.limits);
         let flight = Arc::new(Flight::new());
         s.inflight
             .lock()
@@ -2288,8 +2350,7 @@ mod tests {
     fn an_expired_waiter_gets_a_structured_timeout() {
         let s = svc();
         let req = Request::parse(&line(LEAKY, r#"{"x":"high"}"#)).unwrap();
-        let fuel = req.fuel.unwrap_or(u64::MAX).min(s.limits.max_fuel);
-        let key = cache_key(&req, fuel);
+        let key = cache_key(&req, &s.limits);
         // A flight that will never publish, as from a wedged leader.
         s.inflight
             .lock()
@@ -2340,7 +2401,7 @@ mod tests {
         // pushed entry later answers the genuine request below.
         let genuine = r#"{"op":"certify","lattice":"two","source":"var x : integer; x := 0"}"#;
         let req = Request::parse(genuine).unwrap();
-        let key = cache_key(&req, Limits::default().max_fuel);
+        let key = cache_key(&req, &Limits::default());
         let value = CachedResult {
             ok: true,
             fields: vec![("certified".to_string(), Json::Bool(true))],
@@ -2534,9 +2595,9 @@ mod tests {
 
         let request = line(LEAKY, r#"{}"#);
         let req = Request::parse(&request).unwrap();
-        let fuel = req.fuel.unwrap_or(u64::MAX).min(s.limits.max_fuel);
+        let fuel = s.limits.effective_fuel(&req);
         let (threads, _) = s.limits.effective_threads(&req);
-        let key = cache_key(&req, fuel);
+        let key = cache_key(&req, &s.limits);
         let (tx, rx) = std::sync::mpsc::channel();
         std::thread::scope(|scope| {
             let FlightRole::Leader(Some(guard)) = s.join_flight(&key) else {

@@ -9,7 +9,9 @@
 use std::sync::atomic::Ordering::Relaxed;
 
 use secflow::cert::validate_certificate;
+use secflow::lang::print_program;
 use secflow::server::{Json, Limits, Service};
+use secflow::workload::{dining_philosophers, sequential_chain};
 
 const CLEAN: &str = "var x, y : integer;
     cobegin y := x || x := 1 coend";
@@ -146,4 +148,21 @@ fn linear_lattice_certificates_round_trip_end_to_end() {
         two.get("proof_digest").and_then(Json::as_str),
         reply.get("proof_digest").and_then(Json::as_str)
     );
+}
+
+/// A count gate: the proof size and certificate length for two
+/// workload programs are exact, so any change to the prover or the
+/// certificate format shows here as a moved number, never as noise.
+#[test]
+fn certificate_sizes_are_pinned() {
+    let s = svc();
+    for (program, nodes, bytes) in [
+        (sequential_chain(400, 8), 801, 893_324),
+        (dining_philosophers(5, 1000, false), 76, 154_632),
+    ] {
+        let reply = certify_with_proof(&s, &print_program(&program), "two");
+        let cert = reply.get("certificate").and_then(Json::as_str).unwrap();
+        assert_eq!(reply.get("proof_nodes").and_then(Json::as_u64), Some(nodes));
+        assert_eq!(cert.len(), bytes);
+    }
 }

@@ -5,8 +5,8 @@
 //! - **liveness** — every client converges to an answer; no hangs;
 //! - **convergence** — every answer matches a fault-free run of the
 //!   same request (faults can delay an answer, never corrupt it);
-//! - **supervision** — injected worker panics were survived and the
-//!   workers respawned, visible in the `stats` pool health.
+//! - **panic isolation** — injected worker panics fired and were
+//!   survived (`stats.panics`) with every worker still in the pool.
 //!
 //! The plan's fault fuse (`max_faults`) bounds total injected faults,
 //! so each client's retry budget provably covers the worst case and the
@@ -15,7 +15,7 @@
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::sync::{Arc, Barrier};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use secflow::lang::print_program;
 use secflow::server::{
@@ -109,33 +109,25 @@ fn chaos_soak_64_clients_converge_with_fault_free_run() {
         );
     }
 
-    // Supervision is visible in stats. The supervisor respawns workers
-    // on its own clock, so poll briefly for the restart counter.
+    // The reply guard counts each panic before its `internal` reply
+    // leaves, and the clients retried through such replies, so there is
+    // nothing to wait for.
     let stream = TcpStream::connect(server.local_addr()).expect("connect");
     stream
         .set_read_timeout(Some(Duration::from_secs(60)))
         .unwrap();
     let mut reader = BufReader::new(stream.try_clone().unwrap());
     let mut writer = stream;
-    let deadline = Instant::now() + Duration::from_secs(5);
-    let stats = loop {
-        writeln!(writer, r#"{{"op":"stats"}}"#).unwrap();
-        let mut line = String::new();
-        reader.read_line(&mut line).unwrap();
-        let stats = Json::parse(line.trim()).unwrap();
-        if pool_stat(&stats, "panics") >= 1 && pool_stat(&stats, "restarts") >= 1 {
-            break stats;
-        }
-        assert!(
-            Instant::now() < deadline,
-            "supervisor never reported a panic + restart: {stats}"
-        );
-        std::thread::sleep(Duration::from_millis(10));
-    };
+    writeln!(writer, r#"{{"op":"stats"}}"#).unwrap();
+    let mut line = String::new();
+    reader.read_line(&mut line).unwrap();
+    let stats = Json::parse(line.trim()).unwrap();
+    let panics = stats.get("panics").and_then(Json::as_u64);
+    assert!(panics >= Some(1), "no injected panic fired: {stats}");
     assert_eq!(
         pool_stat(&stats, "workers"),
         4,
-        "the pool is back to full strength: {stats}"
+        "every worker is still in the pool: {stats}"
     );
 
     writeln!(writer, r#"{{"op":"shutdown"}}"#).unwrap();

@@ -136,7 +136,7 @@ fn oversized_line_is_rejected_and_connection_survives() {
 
 /// A worker that panics mid-request still answers: the reply guard
 /// degrades the panic to a structured (retryable) `internal` error, and
-/// the supervisor respawns the worker.
+/// the pool goes on to serve the retry.
 #[test]
 fn injected_worker_panic_yields_internal_error_not_a_hang() {
     let mut plan = FaultPlan::new(11);
