@@ -38,7 +38,7 @@ use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::hash::{Hash, Hasher};
 
 use secflow_lang::{BinOp, Diag, Expr, Program, Span, Stmt, UnOp, VarId};
-use secflow_runtime::pexplore::{parallel_search, Expansion, CANCEL_POLL_STATES};
+use secflow_runtime::explore::CANCEL_POLL_STATES;
 use secflow_runtime::{WordBuildHasher, WordHasher};
 
 use crate::pass::AnalysisPass;
@@ -58,16 +58,11 @@ pub struct DeadlockPass {
     /// Maximum number of abstract states to explore before giving up
     /// with SF012.
     pub max_states: usize,
-    /// Work-stealing exploration workers (1 = sequential search).
-    pub threads: usize,
 }
 
 impl Default for DeadlockPass {
     fn default() -> Self {
-        DeadlockPass {
-            max_states: 50_000,
-            threads: 1,
-        }
+        DeadlockPass { max_states: 50_000 }
     }
 }
 
@@ -80,12 +75,7 @@ impl AnalysisPass for DeadlockPass {
         self.run_with(program, out, &|| false);
     }
 
-    fn run_with(
-        &self,
-        program: &Program,
-        out: &mut Vec<Diag>,
-        should_stop: &(dyn Fn() -> bool + Sync),
-    ) {
+    fn run_with(&self, program: &Program, out: &mut Vec<Diag>, should_stop: &dyn Fn() -> bool) {
         if let Some(cycle) = circular_handoff(program) {
             let names: Vec<&str> = cycle.iter().map(|&v| program.symbols.name(v)).collect();
             let mut d = Diag::warning(
@@ -111,7 +101,7 @@ impl AnalysisPass for DeadlockPass {
             out.push(d);
         }
 
-        let report = deadlock_analysis_threads(program, self.max_states, self.threads, should_stop);
+        let report = deadlock_analysis_with(program, self.max_states, should_stop);
         if report.truncated {
             let why = if report.cancelled {
                 "cancelled"
@@ -179,7 +169,7 @@ pub fn deadlock_analysis(program: &Program, max_states: usize) -> DeadlockReport
 pub fn deadlock_analysis_with(
     program: &Program,
     max_states: usize,
-    should_stop: &(dyn Fn() -> bool + Sync),
+    should_stop: &dyn Fn() -> bool,
 ) -> DeadlockReport {
     if program.statement_count() > STMT_CAP {
         return capped_report();
@@ -216,9 +206,8 @@ pub fn deadlock_analysis_with(
             continue;
         }
         for s in succs {
-            // The hash is computed once here and reused for every probe
-            // (and, in the parallel search, for the shard index); the
-            // full state is never re-hashed.
+            // The hash is computed once here and reused for every
+            // probe; the full state is never re-hashed.
             let hs = Hashed::new(s);
             if !seen.contains(&hs) {
                 if seen.len() >= max_states {
@@ -243,72 +232,6 @@ pub fn deadlock_analysis_with(
             .map(|(s, e, v)| (Span::new(s, e), v))
             .collect(),
         states: seen.len(),
-    }
-}
-
-/// [`deadlock_analysis_with`] on `threads` work-stealing workers (via
-/// [`parallel_search`]); `threads <= 1` runs the sequential search. The
-/// partial verdicts merge commutatively (boolean or, set union), so the
-/// report is schedule-independent whenever no cap truncates it.
-pub fn deadlock_analysis_threads(
-    program: &Program,
-    max_states: usize,
-    threads: usize,
-    should_stop: &(dyn Fn() -> bool + Sync),
-) -> DeadlockReport {
-    if threads <= 1 {
-        return deadlock_analysis_with(program, max_states, should_stop);
-    }
-    if program.statement_count() > STMT_CAP {
-        return capped_report();
-    }
-    let ir = Ir::build(program);
-
-    /// Per-worker partial verdict, merged commutatively below.
-    #[derive(Default)]
-    struct Partial {
-        may_deadlock: bool,
-        blocked: BTreeSet<(u32, u32, VarId)>,
-    }
-
-    let outcome = parallel_search(
-        vec![Hashed::new(initial_state(&ir))],
-        threads,
-        max_states,
-        should_stop,
-        |hs: &Hashed| (hs.hash, hs.clone()),
-        |hs: Hashed, partial: &mut Partial, out: &mut Vec<Hashed>| {
-            let st = &hs.state;
-            let mut succs = Vec::new();
-            let mut overflow = false;
-            expand_state(&ir, st, &mut succs, &mut overflow);
-            if overflow {
-                return Expansion::Abort;
-            }
-            if succs.is_empty() {
-                partial.may_deadlock |= note_blocked(&ir, st, &mut partial.blocked);
-            } else {
-                out.extend(succs.into_iter().map(Hashed::new));
-            }
-            Expansion::Continue
-        },
-    );
-
-    let mut may_deadlock = false;
-    let mut blocked: BTreeSet<(u32, u32, VarId)> = BTreeSet::new();
-    for partial in outcome.partials {
-        may_deadlock |= partial.may_deadlock;
-        blocked.extend(partial.blocked);
-    }
-    DeadlockReport {
-        may_deadlock: may_deadlock && !outcome.truncated,
-        truncated: outcome.truncated,
-        cancelled: outcome.cancelled,
-        blocked_waits: blocked
-            .into_iter()
-            .map(|(s, e, v)| (Span::new(s, e), v))
-            .collect(),
-        states: outcome.states,
     }
 }
 
@@ -644,8 +567,7 @@ struct State {
 /// Every visited-set probe used to re-hash the full state (tasks, frames,
 /// semaphores, atoms) — twice per successor, once for `contains` and once
 /// for `insert`. Caching the fingerprint makes each probe hash a single
-/// `u64`, and the same fingerprint doubles as the shard index in the
-/// parallel search.
+/// `u64`.
 #[derive(Clone)]
 struct Hashed {
     state: State,
@@ -1138,21 +1060,6 @@ coend";
     }
 
     #[test]
-    fn parallel_analysis_matches_sequential() {
-        for src in [SEM_CHANNEL, FIG3] {
-            let p = parse(src).unwrap();
-            let seq = deadlock_analysis(&p, 100_000);
-            for threads in [2, 4] {
-                let par = deadlock_analysis_threads(&p, 100_000, threads, &|| false);
-                assert_eq!(par.may_deadlock, seq.may_deadlock);
-                assert_eq!(par.truncated, seq.truncated);
-                assert_eq!(par.blocked_waits, seq.blocked_waits);
-                assert_eq!(par.states, seq.states, "threads = {threads}");
-            }
-        }
-    }
-
-    #[test]
     fn fused_skeleton_state_counts_are_pinned() {
         // Exact counts of the fused search on three lint shapes of the
         // explore_sweep benchmark. They move only when the skeleton or
@@ -1195,13 +1102,5 @@ coend";
             !codes.contains(&"SF010") && !codes.contains(&"SF012"),
             "{codes:?}"
         );
-    }
-
-    #[test]
-    fn parallel_cancellation_truncates_without_a_verdict() {
-        let r = deadlock_analysis_threads(&parse(FIG3).unwrap(), 100_000, 4, &|| true);
-        assert!(r.cancelled);
-        assert!(r.truncated);
-        assert!(!r.may_deadlock, "no verdict once cancelled");
     }
 }

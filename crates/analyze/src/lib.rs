@@ -64,10 +64,7 @@ pub mod sem_statics;
 
 pub use atomicity::AtomicityPass;
 pub use dataflow::DataflowPass;
-pub use deadlock::{
-    deadlock_analysis, deadlock_analysis_threads, deadlock_analysis_with, DeadlockPass,
-    DeadlockReport,
-};
+pub use deadlock::{deadlock_analysis, deadlock_analysis_with, DeadlockPass, DeadlockReport};
 pub use footprint::{mutex_candidates, race_analysis, Race, RacePass, RaceReport};
 pub use pass::{AnalysisPass, AnalysisReport, PassManager};
 pub use provenance::ProvenancePass;
@@ -84,18 +81,6 @@ pub fn analyze(program: &Program) -> AnalysisReport {
 
 /// [`analyze`] with a cooperative cancellation hook (see
 /// [`PassManager::run_with`]).
-pub fn analyze_with(program: &Program, should_stop: &(dyn Fn() -> bool + Sync)) -> AnalysisReport {
+pub fn analyze_with(program: &Program, should_stop: &dyn Fn() -> bool) -> AnalysisReport {
     PassManager::with_default_passes().run_with(program, should_stop)
-}
-
-/// [`analyze_with`] with the deadlock pass's state-space exploration
-/// spread over `threads` work-stealing workers (1 = sequential). The
-/// parallel exploration merges commutatively, so the report is identical
-/// for every thread count.
-pub fn analyze_threads(
-    program: &Program,
-    threads: usize,
-    should_stop: &(dyn Fn() -> bool + Sync),
-) -> AnalysisReport {
-    PassManager::with_default_passes_threads(threads).run_with(program, should_stop)
 }

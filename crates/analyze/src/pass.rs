@@ -26,15 +26,8 @@ pub trait AnalysisPass {
 
     /// Runs the pass with a cooperative cancellation hook. Passes that
     /// can run long (e.g. state-space exploration) should override this
-    /// and poll `should_stop`; the default ignores the hook. The hook is
-    /// `Sync` so passes may share it across worker threads (the deadlock
-    /// pass polls it from every exploration worker).
-    fn run_with(
-        &self,
-        program: &Program,
-        out: &mut Vec<Diag>,
-        should_stop: &(dyn Fn() -> bool + Sync),
-    ) {
+    /// and poll `should_stop`; the default ignores the hook.
+    fn run_with(&self, program: &Program, out: &mut Vec<Diag>, should_stop: &dyn Fn() -> bool) {
         let _ = should_stop;
         self.run(program, out);
     }
@@ -56,19 +49,9 @@ impl PassManager {
     /// detection, dataflow, global-flow provenance, atomicity, and the
     /// footprint/race analysis.
     pub fn with_default_passes() -> PassManager {
-        PassManager::with_default_passes_threads(1)
-    }
-
-    /// [`with_default_passes`](Self::with_default_passes) with the
-    /// deadlock exploration spread over `threads` work-stealing workers
-    /// (1 = the sequential search).
-    pub fn with_default_passes_threads(threads: usize) -> PassManager {
         let mut pm = PassManager::new();
         pm.register(Box::new(SemStaticsPass));
-        pm.register(Box::new(DeadlockPass {
-            threads,
-            ..DeadlockPass::default()
-        }));
+        pm.register(Box::new(DeadlockPass::default()));
         pm.register(Box::new(DataflowPass));
         pm.register(Box::new(ProvenancePass));
         pm.register(Box::new(AtomicityPass));
@@ -100,11 +83,7 @@ impl PassManager {
     /// pass's [`AnalysisPass::run_with`]; once it returns `true` the
     /// remaining passes are skipped and the report is marked
     /// `cancelled`.
-    pub fn run_with(
-        &self,
-        program: &Program,
-        should_stop: &(dyn Fn() -> bool + Sync),
-    ) -> AnalysisReport {
+    pub fn run_with(&self, program: &Program, should_stop: &dyn Fn() -> bool) -> AnalysisReport {
         let mut diags = Vec::new();
         let mut passes_run = 0usize;
         let mut pass_panics = 0usize;

@@ -1,30 +1,25 @@
-//! `explore_scaling` — E12/E15: throughput of the work-stealing explorer
-//! at 1/2/4/8 threads plus the partial-order-reduction state counts,
-//! recorded as rows in `BENCH_explore.json`.
+//! `explore_scaling` — E12/E15/E22: throughput of the sequential
+//! explorer plus the partial-order-reduction state counts, recorded as
+//! rows in `BENCH_explore.json`.
 //!
 //! ```bash
 //! cargo run --release -p secflow-bench --bin explore_scaling [-- --quick]
 //! ```
 //!
 //! `--quick` shrinks the workloads and repetitions for CI smoke runs.
-//! Every row records the host's core count: speedup is only physically
-//! possible up to that count, so a 1-core container legitimately
-//! reports flat (or slightly negative) scaling.
+//! Every row records the host's core count.
 //!
-//! Thread-scaling points (`persistent.*`, `size` = threads) run in
-//! matched persistent-only mode (the mode both engines implement
-//! identically) so the state count is constant across the row. The POR
-//! rows (`full.*`, `por.*`, one thread) compare the full interleaving
-//! search against the sequential default mode (persistent sets + sleep
-//! sets); `sequential_chain` is the honest no-win row — one process has
-//! nothing to commute with.
+//! The `persistent.*` rows run in persistent-only mode, the mode the
+//! service's `explore` op uses. The POR rows (`full.*`, `por.*`) compare
+//! the full interleaving search against the default mode (persistent
+//! sets + sleep sets); `sequential_chain` is the honest no-win row — one
+//! process has nothing to commute with. Every row has `size` 1: one
+//! search runs on one thread.
 
 use secflow_bench::{host_cores, median_secs, write_rows, Row};
 use secflow_lang::Program;
-use secflow_runtime::{explore_with, pexplore_with, ExploreLimits};
+use secflow_runtime::{explore_with, ExploreLimits};
 use secflow_workload::{dining_philosophers, indep, sequential_chain};
-
-const THREADS: [usize; 4] = [1, 2, 4, 8];
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
@@ -71,31 +66,16 @@ fn main() {
             max_depth: 100_000,
             ..ExploreLimits::default()
         };
-        let scaling = limits.persistent_only();
-        let mut one_thread_rate = 0.0;
-        for threads in THREADS {
-            let mut states = 0;
-            let secs = median_secs(reps, || {
-                let report = if threads > 1 {
-                    pexplore_with(program, &[], scaling, threads, &|| false)
-                } else {
-                    explore_with(program, &[], scaling, &|| false)
-                };
-                assert!(!report.truncated, "{name}: limits bound");
-                states = report.states;
-            });
-            let rate = states as f64 / secs;
-            if threads == 1 {
-                one_thread_rate = rate;
-            }
-            let speedup = rate / one_thread_rate;
-            println!(
-                "{name:36} threads={threads}  {states:>8} states  {rate:>12.0} states/s  {speedup:.2}x"
-            );
-            row(threads, "persistent.states", states as f64, "count");
-            row(threads, "persistent.states_per_s", rate, "1/s");
-            row(threads, "persistent.speedup", speedup, "ratio");
-        }
+        let mut states = 0;
+        let secs = median_secs(reps, || {
+            let report = explore_with(program, &[], limits.persistent_only(), &|| false);
+            assert!(!report.truncated, "{name}: limits bound");
+            states = report.states;
+        });
+        let rate = states as f64 / secs;
+        println!("{name:36} persistent: {states:>8} states  {rate:>12.0} states/s");
+        row(1, "persistent.states", states as f64, "count");
+        row(1, "persistent.states_per_s", rate, "1/s");
 
         let mut full_states = 0;
         let full_secs = median_secs(reps, || {

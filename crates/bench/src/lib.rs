@@ -58,7 +58,7 @@ pub fn ns_per_call<T>(mut f: impl FnMut() -> T) -> f64 {
 }
 
 /// One recorded measurement: `metric` of `workload` at sweep point
-/// `size` (threads for `explore_scaling`, clients for `serve_bench`),
+/// `size` (1 for `explore_scaling`, clients for `serve_bench`),
 /// measured in `layer`.
 pub struct Row {
     /// The layer measured, named as perfbench names its layers.

@@ -25,8 +25,8 @@ use secflow_cert::{validate_certificate, verdict_fields, Json};
 use secflow_core::{certify, check_atomicity, denning_certify};
 use secflow_lang::{parse, print_program, Diag, Program, Severity, VarId};
 use secflow_runtime::{
-    check_noninterference, explore_with, pexplore_with, run_traced, ExploreLimits, Machine,
-    RandomSched, RoundRobin,
+    check_noninterference, explore_with, run_traced, ExploreLimits, Machine, RandomSched,
+    RoundRobin,
 };
 use secflow_server::ops::{self, Inferred, OpError, Proved};
 use secflow_server::{Op, Request};
@@ -44,16 +44,16 @@ USAGE:
   secflow checkproof <file> --proof cert.json [--json]
   secflow run     <file> [--input name=VALUE]... [--seed N] [--fuel N] [--trace]
   secflow explore <file> [--input name=VALUE]... [--max-states N] [--timeout-ms N]
-                  [--threads N] [--no-por]
+                  [--no-por]
   secflow leaktest <file> --secret NAME [--observe a,b,c] [--values 0,1]
   secflow infer   <file> [--pin name=CLASS]... [--lattice two|linear:N]
   secflow flows   <file> [--class name=CLASS]... [--dot]
   secflow atomicity <file>
-  secflow lint    <file|dir> [--json] [--threads N]
+  secflow lint    <file|dir> [--json]
   secflow fig3    [--x VALUE]
   secflow serve   [--addr HOST:PORT] [--workers N] [--cache N] [--queue N]
                   [--max-fuel N] [--default-timeout-ms N] [--max-line-bytes N]
-                  [--max-threads N] [--chaos SPEC] [--cache-dir DIR]
+                  [--chaos SPEC] [--cache-dir DIR]
                   [--journal-max-bytes N] [--fsync always|interval|never]
                   [--pipeline-window N]
                   [--write-high-water BYTES] [--idle-timeout-ms N]
@@ -431,10 +431,7 @@ fn cmd_run(args: &[String]) -> Result<ExitCode, CliError> {
 }
 
 fn cmd_explore(args: &[String]) -> Result<ExitCode, CliError> {
-    let opts = parse_opts(
-        args,
-        &["input", "max-states", "no-por", "timeout-ms", "threads"],
-    )?;
+    let opts = parse_opts(args, &["input", "max-states", "no-por", "timeout-ms"])?;
     let (program, _) = load_program(opts.file()?)?;
     let inputs = parse_inputs(&program, &opts)?;
     let mut limits = ExploreLimits::default();
@@ -449,16 +446,8 @@ fn cmd_explore(args: &[String]) -> Result<ExitCode, CliError> {
     let timeout_ms: u64 = opts
         .value("timeout-ms")
         .map_or(Ok(0), |v| v.parse().map_err(|_| "bad --timeout-ms"))?;
-    let threads: usize = opts
-        .value("threads")
-        .map_or(Ok(1), |v| v.parse().map_err(|_| "bad --threads"))?;
     let token = secflow_server::CancelToken::after_ms(timeout_ms);
-    let stop = || token.expired();
-    let report = if threads > 1 {
-        pexplore_with(&program, &inputs, limits, threads, &stop)
-    } else {
-        explore_with(&program, &inputs, limits, &stop)
-    };
+    let report = explore_with(&program, &inputs, limits, &|| token.expired());
     if report.cancelled {
         println!(
             "TIMEOUT after {timeout_ms} ms: {} states explored (partial results below)",
@@ -592,12 +581,9 @@ fn cmd_atomicity(args: &[String]) -> Result<ExitCode, CliError> {
 }
 
 fn cmd_lint(args: &[String]) -> Result<ExitCode, CliError> {
-    let opts = parse_opts(args, &["json", "threads"])?;
+    let opts = parse_opts(args, &["json"])?;
     let target = opts.file()?.to_string();
     let json = opts.has("json");
-    let threads: usize = opts
-        .value("threads")
-        .map_or(Ok(1), |v| v.parse().map_err(|_| "bad --threads"))?;
     let path = std::path::Path::new(&target);
     let files = if path.is_dir() {
         secflow_server::sf_files(path)?
@@ -613,7 +599,7 @@ fn cmd_lint(args: &[String]) -> Result<ExitCode, CliError> {
         // A parse error is itself a diagnostic: report it through the
         // same renderer instead of aborting the whole lint run.
         let report = match parse(&source) {
-            Ok(program) => secflow_analyze::analyze_threads(&program, threads, &|| false),
+            Ok(program) => secflow_analyze::analyze(&program),
             Err(d) => AnalysisReport::from_diags(vec![Diag::from(&d)]),
         };
         errors += report.count(Severity::Error);
@@ -644,7 +630,6 @@ const SERVER_FLAGS: &[&str] = &[
     "max-fuel",
     "default-timeout-ms",
     "max-line-bytes",
-    "max-threads",
     "pipeline-window",
     "write-high-water",
     "idle-timeout-ms",
@@ -680,9 +665,6 @@ fn server_config(opts: &Opts) -> Result<secflow_server::ServerConfig, String> {
     }
     if let Some(v) = opts.value("max-line-bytes") {
         cfg.max_line_bytes = v.parse().map_err(|_| "bad --max-line-bytes")?;
-    }
-    if let Some(v) = opts.value("max-threads") {
-        cfg.limits.max_threads = v.parse().map_err(|_| "bad --max-threads")?;
     }
     if let Some(v) = opts.value("pipeline-window") {
         let window: usize = v.parse().map_err(|_| "bad --pipeline-window")?;
@@ -1186,25 +1168,30 @@ fn cmd_gen(args: &[String]) -> Result<ExitCode, CliError> {
         opts.value("indep"),
     ) {
         (Some(length), None, None) => {
-            let length: usize = length.parse().map_err(|_| "bad --chain")?;
-            let vars: usize = opts
+            let length = gen_size("chain", length, 1, i64::MAX)?;
+            let vars = opts
                 .value("vars")
-                .map_or(Ok(8), |v| v.parse().map_err(|_| "bad --vars"))?;
-            print_program(&secflow_workload::sequential_chain(length, vars))
+                .map_or(Ok(8), |v| gen_size("vars", v, 2, i64::MAX))?;
+            print_program(&secflow_workload::sequential_chain(
+                length as usize,
+                vars as usize,
+            ))
         }
         (None, Some(n), None) => {
-            let n: usize = n.parse().map_err(|_| "bad --philosophers")?;
-            let meals: i64 = opts
+            let n = gen_size("philosophers", n, 2, 6)?;
+            let meals = opts
                 .value("meals")
-                .map_or(Ok(1000), |v| v.parse().map_err(|_| "bad --meals"))?;
-            print_program(&secflow_workload::dining_philosophers(n, meals, false))
+                .map_or(Ok(1000), |v| gen_size("meals", v, 1, i64::MAX))?;
+            print_program(&secflow_workload::dining_philosophers(
+                n as usize, meals, false,
+            ))
         }
         (None, None, Some(n)) => {
-            let n: usize = n.parse().map_err(|_| "bad --indep")?;
-            let steps: usize = opts
+            let n = gen_size("indep", n, 2, i64::MAX)?;
+            let steps = opts
                 .value("steps")
-                .map_or(Ok(4), |v| v.parse().map_err(|_| "bad --steps"))?;
-            print_program(&secflow_workload::indep(n, steps))
+                .map_or(Ok(4), |v| gen_size("steps", v, 1, i64::MAX))?;
+            print_program(&secflow_workload::indep(n as usize, steps as usize))
         }
         _ => {
             return Err("pass exactly one of --chain N, --philosophers N or --indep N".into());
@@ -1234,6 +1221,21 @@ fn cmd_gen(args: &[String]) -> Result<ExitCode, CliError> {
         }
     }
     Ok(ExitCode::SUCCESS)
+}
+
+/// Reads the `gen` size `--{name} value`, which must lie in
+/// `min..=max`: the workload generators assert their sizes, so a value
+/// outside the range is a usage error that names the flag and the range.
+fn gen_size(name: &str, value: &str, min: i64, max: i64) -> Result<i64, String> {
+    let range = if max == i64::MAX {
+        format!("at least {min}")
+    } else {
+        format!("{min} to {max}")
+    };
+    match value.parse() {
+        Ok(n) if (min..=max).contains(&n) => Ok(n),
+        _ => Err(format!("--{name} must be {range}, got `{value}`")),
+    }
 }
 
 fn cmd_fig3(args: &[String]) -> Result<ExitCode, CliError> {

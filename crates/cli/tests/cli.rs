@@ -535,6 +535,9 @@ fn unknown_flags_are_usage_errors_that_name_the_flag() {
         ["serve", "--front-end", "threaded"],
         ["prove", "--emit", "proof"],
         ["checkproof", "--lattice", "two"],
+        ["explore", "--threads", "4"],
+        ["lint", "--threads", "4"],
+        ["serve", "--max-threads", "8"],
     ] {
         let out = secflow(&args);
         assert_eq!(out.status.code(), Some(2), "{args:?}");
@@ -543,6 +546,56 @@ fn unknown_flags_are_usage_errors_that_name_the_flag() {
             err.contains(&format!("unknown flag `{}`", args[1])),
             "{err}"
         );
+    }
+}
+
+#[test]
+fn gen_sizes_out_of_range_are_usage_errors_that_name_the_range() {
+    // The workload generators assert their sizes; `gen` checks them
+    // first instead of panicking.
+    for (args, message) in [
+        (
+            &["--philosophers", "1"][..],
+            "--philosophers must be 2 to 6",
+        ),
+        (&["--philosophers", "7"], "--philosophers must be 2 to 6"),
+        (
+            &["--philosophers", "3", "--meals", "0"],
+            "--meals must be at least 1",
+        ),
+        (
+            &["--philosophers", "3", "--meals", "-1"],
+            "--meals must be at least 1",
+        ),
+        (&["--chain", "0"], "--chain must be at least 1"),
+        (
+            &["--chain", "5", "--vars", "0"],
+            "--vars must be at least 2",
+        ),
+        (&["--indep", "0"], "--indep must be at least 2"),
+        (
+            &["--indep", "1", "--steps", "0"],
+            "--indep must be at least 2",
+        ),
+        (
+            &["--indep", "2", "--steps", "0"],
+            "--steps must be at least 1",
+        ),
+    ] {
+        let out = secflow(&[&["gen"][..], args].concat());
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let err = String::from_utf8_lossy(&out.stderr).into_owned();
+        assert!(err.contains(message), "{args:?}: {err}");
+    }
+    // The bounds themselves are valid sizes.
+    for args in [
+        &["--philosophers", "2", "--meals", "1"][..],
+        &["--philosophers", "6"],
+        &["--chain", "1", "--vars", "2"],
+        &["--indep", "2", "--steps", "1"],
+    ] {
+        let out = secflow(&[&["gen"][..], args].concat());
+        assert_eq!(out.status.code(), Some(0), "{args:?}");
     }
 }
 

@@ -22,7 +22,13 @@ use secflow_lang::{Program, VarId};
 use crate::footprint::FootprintTable;
 use crate::hash::WordBuildHasher;
 use crate::machine::{Machine, ProcId, Status};
-use crate::pexplore::CANCEL_POLL_STATES;
+
+/// States to expand between `should_stop` polls, in this explorer
+/// ([`explore_with`]) and in the deadlock analyzer's skeleton search.
+/// Small enough that a deadline overrun is noticed within a fraction of
+/// the typical per-state budget, large enough that the hook stays off
+/// the hot path.
+pub const CANCEL_POLL_STATES: usize = 256;
 
 /// Search limits and reduction switches.
 #[derive(Clone, Copy, Debug)]
@@ -41,10 +47,9 @@ pub struct ExploreLimits {
     /// far) fewer states. On by default; `false` is the exhaustive
     /// escape hatch.
     pub por: bool,
-    /// Sleep sets on top of persistent sets (sequential DFS only; the
-    /// work-stealing explorer ignores this switch because sleep sets
-    /// are traversal-order-dependent). Prunes commuting siblings the
-    /// DFS already explores on a brother branch. Only meaningful with
+    /// Sleep sets on top of persistent sets. Prunes commuting siblings
+    /// the DFS already explores on a brother branch, so which states it
+    /// visits depends on the depth-first order. Only meaningful with
     /// `por`.
     pub sleep_sets: bool,
 }
@@ -70,8 +75,9 @@ impl ExploreLimits {
         }
     }
 
-    /// These limits with persistent sets only (the deterministic
-    /// reduction shared by the sequential and parallel engines).
+    /// These limits with persistent sets only: the reduction whose
+    /// state set is a function of the program alone, not of the
+    /// traversal order (the service's `explore` mode).
     pub fn persistent_only(self) -> ExploreLimits {
         ExploreLimits {
             por: true,
@@ -373,7 +379,18 @@ mod tests {
         let r = explore_with(&p, &[], lim(), &|| true);
         assert!(r.cancelled);
         assert!(r.truncated);
-        assert!(r.states <= super::CANCEL_POLL_STATES);
+        assert!(r.states <= CANCEL_POLL_STATES);
+
+        // The hook is polled once per quantum, so k false polls license
+        // at most k quanta of expanded states.
+        let polls = std::cell::Cell::new(0);
+        let stop = || {
+            polls.set(polls.get() + 1);
+            polls.get() > 8
+        };
+        let r = explore_with(&p, &[], lim(), &stop);
+        assert!(r.cancelled);
+        assert!(r.states <= 8 * CANCEL_POLL_STATES, "{} states", r.states);
     }
 
     /// Projects a report onto the mode-independent verdict: POR changes

@@ -512,11 +512,12 @@ impl FootprintTable {
     /// *ignoring problem*: around a state-graph cycle the reducer can
     /// pick the same starvation-free singleton forever (`while 1 = 1 do
     /// skip` beside a faulting sibling), so a transition enabled at
-    /// every state of the cycle is never explored. The fix must be a
-    /// pure function of the state — both engines share it, and the
-    /// work-stealing explorer cannot consult a DFS stack or a racy
-    /// visited set without losing its deterministic merge — so the
-    /// proviso is static, in the spirit of SPIN's safe-transition rule:
+    /// every state of the cycle is never explored. The fix is a pure
+    /// function of the state, so the persistent-only state set — the
+    /// `states` count the service replies with, journals and compares
+    /// across cluster peers — does not depend on the traversal order (a
+    /// DFS-stack proviso would make it so). The proviso is therefore
+    /// static, in the spirit of SPIN's safe-transition rule:
     /// a process whose next step is a loop-guard re-test
     /// ([`Machine::at_loop_head`], the machine's only back edge) is
     /// never the singleton — unless the loop carries a monotone-progress

@@ -14,9 +14,8 @@
 //!   loop;
 //! - [`trace`] — recorded executions and deterministic replay;
 //! - [`explore`](mod@explore) — exhaustive bounded interleaving enumeration with state
-//!   memoization (possibilistic outcome sets, deadlock detection);
-//! - [`pexplore`](mod@pexplore) — the same search on N work-stealing
-//!   workers with a sharded visited set and commutative result merging;
+//!   memoization (possibilistic outcome sets, deadlock detection), one
+//!   sequential depth-first search per question;
 //! - [`hash`] — the word-at-a-time hash every state search keys on;
 //! - [`monitor`] — a classic purely-dynamic taint monitor, kept as a
 //!   comparator whose blind spots (untaken branches, synchronization)
@@ -46,7 +45,6 @@ pub mod hash;
 pub mod machine;
 pub mod monitor;
 pub mod nitest;
-pub mod pexplore;
 pub mod rng;
 pub mod sched;
 pub mod trace;
@@ -58,9 +56,6 @@ pub use machine::{eval, Action, Fault, Machine, ProcId, Status};
 pub use monitor::TaintMonitor;
 pub use nitest::{
     check_binary_secret, check_noninterference, observe, NiReport, Observation, Witness,
-};
-pub use pexplore::{
-    parallel_search, pexplore, pexplore_with, Expansion, SearchOutcome, ShardedSet,
 };
 pub use rng::SplitMix64;
 pub use sched::{run, RandomSched, RoundRobin, RunOutcome, Scheduler};

@@ -58,9 +58,6 @@ pub struct Metrics {
     pub timeouts: AtomicU64,
     /// Analysis passes that panicked and were degraded to `SF000`.
     pub pass_panics: AtomicU64,
-    /// Requests whose `threads` field exceeded the server cap and was
-    /// clamped down.
-    pub threads_clamped: AtomicU64,
     /// Abstract states visited by (non-cached) `explore` requests.
     pub explore_states: AtomicU64,
     /// States skipped by partial-order reduction in (non-cached)
@@ -200,7 +197,6 @@ impl Metrics {
             ("panics".to_string(), n(&self.panics)),
             ("timeouts".to_string(), n(&self.timeouts)),
             ("pass_panics".to_string(), n(&self.pass_panics)),
-            ("threads_clamped".to_string(), n(&self.threads_clamped)),
             ("explore_states".to_string(), n(&self.explore_states)),
             ("explore_states_pruned".to_string(), n(&self.explore_pruned)),
             (
@@ -312,7 +308,6 @@ mod tests {
             "panics",
             "timeouts",
             "pass_panics",
-            "threads_clamped",
             "explore_states",
             "explore_states_pruned",
             "explore_reduction_ratio",

@@ -9,7 +9,7 @@
 //! {"id":2,"op":"infer","source":"…","pins":{"x":"high"}}
 //! {"id":3,"op":"flows","source":"…","dot":true}
 //! {"id":4,"op":"lint","source":"…"}
-//! {"id":5,"op":"explore","source":"…","inputs":{"x":1},"max_states":100000,"threads":4}
+//! {"id":5,"op":"explore","source":"…","inputs":{"x":1},"max_states":100000}
 //! {"id":6,"op":"checkproof","source":"…","cert":"{…}"}
 //! {"id":7,"op":"stats"}
 //! {"id":8,"op":"shutdown"}
@@ -186,9 +186,6 @@ pub struct Request {
     /// `"por":false` for the full interleaving search). Part of the
     /// cache key: the reply's `states` count depends on it.
     pub por: bool,
-    /// Worker threads for `explore`/`lint` state-space search (clamped
-    /// by the server; the reply reports the effective count).
-    pub threads: Option<u64>,
     /// How many times this request has been forwarded between nodes
     /// (`forward` only; the anti-loop guard). Default 0.
     pub hops: u64,
@@ -310,7 +307,6 @@ impl Request {
         let fuel = uint("fuel")?;
         let timeout_ms = uint("timeout_ms")?;
         let max_states = uint("max_states")?;
-        let threads = uint("threads")?;
         let hops = uint("hops")?.unwrap_or(0);
         let req = match value.get("req") {
             None => None,
@@ -376,7 +372,6 @@ impl Request {
             inputs,
             max_states,
             por,
-            threads,
             hops,
             req,
             cursor,
@@ -404,7 +399,6 @@ impl Request {
             inputs: Vec::new(),
             max_states: None,
             por: true,
-            threads: None,
             hops: 0,
             req: None,
             cursor: None,
@@ -475,9 +469,6 @@ impl Request {
         }
         if !self.por {
             fields.push(("por".to_string(), Json::Bool(false)));
-        }
-        if let Some(n) = self.threads {
-            fields.push(("threads".to_string(), Json::Num(n as f64)));
         }
         if self.hops != 0 {
             fields.push(("hops".to_string(), Json::Num(self.hops as f64)));
@@ -654,13 +645,12 @@ mod tests {
     fn parses_timeout_and_explore_fields() {
         let r = Request::parse(
             r#"{"op":"explore","source":"var x : integer; x := 0",
-               "inputs":{"x":-3,"a":7},"max_states":500,"timeout_ms":250,"threads":4}"#,
+               "inputs":{"x":-3,"a":7},"max_states":500,"timeout_ms":250}"#,
         )
         .unwrap();
         assert_eq!(r.op, Op::Explore);
         assert_eq!(r.timeout_ms, Some(250));
         assert_eq!(r.max_states, Some(500));
-        assert_eq!(r.threads, Some(4));
         // Sorted by name for canonical fingerprinting.
         assert_eq!(r.inputs, vec![("a".to_string(), 7), ("x".to_string(), -3)]);
         assert!(Request::parse(r#"{"op":"certify","source":"x","timeout_ms":-1}"#).is_err());
@@ -680,7 +670,6 @@ mod tests {
         let mut explore = Request::new(Op::Explore, "var x : integer; x := 0");
         explore.inputs = vec![("x".to_string(), -3)];
         explore.max_states = Some(500);
-        explore.threads = Some(4);
         assert_eq!(Request::parse(&explore.to_line()).unwrap(), explore);
 
         // `por` defaults to true and only serializes when disabled.

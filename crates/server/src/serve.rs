@@ -251,14 +251,14 @@ pub(crate) fn dispatch<R: ReplySink, F: Faults>(
             // no handoff. A with-proof hit is not: its certificate is
             // ~140x its source, too much to copy on a thread shared by
             // every connection.
-            // A miss hands its lookup to the job, so the key is built
+            // A miss hands its key to the job, so the key is built
             // once.
             let probe = (inject_latency.is_none() && !inject_panic && !req.with_proof)
                 .then(|| service.cached_reply(&req))
                 .flatten();
             let miss = match probe {
                 Some(Ok(line)) => return Dispatched::Inline(line),
-                Some(Err(lookup)) => Some(lookup),
+                Some(Err(key)) => Some(key),
                 None => None,
             };
             let id = req.id.clone();
@@ -280,7 +280,7 @@ pub(crate) fn dispatch<R: ReplySink, F: Faults>(
                     panic!("chaos: injected worker panic");
                 }
                 let line = match miss {
-                    Some(lookup) => service_job.execute_miss(&req, lookup, &token),
+                    Some(key) => service_job.execute_miss(&req, key, &token),
                     None => service_job.execute_with_cancel(&req, &token),
                 };
                 guard.send(line);

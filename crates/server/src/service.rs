@@ -17,7 +17,7 @@ use secflow_analyze::AnalysisReport;
 use secflow_cert::{parse_lattice_spec, validate_certificate, verdict_fields};
 use secflow_lang::span::LineIndex;
 use secflow_lang::{parse, Program, Severity};
-use secflow_runtime::{explore_with, pexplore_with, ExploreLimits};
+use secflow_runtime::{explore_with, ExploreLimits};
 
 use crate::cache::{CacheKey, CachedResult, ResultCache};
 use crate::deadline::CancelToken;
@@ -48,9 +48,6 @@ pub struct Limits {
     /// Hard cap on `explore` abstract states; a request's own
     /// `max_states` can only lower it.
     pub max_explore_states: usize,
-    /// Hard cap on `threads` for `explore`/`lint` state-space search; a
-    /// larger request is clamped (not rejected).
-    pub max_threads: usize,
 }
 
 impl Default for Limits {
@@ -61,7 +58,6 @@ impl Default for Limits {
             default_timeout_ms: 30_000,
             max_timeout_ms: 300_000,
             max_explore_states: 1_000_000,
-            max_threads: 8,
         }
     }
 }
@@ -92,19 +88,6 @@ impl Limits {
             requested
         } else {
             requested.min(self.max_timeout_ms)
-        }
-    }
-
-    /// Effective worker-thread count for `req`: the request's `threads`
-    /// (default 1, and 0 means 1), clamped by `max_threads`. The second
-    /// component reports whether clamping actually lowered the request.
-    pub fn effective_threads(&self, req: &Request) -> (usize, bool) {
-        let requested = req.threads.unwrap_or(1).max(1);
-        let cap = self.max_threads.max(1) as u64;
-        if requested > cap {
-            (cap as usize, true)
-        } else {
-            (requested as usize, false)
         }
     }
 }
@@ -233,21 +216,6 @@ enum FlightRole<'a> {
 /// Either response fields to report, or a categorized failure.
 type Outcome = Result<Vec<(String, Json)>, (ErrorKind, String)>;
 
-/// What a program-op request asks of the cache: its key, the budgets it
-/// runs under, and the per-response fields kept out of the payload.
-pub(crate) struct Lookup {
-    key: CacheKey,
-    fuel: u64,
-    threads: usize,
-    /// `threads` above the cap was lowered (counted as
-    /// `threads_clamped`).
-    clamped: bool,
-    /// `threads` is echoed per-response (like `cached`/`us`), never
-    /// spliced into the cached payload: a parallel request and a
-    /// sequential one share a cache entry.
-    extra: Vec<(String, Json)>,
-}
-
 impl Service {
     /// A service with a result cache of `cache_capacity` entries.
     pub fn new(cache_capacity: usize, limits: Limits) -> Service {
@@ -370,7 +338,7 @@ impl Service {
             Op::Replicate => self.replicate_op(req),
             Op::Repair => self.repair_op(req),
             // The rest are the program ops (`Op::is_program`).
-            _ => self.compute_cached(req, self.lookup(req), start, token, 0),
+            _ => self.compute_cached(req, cache_key(req, &self.limits), start, token, 0),
         };
         self.metrics.record_latency(start.elapsed());
         line
@@ -498,7 +466,13 @@ impl Service {
             )
             .into_line();
         }
-        self.compute_cached(&inner, self.lookup(&inner), start, token, req.hops)
+        self.compute_cached(
+            &inner,
+            cache_key(&inner, &self.limits),
+            start,
+            token,
+            req.hops,
+        )
     }
 
     /// The `peer-sync` op: one page of the cache as journal record
@@ -731,75 +705,45 @@ impl Service {
     /// Answers a program-op request from the cache alone, on the
     /// calling thread. `Ok` is a hit's reply line, counted and timed
     /// exactly as a worker would count and time it. `Err` is a miss,
-    /// which counts nothing and hands back its lookup for
+    /// which counts nothing and hands back its key for
     /// [`execute_miss`](Self::execute_miss), so the key (a copy and hash
     /// of the whole request) is built once. `None` for a request that is
     /// not a program op.
-    pub(crate) fn cached_reply(&self, req: &Request) -> Option<Result<String, Lookup>> {
+    pub(crate) fn cached_reply(&self, req: &Request) -> Option<Result<String, CacheKey>> {
         let start = Instant::now();
         if !req.op.is_program() {
             return None;
         }
-        let lookup = self.lookup(req);
-        let Some(line) = self.reply_from_cache(req, &lookup, start) else {
-            return Some(Err(lookup));
+        let key = cache_key(req, &self.limits);
+        let Some(line) = self.reply_from_cache(req, &key, start) else {
+            return Some(Err(key));
         };
-        self.count_op(req, &lookup);
+        self.count_op(req);
         self.metrics.record_latency(start.elapsed());
         Some(Ok(line))
     }
 
     /// Executes a program-op request under `token` after its
     /// [`cached_reply`](Self::cached_reply) probe missed, reusing that
-    /// probe's lookup (the caller counted the request).
-    pub(crate) fn execute_miss(
-        &self,
-        req: &Request,
-        lookup: Lookup,
-        token: &CancelToken,
-    ) -> String {
+    /// probe's key (the caller counted the request).
+    pub(crate) fn execute_miss(&self, req: &Request, key: CacheKey, token: &CancelToken) -> String {
         let start = Instant::now();
-        let line = self.compute_cached(req, lookup, start, token, 0);
+        let line = self.compute_cached(req, key, start, token, 0);
         self.metrics.record_latency(start.elapsed());
         line
     }
 
-    fn lookup(&self, req: &Request) -> Lookup {
-        let fuel = self.limits.effective_fuel(req);
-        let (threads, clamped) = self.limits.effective_threads(req);
-        let extra = if matches!(req.op, Op::Explore | Op::Lint) && req.threads.is_some() {
-            vec![("threads".to_string(), Json::Num(threads as f64))]
-        } else {
-            Vec::new()
-        };
-        // `timeout_ms` is deliberately NOT part of the key: the
-        // computation it names is identical, and a slow request should
-        // be able to hit a result cached by a patient one. `threads`
-        // is excluded for the same reason — the parallel search merges
-        // commutatively, so the answer is thread-count-independent.
-        Lookup {
-            key: cache_key(req, &self.limits),
-            fuel,
-            threads,
-            clamped,
-            extra,
-        }
-    }
-
     /// Counts one program-op request, once, whichever path answers it.
-    fn count_op(&self, req: &Request, lookup: &Lookup) {
+    fn count_op(&self, req: &Request) {
         if let Some(counter) = self.op_counter(req.op) {
             Metrics::bump(counter);
-        }
-        if lookup.clamped && matches!(req.op, Op::Explore | Op::Lint) {
-            Metrics::bump(&self.metrics.threads_clamped);
         }
     }
 
     /// The hit branch shared by the worker path and the inline path:
     /// probes the cache and, on a hit, counts it and renders the reply.
-    fn reply_from_cache(&self, req: &Request, lookup: &Lookup, start: Instant) -> Option<String> {
-        let hit = self.cache.lock().ok()?.get(&lookup.key)?;
+    fn reply_from_cache(&self, req: &Request, key: &CacheKey, start: Instant) -> Option<String> {
+        let hit = self.cache.lock().ok()?.get(key)?;
         Metrics::bump(&self.metrics.cache_hits);
         if req.op == Op::Checkproof {
             // The key is dominated by the certificate text, so this is
@@ -809,32 +753,25 @@ impl Service {
         if !hit.ok {
             Metrics::bump(&self.metrics.errors);
         }
-        Some(finish_line(req, &hit, true, start, &lookup.extra))
+        Some(finish_line(req, &hit, true, start))
     }
 
     fn compute_cached(
         &self,
         req: &Request,
-        lookup: Lookup,
+        key: CacheKey,
         start: Instant,
         token: &CancelToken,
         hops: u64,
     ) -> String {
-        self.count_op(req, &lookup);
-        let Lookup {
-            key,
-            fuel,
-            threads,
-            extra,
-            ..
-        } = &lookup;
+        self.count_op(req);
         let mut guard = loop {
-            if let Some(line) = self.reply_from_cache(req, &lookup, start) {
+            if let Some(line) = self.reply_from_cache(req, &key, start) {
                 return line;
             }
             // Single flight: if an identical computation is already in
             // progress, wait for its result instead of recomputing.
-            match self.join_flight(key) {
+            match self.join_flight(&key) {
                 FlightRole::Leader(guard) => break guard,
                 FlightRole::Waiter(flight) => match flight.wait(token) {
                     FlightWait::Published(result) => {
@@ -848,7 +785,7 @@ impl Service {
                         // Reported as `cached`: from this request's
                         // point of view the answer came from shared
                         // state, not its own computation.
-                        return finish_line(req, &result, true, start, extra);
+                        return finish_line(req, &result, true, start);
                     }
                     // The leader had nothing shareable (timeout or
                     // panic): go around again — the cache may have been
@@ -868,7 +805,7 @@ impl Service {
                                 ]),
                             )],
                         };
-                        return finish_line(req, &result, false, start, extra);
+                        return finish_line(req, &result, false, start);
                     }
                 },
             }
@@ -879,11 +816,11 @@ impl Service {
         // request into one computation cluster-wide. Falls through to
         // local computation when the cluster is unreachable, so a dead
         // owner costs latency, never availability.
-        if let Some(line) = self.forward_to_owner(req, key, hops, &mut guard) {
+        if let Some(line) = self.forward_to_owner(req, &key, hops, &mut guard) {
             return line;
         }
-        let result = self.lead(req, key, *fuel, *threads, token, guard);
-        finish_line(req, &result, false, start, extra)
+        let result = self.lead(req, &key, token, guard);
+        finish_line(req, &result, false, start)
     }
 
     /// The leader's half of a miss: compute `req` locally, then cache
@@ -893,14 +830,12 @@ impl Service {
         &self,
         req: &Request,
         key: &CacheKey,
-        effective_fuel: u64,
-        threads: usize,
         token: &CancelToken,
         mut guard: Option<FlightGuard<'_>>,
     ) -> CachedResult {
         Metrics::bump(&self.metrics.cache_misses);
 
-        let outcome = self.compute(req, effective_fuel, threads, token);
+        let outcome = self.compute(req, token);
         let timed_out = matches!(outcome, Err((ErrorKind::Timeout, _)));
         let result = match outcome {
             Ok(fields) => CachedResult { ok: true, fields },
@@ -1054,13 +989,7 @@ impl Service {
         )
     }
 
-    fn compute(
-        &self,
-        req: &Request,
-        effective_fuel: u64,
-        threads: usize,
-        token: &CancelToken,
-    ) -> Outcome {
+    fn compute(&self, req: &Request, token: &CancelToken) -> Outcome {
         if req.source.len() > self.limits.max_source_bytes {
             return Err((
                 ErrorKind::Fuel,
@@ -1081,6 +1010,7 @@ impl Service {
             return Err(self.timeout_error(req));
         }
         let statements = program.statement_count() as u64;
+        let effective_fuel = self.limits.effective_fuel(req);
         if statements > effective_fuel {
             return Err((
                 ErrorKind::Fuel,
@@ -1108,7 +1038,7 @@ impl Service {
                 Json::Str(ops::flows(req, &program)?),
             )]),
             Op::Lint => {
-                let report = secflow_analyze::analyze_threads(&program, threads, &stop);
+                let report = secflow_analyze::analyze_with(&program, &stop);
                 if report.cancelled {
                     return Err(self.timeout_error(req));
                 }
@@ -1119,7 +1049,7 @@ impl Service {
                 }
                 Ok(lint_fields(&report, &req.source))
             }
-            Op::Explore => self.explore(req, &program, threads, &stop),
+            Op::Explore => self.explore(req, &program, &stop),
             Op::Checkproof => {
                 // The validator never re-runs Theorem 1 search: it
                 // decodes the certificate and replays the checker's side
@@ -1143,15 +1073,8 @@ impl Service {
     }
 
     /// The `explore` op: exhaustive interleaving exploration under the
-    /// request's (capped) state budget and deadline, on `threads`
-    /// work-stealing workers (1 = the sequential explorer).
-    fn explore(
-        &self,
-        req: &Request,
-        program: &Program,
-        threads: usize,
-        should_stop: &(dyn Fn() -> bool + Sync),
-    ) -> Outcome {
+    /// request's (capped) state budget and deadline.
+    fn explore(&self, req: &Request, program: &Program, should_stop: &dyn Fn() -> bool) -> Outcome {
         let mut inputs = Vec::new();
         for (name, value) in &req.inputs {
             let id = program
@@ -1164,21 +1087,17 @@ impl Service {
             max_states: self.limits.effective_max_states(req.max_states),
             ..ExploreLimits::default()
         };
-        // Persistent-set-only reduction on both engines: the parallel
-        // explorer cannot use sleep sets (they are traversal-order
-        // dependent), and the cached payload must not depend on the
-        // requested thread count, so the sequential path matches it.
+        // Persistent sets without sleep sets: the reply's `states` is
+        // then a function of the program alone, not of the depth-first
+        // order, and it is the count that journals, cluster peers and
+        // the benchmark's committed table already hold.
         let limits = if req.por {
             base.persistent_only()
         } else {
             base.without_por()
         };
         let begin = Instant::now();
-        let report = if threads > 1 {
-            pexplore_with(program, &inputs, limits, threads, should_stop)
-        } else {
-            explore_with(program, &inputs, limits, should_stop)
-        };
+        let report = explore_with(program, &inputs, limits, should_stop);
         self.metrics
             .explore_states
             .fetch_add(report.states as u64, Relaxed);
@@ -1223,7 +1142,7 @@ pub fn route_fingerprint(req: &Request) -> u64 {
 /// inner-shaped response (its `op` echoes the forwarded op), `None`
 /// when the peer answered about the forward itself (a rejection).
 /// The payload is the reply minus the per-response envelope
-/// (`id`/`ok`/`op`/`cached`/`us`/`threads`) — exactly what the local
+/// (`id`/`ok`/`op`/`cached`/`us`) — exactly what the local
 /// cache stores, so a later hit replays it byte-identically.
 fn relayed_result(reply: &str, req: &Request) -> Option<(CachedResult, bool)> {
     let v = Json::parse(reply).ok()?;
@@ -1235,7 +1154,7 @@ fn relayed_result(reply: &str, req: &Request) -> Option<(CachedResult, bool)> {
     let fields: Vec<(String, Json)> = v
         .as_obj()?
         .iter()
-        .filter(|(k, _)| !matches!(k.as_str(), "id" | "ok" | "op" | "cached" | "us" | "threads"))
+        .filter(|(k, _)| !matches!(k.as_str(), "id" | "ok" | "op" | "cached" | "us"))
         .cloned()
         .collect();
     Some((CachedResult { ok, fields }, cached))
@@ -1251,6 +1170,9 @@ fn is_timeout(result: &CachedResult) -> bool {
             .any(|(k, v)| k == "error" && v.get("kind").and_then(Json::as_str) == Some("timeout"))
 }
 
+/// `req`'s cache key under `limits`. `timeout_ms` is deliberately NOT
+/// part of it: the computation it names is identical, and a slow
+/// request should be able to hit a result cached by a patient one.
 fn cache_key(req: &Request, limits: &Limits) -> CacheKey {
     // A lattice or class spelling that parses is keyed in its canonical
     // form, so `linear:04` and `linear:4`, or `HIGH`, `h` and `high`,
@@ -1315,16 +1237,9 @@ fn cache_key(req: &Request, limits: &Limits) -> CacheKey {
     ])
 }
 
-/// Renders the final response line. `extra` carries per-response fields
-/// (like the effective `threads`) that must not live in the cached
-/// payload — they are appended next to `cached`/`us` on every reply.
-fn finish_line(
-    req: &Request,
-    result: &CachedResult,
-    cached: bool,
-    start: Instant,
-    extra: &[(String, Json)],
-) -> String {
+/// Renders the final response line: the result's fields, then the
+/// per-response `cached` and `us`.
+fn finish_line(req: &Request, result: &CachedResult, cached: bool, start: Instant) -> String {
     let base = if result.ok {
         Response::ok(req.id.as_ref(), req.op)
     } else {
@@ -1338,7 +1253,6 @@ fn finish_line(
             fields
                 .into_iter()
                 .chain(result.fields.iter().cloned())
-                .chain(extra.iter().cloned())
                 .chain([
                     ("cached".to_string(), Json::Bool(cached)),
                     elapsed_field(start),
@@ -1348,7 +1262,6 @@ fn finish_line(
         .to_string();
     };
     base.fields(&result.fields)
-        .fields(extra)
         .field("cached", Json::Bool(cached))
         .fields(&[elapsed_field(start)])
         .into_line()
@@ -1732,60 +1645,36 @@ mod tests {
         assert_eq!(v3.get("truncated").and_then(Json::as_bool), Some(true));
     }
 
-    #[test]
-    fn threads_above_the_cap_are_clamped_not_rejected() {
-        let s = Service::new(
-            64,
-            Limits {
-                max_threads: 2,
-                ..Limits::default()
-            },
-        );
-        let req = format!(
-            r#"{{"op":"explore","source":{},"inputs":{{"x":1}},"threads":64}}"#,
-            Json::Str(LEAKY.to_string())
-        );
-        let v = Json::parse(&s.handle_line(&req)).unwrap();
-        assert_eq!(v.get("ok").and_then(Json::as_bool), Some(true));
-        // The reply reflects the effective (clamped) thread count.
-        assert_eq!(v.get("threads").and_then(Json::as_u64), Some(2));
-        assert!(v.get("deadlocks").and_then(Json::as_u64).unwrap() >= 1);
-        assert_eq!(s.metrics.threads_clamped.load(Relaxed), 1);
-
-        // Within the cap: no clamp, echoed verbatim.
-        let modest = format!(
-            r#"{{"op":"explore","source":{},"inputs":{{"x":1}},"threads":2}}"#,
-            Json::Str(LEAKY.to_string())
-        );
-        let v2 = Json::parse(&s.handle_line(&modest)).unwrap();
-        assert_eq!(v2.get("threads").and_then(Json::as_u64), Some(2));
-        assert_eq!(s.metrics.threads_clamped.load(Relaxed), 1);
+    /// `threads` is an unknown field like any other: an `op` request
+    /// carrying it is answered byte for byte (outside `us`) as it is
+    /// without one, from the same cache entry.
+    fn assert_threads_field_is_ignored(op: &str, fields: &str) {
+        let without_us = |line: String| match Json::parse(&line) {
+            Ok(Json::Obj(fields)) => {
+                Json::Obj(fields.into_iter().filter(|(k, _)| k != "us").collect()).to_string()
+            }
+            other => panic!("reply is not an object: {other:?}"),
+        };
+        let source = Json::Str(LEAKY.to_string());
+        let plain = format!(r#"{{"id":7,"op":"{op}","source":{source}{fields}}}"#);
+        let threaded =
+            format!("{{\"id\":7,\"op\":\"{op}\",\"source\":{source}{fields},\"threads\":4}}");
+        let (s, reference) = (svc(), svc());
+        let replies = [&threaded, &plain, &threaded].map(|l| without_us(s.handle_line(l)));
+        let expected = [&plain, &plain, &plain].map(|l| without_us(reference.handle_line(l)));
+        assert_eq!(replies, expected, "{op}");
+        assert_eq!(s.metrics.cache_misses.load(Relaxed), 1, "{op}");
+        assert_eq!(s.metrics.cache_hits.load(Relaxed), 2, "{op}");
     }
 
     #[test]
     fn parallel_and_sequential_explores_share_a_cache_entry() {
-        let s = svc();
-        let parallel = format!(
-            r#"{{"op":"explore","source":{},"inputs":{{"x":1}},"threads":4}}"#,
-            Json::Str(LEAKY.to_string())
-        );
-        let v = Json::parse(&s.handle_line(&parallel)).unwrap();
-        assert_eq!(v.get("cached").and_then(Json::as_bool), Some(false));
-        let states = v.get("states").and_then(Json::as_u64).unwrap();
+        assert_threads_field_is_ignored("explore", r#","inputs":{"x":1}"#);
+    }
 
-        // The equivalent sequential request has the same content
-        // address: it must hit the entry the parallel run populated.
-        let sequential = format!(
-            r#"{{"op":"explore","source":{},"inputs":{{"x":1}}}}"#,
-            Json::Str(LEAKY.to_string())
-        );
-        let v2 = Json::parse(&s.handle_line(&sequential)).unwrap();
-        assert_eq!(v2.get("cached").and_then(Json::as_bool), Some(true));
-        assert_eq!(v2.get("states").and_then(Json::as_u64), Some(states));
-        // No `threads` on the request — none echoed back.
-        assert!(v2.get("threads").is_none());
-        assert_eq!(s.metrics.cache_hits.load(Relaxed), 1);
-        assert_eq!(s.metrics.threads_clamped.load(Relaxed), 0);
+    #[test]
+    fn parallel_lint_matches_sequential_lint() {
+        assert_threads_field_is_ignored("lint", "");
     }
 
     #[test]
@@ -1852,26 +1741,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_lint_matches_sequential_lint() {
-        let s = svc();
-        let seq = format!(
-            r#"{{"op":"lint","source":{}}}"#,
-            Json::Str(LEAKY.to_string())
-        );
-        let par = format!(
-            r#"{{"op":"lint","source":{},"threads":4}}"#,
-            Json::Str(LEAKY.to_string())
-        );
-        let v = Json::parse(&s.handle_line(&seq)).unwrap();
-        // Same content address: the parallel request is a cache hit,
-        // and its diagnostics are the sequential ones.
-        let v2 = Json::parse(&s.handle_line(&par)).unwrap();
-        assert_eq!(v2.get("cached").and_then(Json::as_bool), Some(true));
-        assert_eq!(v2.get("threads").and_then(Json::as_u64), Some(4));
-        assert_eq!(v2.get("diagnostics"), v.get("diagnostics"));
-    }
-
-    #[test]
     fn explore_throughput_lands_in_stats() {
         let s = svc();
         let req = format!(
@@ -1881,7 +1750,6 @@ mod tests {
         s.handle_line(&req);
         let v = Json::parse(&s.handle_line(r#"{"op":"stats"}"#)).unwrap();
         assert!(v.get("explore_states").and_then(Json::as_u64).unwrap() >= 1);
-        assert!(v.get("threads_clamped").and_then(Json::as_u64).is_some());
         let rate = match v.get("explore_states_per_sec") {
             Some(Json::Num(n)) => *n,
             other => panic!("explore_states_per_sec missing: {other:?}"),
@@ -2154,8 +2022,6 @@ mod tests {
     /// first, then the waiters'.
     fn stampede(s: &Arc<Service>, line: &str, k: usize) -> Vec<String> {
         let req = Request::parse(line).unwrap();
-        let fuel = s.limits.effective_fuel(&req);
-        let (threads, _) = s.limits.effective_threads(&req);
         let key = cache_key(&req, &s.limits);
         let FlightRole::Leader(Some(guard)) = s.join_flight(&key) else {
             panic!("the flight table is empty and healthy");
@@ -2173,8 +2039,8 @@ mod tests {
             std::thread::yield_now();
         }
         let (start, token) = (Instant::now(), s.cancel_token(&req));
-        let result = s.lead(&req, &key, fuel, threads, &token, Some(guard));
-        let mut lines = vec![finish_line(&req, &result, false, start, &[])];
+        let result = s.lead(&req, &key, &token, Some(guard));
+        let mut lines = vec![finish_line(&req, &result, false, start)];
         for w in waiters {
             lines.push(w.join().unwrap());
         }
@@ -2595,8 +2461,6 @@ mod tests {
 
         let request = line(LEAKY, r#"{}"#);
         let req = Request::parse(&request).unwrap();
-        let fuel = s.limits.effective_fuel(&req);
-        let (threads, _) = s.limits.effective_threads(&req);
         let key = cache_key(&req, &s.limits);
         let (tx, rx) = std::sync::mpsc::channel();
         std::thread::scope(|scope| {
@@ -2611,7 +2475,7 @@ mod tests {
             }
             let leader = scope.spawn(|| {
                 let token = s.cancel_token(&req);
-                s.lead(&req, &key, fuel, threads, &token, Some(guard))
+                s.lead(&req, &key, &token, Some(guard))
             });
 
             // The leader's push is connected and unanswered from here on.

@@ -544,9 +544,8 @@ fn stats_cannot_tell_an_inline_hit_from_a_pooled_one() {
             Json::Str(clean.to_string()),
             Json::Str(certificate)
         ),
-        // Far above `max_threads`: clamped, and the clamp is echoed.
         format!(
-            r#"{{"id":4,"op":"explore","source":{},"inputs":{{"x":1}},"threads":64}}"#,
+            r#"{{"id":4,"op":"explore","source":{},"inputs":{{"x":1}}}}"#,
             Json::Str(leaky.to_string())
         ),
     ];
@@ -590,7 +589,6 @@ fn stats_cannot_tell_an_inline_hit_from_a_pooled_one() {
         &["cache_hits"],
         &["cache_misses"],
         &["errors"],
-        &["threads_clamped"],
         &["cert", "cache_hits_by_digest"],
     ] {
         assert_eq!(
