@@ -17,8 +17,10 @@
 //! with `--lattice linear:n`.
 
 use std::collections::BTreeMap;
+use std::io::{self, Write};
 use std::path::PathBuf;
 use std::process::ExitCode;
+use std::sync::OnceLock;
 
 use secflow_analyze::AnalysisReport;
 use secflow_cert::{validate_certificate, verdict_fields, Json};
@@ -59,10 +61,9 @@ USAGE:
                   [--write-high-water BYTES] [--idle-timeout-ms N]
                   [--stall-timeout-ms N] (no --addr: serve stdin/stdout)
                   [--sync-from HOST:PORT] [--peers a,b,c --advertise
-                  HOST:PORT [--max-hops N] [--peer-timeout-ms N]
-                  [--replication N]]
-  secflow router  --addr HOST:PORT --peers a,b,c [--max-hops N]
-                  [--peer-timeout-ms N] [serve tuning flags]
+                  HOST:PORT [--peer-timeout-ms N] [--replication N]]
+  secflow router  --addr HOST:PORT --peers a,b,c [--peer-timeout-ms N]
+                  [serve tuning flags]
   secflow cluster-status --peers a,b,c [--peer-timeout-ms N] [--json]
   secflow repair  --peers a,b,c [--peer-timeout-ms N] [--json]
   secflow cache-inspect <dir> [--json]
@@ -80,7 +81,9 @@ EXIT CODES:
   1  analysis failure: parse error, REJECTED certification or proof,
      interference witness, or error-severity lint diagnostics
   2  usage error (unknown command, unknown or bad flag, unreadable
-     file, ...)
+     file, unwritable stdout, ...)
+A reader that closes stdout early (`secflow gen … | head -1`) ends the
+output; the exit code is still the command's own.
 
 `serve` speaks a JSON-lines protocol; see DESIGN.md (Serving) for the
 request/response format. `lint` runs the secflow-analyze passes and
@@ -100,19 +103,20 @@ offline (reporting which entries carry proof certificates) and exits 1
 if any frame is corrupt. `certify --emit-proof` writes a verifiable
 wire certificate (DESIGN.md §11); `checkproof` validates one.
 `serve --peers` shards the cache across a static member list by
-consistent hashing on the request fingerprint (DESIGN.md §14): a node
-that does not own a request forwards it to the owner, so every distinct
-computation happens exactly once cluster-wide, and `--sync-from`
-warm-starts a cold node by shipping a peer's journal over `peer-sync`.
-`router` is a shard-aware stateless front door over the same ring;
+rendezvous hashing on the request fingerprint (DESIGN.md §14): a node
+that does not own a request relays it to the owner, with a hop count
+that stops routing loops, so every distinct computation happens
+exactly once cluster-wide, and `--sync-from` warm-starts a cold node
+by shipping a peer's journal over `peer-sync`. `router` is a
+shard-aware stateless front door over the same ownership map;
 `cluster-status` polls each member's `stats` and tabulates the cluster
 counters, per-node health and shard digests. `serve --replication N`
-pushes every freshly computed result to the N-1 ring successors of its
-owner; a push owed to a DOWN replica is skipped, and when a probe
-readmits that replica the primary asks it to `repair` from the
-primary. `repair` runs one round of pairwise anti-entropy (digest
-compare + journal pull) across the member list and exits 0 only when
-every shard digest converged.
+pushes every freshly computed result to the next N-1 nodes of its
+owner's preference list; a push owed to a DOWN replica is skipped,
+and when a probe readmits that replica the primary asks it to
+`repair` from the primary. `repair` runs one round of pairwise
+anti-entropy (digest compare + journal pull) across the member list
+and exits 0 only when every shard digest converged.
 ";
 
 /// A CLI failure, split along the exit-code convention: `Usage` exits 2
@@ -146,7 +150,7 @@ impl From<OpError> for CliError {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match dispatch(&args) {
+    let code = match dispatch(&args) {
         Ok(code) => code,
         Err(CliError::Usage(msg)) => {
             eprintln!("error: {msg}");
@@ -156,12 +160,56 @@ fn main() -> ExitCode {
             eprintln!("error: {msg}");
             ExitCode::FAILURE
         }
+    };
+    if STDOUT_ERROR.get().is_none() {
+        if let Err(e) = io::stdout().flush() {
+            let _ = STDOUT_ERROR.set(e);
+        }
     }
+    match STDOUT_ERROR.get() {
+        Some(e) if e.kind() != io::ErrorKind::BrokenPipe => {
+            eprintln!("error: cannot write to stdout: {e}");
+            ExitCode::from(2)
+        }
+        _ => code,
+    }
+}
+
+// ---- output -------------------------------------------------------------
+
+/// The first error writing stdout. After it, output is dropped: a
+/// `BrokenPipe` is a reader that stopped reading, which ends the output
+/// and leaves the exit code alone; any other error is reported at exit.
+static STDOUT_ERROR: OnceLock<io::Error> = OnceLock::new();
+
+/// Every command's stdout goes through here (by [`out!`] and
+/// [`outln!`]) instead of `print!`, which panics on a closed pipe.
+fn write_stdout(args: std::fmt::Arguments) {
+    if STDOUT_ERROR.get().is_some() {
+        return;
+    }
+    if let Err(e) = io::stdout().lock().write_fmt(args) {
+        let _ = STDOUT_ERROR.set(e);
+    }
+}
+
+/// `print!` through [`write_stdout`].
+macro_rules! out {
+    ($($arg:tt)*) => {
+        write_stdout(format_args!($($arg)*))
+    };
+}
+
+/// `println!` through [`write_stdout`].
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        write_stdout(format_args!("{}\n", format_args!($($arg)*)))
+    };
 }
 
 fn dispatch(args: &[String]) -> Result<ExitCode, CliError> {
     let Some(cmd) = args.first() else {
-        print!("{USAGE}");
+        out!("{USAGE}");
         return Ok(ExitCode::from(2));
     };
     let rest = &args[1..];
@@ -185,11 +233,11 @@ fn dispatch(args: &[String]) -> Result<ExitCode, CliError> {
         "batch" => cmd_batch(rest),
         "gen" => cmd_gen(rest),
         "version" | "--version" | "-V" => {
-            println!("secflow {}", env!("CARGO_PKG_VERSION"));
+            outln!("secflow {}", env!("CARGO_PKG_VERSION"));
             Ok(ExitCode::SUCCESS)
         }
         "help" | "--help" | "-h" => {
-            print!("{USAGE}");
+            out!("{USAGE}");
             Ok(ExitCode::SUCCESS)
         }
         other => Err(format!("unknown command `{other}`; try `secflow help`").into()),
@@ -306,7 +354,7 @@ fn program_request(opts: &Opts, op: Op, class_flag: &str) -> Result<(Program, Re
 
 fn print_binding(binding: &[(String, String)]) {
     for (name, class) in binding {
-        println!("{name}: {class}");
+        outln!("{name}: {class}");
     }
 }
 
@@ -347,7 +395,7 @@ fn cmd_certify(args: &[String]) -> Result<ExitCode, CliError> {
         (Some(_), None) => "no certificate: the program was not certified\n".to_string(),
     };
     print_binding(&outcome.binding);
-    print!("{}{note}", outcome.report);
+    out!("{}{note}", outcome.report);
     Ok(exit_code(outcome.certified))
 }
 
@@ -357,11 +405,11 @@ fn cmd_prove(args: &[String]) -> Result<ExitCode, CliError> {
     let (program, req) = program_request(&opts, Op::Certify, "class")?;
     Ok(exit_code(match ops::prove(&req, &program)? {
         Proved::Proof { nodes, text } => {
-            print!("completely invariant flow proof found ({nodes} nodes):\n{text}");
+            out!("completely invariant flow proof found ({nodes} nodes):\n{text}");
             true
         }
         Proved::NoProof(reason) => {
-            println!("no completely invariant proof: {reason}");
+            outln!("no completely invariant proof: {reason}");
             false
         }
     }))
@@ -378,16 +426,19 @@ fn cmd_checkproof(args: &[String]) -> Result<ExitCode, CliError> {
     let verdict = validate_certificate(&source, &cert);
     let valid = verdict.is_ok();
     if opts.has("json") {
-        println!("{}", Json::Obj(verdict_fields(verdict)));
+        outln!("{}", Json::Obj(verdict_fields(verdict)));
     } else {
         match verdict {
-            Ok(summary) => println!(
+            Ok(summary) => outln!(
                 "certificate checks ({} nodes, lattice {})\ndigest sha256:{}",
-                summary.nodes, summary.lattice, summary.digest
+                summary.nodes,
+                summary.lattice,
+                summary.digest
             ),
-            Err(err) => println!(
+            Err(err) => outln!(
                 "certificate REJECTED at stage `{}`: {}",
-                err.stage, err.message
+                err.stage,
+                err.message
             ),
         }
     }
@@ -421,11 +472,11 @@ fn cmd_run(args: &[String]) -> Result<ExitCode, CliError> {
         None => run_traced(&mut machine, &mut RoundRobin::new(), fuel),
     };
     if opts.has("trace") {
-        print!("{}", trace.render(&program));
+        out!("{}", trace.render(&program));
     }
-    println!("outcome: {:?}", trace.outcome);
+    outln!("outcome: {:?}", trace.outcome);
     for (id, info) in program.symbols.iter() {
-        println!("{} = {}", info.name, machine.get(id));
+        outln!("{} = {}", info.name, machine.get(id));
     }
     Ok(exit_code(trace.outcome.terminated()))
 }
@@ -449,12 +500,12 @@ fn cmd_explore(args: &[String]) -> Result<ExitCode, CliError> {
     let token = secflow_server::CancelToken::after_ms(timeout_ms);
     let report = explore_with(&program, &inputs, limits, &|| token.expired());
     if report.cancelled {
-        println!(
+        outln!(
             "TIMEOUT after {timeout_ms} ms: {} states explored (partial results below)",
             report.states
         );
     }
-    println!(
+    outln!(
         "states: {}   pruned: {}   terminal outcomes: {}   deadlocks: {}   faults: {}   truncated: {}",
         report.states,
         report.states_pruned,
@@ -474,10 +525,10 @@ fn cmd_explore(args: &[String]) -> Result<ExitCode, CliError> {
             .zip(store)
             .map(|(n, v)| format!("{n}={v}"))
             .collect();
-        println!("  {}", pairs.join(" "));
+        outln!("  {}", pairs.join(" "));
     }
     if report.outcomes.len() > 20 {
-        println!("  ... {} more", report.outcomes.len() - 20);
+        outln!("  ... {} more", report.outcomes.len() - 20);
     }
     Ok(ExitCode::SUCCESS)
 }
@@ -517,19 +568,19 @@ fn cmd_leaktest(args: &[String]) -> Result<ExitCode, CliError> {
     let variants: Vec<Vec<(VarId, i64)>> = values.iter().map(|v| vec![(secret, *v)]).collect();
     let report = check_noninterference(&program, &variants, &low_vars, ExploreLimits::default());
     if report.truncated {
-        println!("warning: exploration truncated; verdict is a lower bound");
+        outln!("warning: exploration truncated; verdict is a lower bound");
     }
     match report.witness {
         Some(w) => {
-            println!("INTERFERES: secret `{secret_name}` is observable");
-            println!(
+            outln!("INTERFERES: secret `{secret_name}` is observable");
+            outln!(
                 "  {secret_name}={} -> outcomes {:?} deadlock={} fault={}",
                 w.inputs_a[0].1,
                 w.observed_a.low_outcomes,
                 w.observed_a.can_deadlock,
                 w.observed_a.can_fault
             );
-            println!(
+            outln!(
                 "  {secret_name}={} -> outcomes {:?} deadlock={} fault={}",
                 w.inputs_b[0].1,
                 w.observed_b.low_outcomes,
@@ -539,7 +590,7 @@ fn cmd_leaktest(args: &[String]) -> Result<ExitCode, CliError> {
             Ok(ExitCode::FAILURE)
         }
         None => {
-            println!(
+            outln!(
                 "no interference observed across {} secret values",
                 values.len()
             );
@@ -553,12 +604,12 @@ fn cmd_infer(args: &[String]) -> Result<ExitCode, CliError> {
     let (program, req) = program_request(&opts, Op::Infer, "pin")?;
     Ok(exit_code(match ops::infer(&req, &program)? {
         Inferred::Binding(binding) => {
-            println!("least certifying binding:");
+            outln!("least certifying binding:");
             print_binding(&binding);
             true
         }
         Inferred::Conflict { conflict, chain } => {
-            println!("no certifying binding: {conflict}\nflow chain: {chain}");
+            outln!("no certifying binding: {conflict}\nflow chain: {chain}");
             false
         }
     }))
@@ -568,7 +619,7 @@ fn cmd_flows(args: &[String]) -> Result<ExitCode, CliError> {
     let opts = parse_opts(args, &["class", "default", "dot"])?;
     let (program, mut req) = program_request(&opts, Op::Flows, "class")?;
     req.dot = opts.has("dot");
-    print!("{}", ops::flows(&req, &program)?);
+    out!("{}", ops::flows(&req, &program)?);
     Ok(ExitCode::SUCCESS)
 }
 
@@ -576,7 +627,7 @@ fn cmd_atomicity(args: &[String]) -> Result<ExitCode, CliError> {
     let opts = parse_opts(args, &[])?;
     let (program, source) = load_program(opts.file()?)?;
     let report = check_atomicity(&program);
-    print!("{}", report.render(&source));
+    out!("{}", report.render(&source));
     Ok(exit_code(report.single_reference()))
 }
 
@@ -606,14 +657,14 @@ fn cmd_lint(args: &[String]) -> Result<ExitCode, CliError> {
         warnings += report.count(Severity::Warning);
         infos += report.count(Severity::Info);
         if json {
-            print!("{}", report.to_json_lines(Some(&display), &source));
+            out!("{}", report.to_json_lines(Some(&display), &source));
         } else if !report.clean() {
-            println!("{display}:");
-            print!("{}", report.render(&source));
+            outln!("{display}:");
+            out!("{}", report.render(&source));
         }
     }
     if !json {
-        println!(
+        outln!(
             "{} file(s) linted: {errors} error(s), {warnings} warning(s), {infos} info(s)",
             files.len()
         );
@@ -640,7 +691,6 @@ const SERVER_FLAGS: &[&str] = &[
     "fsync",
     "peers",
     "advertise",
-    "max-hops",
     "peer-timeout-ms",
     "replication",
     "sync-from",
@@ -711,9 +761,6 @@ fn server_config(opts: &Opts) -> Result<secflow_server::ServerConfig, String> {
     if peers.is_some() || opts.has("sync-from") {
         let mut cluster = secflow_server::ClusterConfig::new(&peers.unwrap_or_default());
         cluster.self_addr = opts.value("advertise").map(str::to_string);
-        if let Some(v) = opts.value("max-hops") {
-            cluster.max_hops = v.parse().map_err(|_| "bad --max-hops")?;
-        }
         if let Some(v) = opts.value("peer-timeout-ms") {
             let ms: u64 = v.parse().map_err(|_| "bad --peer-timeout-ms")?;
             if ms == 0 {
@@ -730,14 +777,11 @@ fn server_config(opts: &Opts) -> Result<secflow_server::ServerConfig, String> {
         }
         cluster.sync_from = opts.value("sync-from").map(str::to_string);
         cfg.cluster = Some(cluster);
-    } else if ["advertise", "max-hops", "peer-timeout-ms", "replication"]
+    } else if ["advertise", "peer-timeout-ms", "replication"]
         .iter()
         .any(|f| opts.has(f))
     {
-        return Err(
-            "--advertise, --max-hops, --peer-timeout-ms and --replication require --peers"
-                .to_string(),
-        );
+        return Err("--advertise, --peer-timeout-ms and --replication require --peers".to_string());
     }
     Ok(cfg)
 }
@@ -877,9 +921,15 @@ fn cmd_cluster_status(args: &[String]) -> Result<ExitCode, CliError> {
     let json = opts.has("json");
     let mut down = 0usize;
     if !json {
-        println!(
+        outln!(
             "{:<22} {:>8} {:>8} {:>9} {:>9} {:>6} {:>17}",
-            "NODE", "REQS", "HITS", "FORWARDS", "FWD_HITS", "RING", "DIGEST"
+            "NODE",
+            "REQS",
+            "HITS",
+            "FORWARDS",
+            "FWD_HITS",
+            "RING",
+            "DIGEST"
         );
     }
     for peer in &peers {
@@ -892,7 +942,7 @@ fn cmd_cluster_status(args: &[String]) -> Result<ExitCode, CliError> {
                     // Surface the healing fields at the top level so
                     // harnesses can assert convergence without digging
                     // through the whole stats object (still attached).
-                    println!(
+                    outln!(
                         "{}",
                         Json::Obj(vec![
                             ("node".to_string(), Json::Str(peer.clone())),
@@ -912,7 +962,7 @@ fn cmd_cluster_status(args: &[String]) -> Result<ExitCode, CliError> {
                         ])
                     );
                 } else {
-                    println!(
+                    outln!(
                         "{:<22} {:>8} {:>8} {:>9} {:>9} {:>6} {:>17}",
                         peer,
                         n(&stats, "requests"),
@@ -930,7 +980,7 @@ fn cmd_cluster_status(args: &[String]) -> Result<ExitCode, CliError> {
             None => {
                 down += 1;
                 if json {
-                    println!(
+                    outln!(
                         "{}",
                         Json::Obj(vec![
                             ("node".to_string(), Json::Str(peer.clone())),
@@ -938,7 +988,7 @@ fn cmd_cluster_status(args: &[String]) -> Result<ExitCode, CliError> {
                         ])
                     );
                 } else {
-                    println!("{peer:<22} DOWN");
+                    outln!("{peer:<22} DOWN");
                 }
             }
         }
@@ -981,7 +1031,7 @@ fn cmd_repair(args: &[String]) -> Result<ExitCode, CliError> {
                     let installed = v.get("installed").and_then(Json::as_u64).unwrap_or(0);
                     installed_total += installed;
                     if json {
-                        println!(
+                        outln!(
                             "{}",
                             Json::Obj(vec![
                                 ("node".to_string(), Json::Str(node.clone())),
@@ -991,13 +1041,13 @@ fn cmd_repair(args: &[String]) -> Result<ExitCode, CliError> {
                             ])
                         );
                     } else if installed > 0 {
-                        println!("{node} <- {peer}: installed {installed}");
+                        outln!("{node} <- {peer}: installed {installed}");
                     }
                 }
                 _ => {
                     failures += 1;
                     if json {
-                        println!(
+                        outln!(
                             "{}",
                             Json::Obj(vec![
                                 ("node".to_string(), Json::Str(node.clone())),
@@ -1006,7 +1056,7 @@ fn cmd_repair(args: &[String]) -> Result<ExitCode, CliError> {
                             ])
                         );
                     } else {
-                        println!("{node} <- {peer}: FAILED");
+                        outln!("{node} <- {peer}: FAILED");
                     }
                 }
             }
@@ -1024,14 +1074,14 @@ fn cmd_repair(args: &[String]) -> Result<ExitCode, CliError> {
         {
             Some(digest) => {
                 if !json {
-                    println!("{node}: digest {digest}");
+                    outln!("{node}: digest {digest}");
                 }
                 digests.push(digest);
             }
             None => {
                 failures += 1;
                 if !json {
-                    println!("{node}: UNREACHABLE");
+                    outln!("{node}: UNREACHABLE");
                 }
             }
         }
@@ -1039,7 +1089,7 @@ fn cmd_repair(args: &[String]) -> Result<ExitCode, CliError> {
     let converged =
         failures == 0 && digests.len() == peers.len() && digests.windows(2).all(|w| w[0] == w[1]);
     if json {
-        println!(
+        outln!(
             "{}",
             Json::Obj(vec![
                 ("converged".to_string(), Json::Bool(converged)),
@@ -1049,7 +1099,7 @@ fn cmd_repair(args: &[String]) -> Result<ExitCode, CliError> {
             ])
         );
     } else {
-        println!(
+        outln!(
             "repair: {installed_total} installed, {failures} failure(s), converged: {converged}"
         );
     }
@@ -1088,9 +1138,9 @@ fn cmd_cache_inspect(args: &[String]) -> Result<ExitCode, CliError> {
             ("tmp_present".to_string(), Json::Bool(report.tmp_present)),
             ("clean".to_string(), Json::Bool(report.clean())),
         ]);
-        println!("{obj}");
+        outln!("{obj}");
     } else {
-        print!("{}", secflow_server::render_report(&report));
+        out!("{}", secflow_server::render_report(&report));
     }
     Ok(exit_code(report.clean()))
 }
@@ -1138,7 +1188,7 @@ fn cmd_batch(args: &[String]) -> Result<ExitCode, CliError> {
             cfg,
         )?,
     };
-    print!("{}", secflow_server::render_summary(&summary));
+    out!("{}", secflow_server::render_summary(&summary));
     Ok(exit_code(summary.errored == 0))
 }
 
@@ -1198,7 +1248,7 @@ fn cmd_gen(args: &[String]) -> Result<ExitCode, CliError> {
         }
     };
     match opts.value("request") {
-        None => print!("{source}"),
+        None => out!("{source}"),
         Some(op_name) => {
             let op = match op_name {
                 "certify" => secflow_server::Op::Certify,
@@ -1217,7 +1267,7 @@ fn cmd_gen(args: &[String]) -> Result<ExitCode, CliError> {
                 // deadline, not truncation, is what stops the search.
                 req.max_states = Some(u64::MAX);
             }
-            println!("{}", req.to_line());
+            outln!("{}", req.to_line());
         }
     }
     Ok(ExitCode::SUCCESS)
@@ -1244,14 +1294,14 @@ fn cmd_fig3(args: &[String]) -> Result<ExitCode, CliError> {
         .value("x")
         .map_or(Ok(0), |v| v.parse().map_err(|_| "bad --x".to_string()))?;
     let program = fig3_program();
-    println!("--- Figure 3 (Reitman, SOSP 1979) ---");
-    print!("{FIG3_SOURCE}");
-    println!("--- certification under the baseline-gap binding ---");
+    outln!("--- Figure 3 (Reitman, SOSP 1979) ---");
+    out!("{FIG3_SOURCE}");
+    outln!("--- certification under the baseline-gap binding ---");
     let binding = fig3_baseline_gap_binding(&program);
-    print!("{}", binding.render(&program));
+    out!("{}", binding.render(&program));
     let cfm = certify(&program, &binding);
     let base = denning_certify(&program, &binding);
-    println!(
+    outln!(
         "CFM:      {}",
         if cfm.certified() {
             "certified"
@@ -1259,7 +1309,7 @@ fn cmd_fig3(args: &[String]) -> Result<ExitCode, CliError> {
             "REJECTED"
         }
     );
-    println!(
+    outln!(
         "Dennings: {}",
         if base.certified() {
             "certified"
@@ -1267,12 +1317,12 @@ fn cmd_fig3(args: &[String]) -> Result<ExitCode, CliError> {
             "REJECTED"
         }
     );
-    println!("--- execution with x = {x} ---");
+    outln!("--- execution with x = {x} ---");
     let mut machine = Machine::with_inputs(&program, &[(program.var("x"), x)]);
     let trace = run_traced(&mut machine, &mut RoundRobin::new(), 100_000);
-    println!("outcome: {:?}", trace.outcome);
-    println!("y = {} (x was {})", machine.get(program.var("y")), x);
-    println!("--- pretty-printed AST round-trip ---");
-    print!("{}", print_program(&program));
+    outln!("outcome: {:?}", trace.outcome);
+    outln!("y = {} (x was {})", machine.get(program.var("y")), x);
+    outln!("--- pretty-printed AST round-trip ---");
+    out!("{}", print_program(&program));
     Ok(ExitCode::SUCCESS)
 }

@@ -538,6 +538,7 @@ fn unknown_flags_are_usage_errors_that_name_the_flag() {
         ["explore", "--threads", "4"],
         ["lint", "--threads", "4"],
         ["serve", "--max-threads", "8"],
+        ["serve", "--max-hops", "3"],
     ] {
         let out = secflow(&args);
         assert_eq!(out.status.code(), Some(2), "{args:?}");
@@ -547,6 +548,30 @@ fn unknown_flags_are_usage_errors_that_name_the_flag() {
             "{err}"
         );
     }
+}
+
+/// A reader that closes stdout early ends the output; it does not crash
+/// the command. The program is ~128 KB, twice a pipe's buffer, so the
+/// writer is still writing when the pipe closes.
+#[test]
+fn a_closed_stdout_pipe_ends_the_output_without_a_panic() {
+    use std::io::Read;
+    use std::process::Stdio;
+
+    let mut child = Command::new(env!("CARGO_BIN_EXE_secflow"))
+        .args(["gen", "--chain", "8000", "--vars", "8"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("binary runs");
+    let mut pipe = child.stdout.take().unwrap();
+    let mut first = [0u8; 1];
+    pipe.read_exact(&mut first).unwrap();
+    drop(pipe);
+    let out = child.wait_with_output().unwrap();
+    let err = String::from_utf8_lossy(&out.stderr).into_owned();
+    assert_ne!(out.status.code(), Some(101), "{err}");
+    assert!(!err.contains("panicked"), "{err}");
 }
 
 #[test]

@@ -9,8 +9,9 @@
 use std::collections::{BTreeMap, HashMap};
 
 use crate::json::Json;
+use crate::protocol::{error_field, ErrorKind};
 
-const FNV_OFFSET: u64 = 0xcbf29ce484222325;
+pub(crate) const FNV_OFFSET: u64 = 0xcbf29ce484222325;
 const FNV_PRIME: u64 = 0x100000001b3;
 
 /// FNV-1a over one byte chunk, continuing from `state`.
@@ -84,6 +85,16 @@ pub struct CachedResult {
     pub ok: bool,
     /// Response fields other than `id`/`ok`/`op`/`cached`.
     pub fields: Vec<(String, Json)>,
+}
+
+impl CachedResult {
+    /// A failure result: one `error` field with `kind` and `message`.
+    pub(crate) fn error(kind: ErrorKind, message: &str) -> CachedResult {
+        CachedResult {
+            ok: false,
+            fields: vec![error_field(kind, message)],
+        }
+    }
 }
 
 struct Entry {

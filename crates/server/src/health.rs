@@ -1,5 +1,5 @@
 //! Per-peer failure detection for the cluster: a consecutive-failure
-//! circuit breaker with jittered probe scheduling.
+//! circuit breaker whose failing peers are probed on the health tick.
 //!
 //! Every peer call reports its outcome here
 //! ([`record_success`](HealthTracker::record_success) /
@@ -8,16 +8,12 @@
 //! and the routing layers stop sending it work — forwarding falls back
 //! to the next replica or to local computation, replication skips it,
 //! and a router walks on down the preference list. A background probe
-//! loop asks [`due_probes`](HealthTracker::due_probes) which non-UP
-//! peers are ready for a `ping` and feeds the result back, so a
-//! recovered peer is readmitted without operator action; a replica
-//! readmitted from DOWN is then asked to `repair` from the prober.
-//!
-//! Probe deadlines use decorrelated jitter (the same shape as the
-//! retry client's backoff): each failure pushes the next probe out to
-//! `base + rand(0, 3·prev)` capped at [`PROBE_CAP_MS`], with the
-//! randomness drawn from the seeded `splitmix64` mixer so a seeded
-//! test run schedules probes deterministically.
+//! loop asks [`due_probes`](HealthTracker::due_probes) for the non-UP
+//! peers on every health tick, `ping`s each once and feeds the result
+//! back, so a recovered peer is readmitted within one tick without
+//! operator action; a replica readmitted from DOWN is then asked to
+//! `repair` from the prober. The tick (250 ms on a serving node) is the
+//! only pacing: a dead peer costs one failed connect per tick.
 //!
 //! States are UP (healthy or unproven), SUSPECT (some failures, circuit
 //! still closed), DOWN (circuit open). Only DOWN changes routing:
@@ -25,21 +21,11 @@
 //! them over the threshold. See `DESIGN.md` §15.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Mutex;
-use std::time::{Duration, Instant};
-
-use crate::fault::splitmix64;
+use std::time::Instant;
 
 /// Consecutive failures that open the circuit (UP/SUSPECT → DOWN).
 pub const DEFAULT_FAILURE_THRESHOLD: u32 = 3;
-
-/// First probe delay after a failure, in milliseconds.
-pub const PROBE_BASE_MS: u64 = 100;
-
-/// Probe delay ceiling, in milliseconds. Low enough that a healed peer
-/// is readmitted within about a second of answering pings again.
-pub const PROBE_CAP_MS: u64 = 1_000;
 
 /// A peer's health as the detector sees it.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -66,10 +52,6 @@ impl PeerHealth {
 struct PeerState {
     failures: u32,
     last_seen: Option<Instant>,
-    /// When the next probe may run (None = no probe owed).
-    probe_at: Option<Instant>,
-    /// Previous probe delay, for the decorrelated-jitter recurrence.
-    probe_ms: u64,
 }
 
 impl PeerState {
@@ -77,8 +59,6 @@ impl PeerState {
         PeerState {
             failures: 0,
             last_seen: None,
-            probe_at: None,
-            probe_ms: PROBE_BASE_MS,
         }
     }
 
@@ -106,14 +86,12 @@ pub struct PeerReport {
 pub struct HealthTracker {
     peers: Mutex<HashMap<String, PeerState>>,
     threshold: u32,
-    seed: u64,
-    ticks: AtomicU64,
 }
 
 impl HealthTracker {
     /// A tracker over `peers` (typically the member list minus self),
     /// all initially UP.
-    pub fn new<S: AsRef<str>>(peers: &[S], seed: u64) -> HealthTracker {
+    pub fn new<S: AsRef<str>>(peers: &[S]) -> HealthTracker {
         let map = peers
             .iter()
             .map(|p| (p.as_ref().to_string(), PeerState::new()))
@@ -121,8 +99,6 @@ impl HealthTracker {
         HealthTracker {
             peers: Mutex::new(map),
             threshold: DEFAULT_FAILURE_THRESHOLD,
-            seed,
-            ticks: AtomicU64::new(0),
         }
     }
 
@@ -135,22 +111,14 @@ impl HealthTracker {
         let was_down = state.health(self.threshold) == PeerHealth::Down;
         state.failures = 0;
         state.last_seen = Some(Instant::now());
-        state.probe_at = None;
-        state.probe_ms = PROBE_BASE_MS;
         was_down
     }
 
-    /// A call to `addr` failed: count it, maybe open the circuit, and
-    /// schedule the next probe with decorrelated jitter.
+    /// A call to `addr` failed: count it, and maybe open the circuit.
     pub fn record_failure(&self, addr: &str) {
         let mut peers = self.peers.lock().unwrap();
         let state = peers.entry(addr.to_string()).or_insert_with(PeerState::new);
         state.failures = state.failures.saturating_add(1);
-        let tick = self.ticks.fetch_add(1, Relaxed);
-        let span = (state.probe_ms * 3).max(PROBE_BASE_MS + 1);
-        let next = PROBE_BASE_MS + splitmix64(self.seed.wrapping_add(tick)) % span;
-        state.probe_ms = next.min(PROBE_CAP_MS);
-        state.probe_at = Some(Instant::now() + Duration::from_millis(state.probe_ms));
     }
 
     /// Is `addr` currently DOWN (circuit open)?
@@ -168,25 +136,15 @@ impl HealthTracker {
             .unwrap_or(PeerHealth::Up)
     }
 
-    /// The non-UP peers whose probe deadline has passed: the probe loop
-    /// should `ping` each and report the outcome back. Claiming a probe
-    /// pushes its deadline out, so concurrent ticks never double-probe.
+    /// Every non-UP peer, sorted: the probe loop should `ping` each
+    /// once per tick and report the outcome back.
     pub fn due_probes(&self) -> Vec<String> {
-        let now = Instant::now();
-        let mut peers = self.peers.lock().unwrap();
-        let mut due = Vec::new();
-        for (addr, state) in peers.iter_mut() {
-            if state.failures == 0 {
-                continue;
-            }
-            match state.probe_at {
-                Some(at) if at <= now => {
-                    state.probe_at = Some(now + Duration::from_millis(state.probe_ms));
-                    due.push(addr.clone());
-                }
-                _ => {}
-            }
-        }
+        let peers = self.peers.lock().unwrap();
+        let mut due: Vec<String> = peers
+            .iter()
+            .filter(|(_, state)| state.failures > 0)
+            .map(|(addr, _)| addr.clone())
+            .collect();
         due.sort();
         due
     }
@@ -217,7 +175,7 @@ mod tests {
 
     #[test]
     fn threshold_opens_and_success_closes_the_circuit() {
-        let t = HealthTracker::new(&["a", "b"], 7);
+        let t = HealthTracker::new(&["a", "b"]);
         assert_eq!(t.health("a"), PeerHealth::Up);
         t.record_failure("a");
         assert_eq!(t.health("a"), PeerHealth::Suspect);
@@ -240,35 +198,28 @@ mod tests {
 
     #[test]
     fn unknown_peers_are_optimistically_up() {
-        let t = HealthTracker::new(&["a"], 1);
+        let t = HealthTracker::new(&["a"]);
         assert_eq!(t.health("never-heard-of-it"), PeerHealth::Up);
         assert!(!t.is_down("never-heard-of-it"));
     }
 
     #[test]
     fn probes_come_due_only_for_failing_peers() {
-        let t = HealthTracker::new(&["a", "b", "c"], 11);
+        let t = HealthTracker::new(&["a", "b", "c"]);
         assert!(t.due_probes().is_empty(), "healthy cluster owes no probes");
         t.record_failure("a");
         t.record_failure("c");
-        // Deadlines are in the future (jittered ≥ base); force them due
-        // by waiting out the cap in a test would be slow, so check the
-        // claim-and-reschedule contract instead: nothing is due yet.
-        assert!(t.due_probes().is_empty());
-        std::thread::sleep(Duration::from_millis(PROBE_CAP_MS + PROBE_BASE_MS + 50));
+        // Every failing peer is probed on every tick, SUSPECT or DOWN.
         let due = t.due_probes();
         assert_eq!(due, vec!["a".to_string(), "c".to_string()]);
-        // Claiming rescheduled them — an immediate re-ask owes nothing.
-        assert!(t.due_probes().is_empty(), "claimed probes are rescheduled");
         t.record_success("a");
         t.record_success("c");
-        std::thread::sleep(Duration::from_millis(PROBE_CAP_MS + PROBE_BASE_MS + 50));
         assert!(t.due_probes().is_empty(), "healed peers owe no probes");
     }
 
     #[test]
     fn snapshot_reports_every_peer_sorted() {
-        let t = HealthTracker::new(&["b", "a"], 3);
+        let t = HealthTracker::new(&["b", "a"]);
         t.record_success("b");
         t.record_failure("a");
         let snap = t.snapshot();

@@ -9,9 +9,8 @@
 //! - [`protocol`]: a hand-rolled JSON-lines request/response format
 //!   with six program ops (`certify`, `infer`, `flows`, `lint`,
 //!   `explore`, `checkproof`), two service ops (`stats`, `shutdown`)
-//!   and five peer ops (`forward`, `peer-sync`, `ping`, `replicate`,
-//!   `repair`), served over stdin/stdout ([`serve_stdio`]) or TCP
-//!   ([`serve_tcp`]);
+//!   and four peer ops (`peer-sync`, `ping`, `replicate`, `repair`),
+//!   served over stdin/stdout ([`serve_stdio`]) or TCP ([`serve_tcp`]);
 //! - [`ops`]: `certify`, `infer`, `flows` and `prove` as pure functions
 //!   from a request and its parsed program to a typed outcome — the one
 //!   implementation behind both the service and the `secflow` CLI's
@@ -41,16 +40,17 @@
 //!   atomically-published snapshot, with a recovery path that skips
 //!   torn, truncated or bit-flipped records instead of failing
 //!   (`serve --cache-dir`);
-//! - [`ring`] / [`peer`]: the sharded-cluster layer — a deterministic
-//!   consistent-hash ring over the cache fingerprint, a `forward` peer
-//!   op that makes any computation happen exactly once cluster-wide,
-//!   and `peer-sync` journal shipping so cold nodes warm-start from a
-//!   loaded peer (`secflow serve --peers`, `secflow router`);
+//! - [`ring`] / [`peer`]: the sharded-cluster layer — deterministic
+//!   rendezvous hashing over the cache fingerprint, relaying a request
+//!   to its owner (with a hop count) so any computation happens exactly
+//!   once cluster-wide, and `peer-sync` journal shipping so cold nodes
+//!   warm-start from a loaded peer (`secflow serve --peers`, `secflow
+//!   router`);
 //! - [`health`]: the self-healing layer — a per-peer
-//!   consecutive-failure circuit breaker with jittered `ping` probes,
-//!   replica pushes (`serve --replication`) that skip DOWN replicas,
-//!   and digest-compared anti-entropy `repair`, which a node asks of a
-//!   replica the moment its probe readmits it;
+//!   consecutive-failure circuit breaker with `ping` probes on the
+//!   health tick, replica pushes (`serve --replication`) that skip DOWN
+//!   replicas, and digest-compared anti-entropy `repair`, which a node
+//!   asks of a replica the moment its probe readmits it;
 //! - [`metrics`]: request/cache/error counters and a fixed-bucket
 //!   latency histogram, reported by the `stats` request;
 //! - [`batch`]: bulk certification of `*.sf` directories through the

@@ -91,7 +91,7 @@ pub struct Metrics {
     pub cluster_peer_syncs: AtomicU64,
     /// Nodes on this node's hash ring (gauge; 0 when not clustered).
     pub cluster_hash_ring_size: AtomicU64,
-    /// Forwards refused because the request's hop count reached the
+    /// Program requests refused because their hop count exceeded the
     /// budget (structured `max_hops_exhausted` — a routing loop guard).
     pub cluster_forward_hop_exhausted: AtomicU64,
     /// Replica pushes this node sent that the replica acknowledged.

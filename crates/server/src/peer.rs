@@ -8,11 +8,12 @@
 //! independently builds the same [`HashRing`]
 //! over it. Requests are content-addressed by their cache fingerprint,
 //! so "which node owns this request" is a pure function any party can
-//! evaluate. A node that receives a request it does not own forwards it
-//! to the owner (`forward` op) so the computation happens exactly once
-//! cluster-wide; a node that starts cold drains a peer's cache
-//! (`peer-sync` op) so it never re-explores work the cluster already
-//! paid for. See `DESIGN.md` §14 for the invariants.
+//! evaluate. A node that receives a request it does not own relays the
+//! request itself to the owner, its `hops` raised by one, so the
+//! computation happens exactly once cluster-wide; a node that starts
+//! cold drains a peer's cache (`peer-sync` op) so it never re-explores
+//! work the cluster already paid for. See `DESIGN.md` §14 for the
+//! invariants.
 
 use std::io;
 use std::sync::Arc;
@@ -28,11 +29,13 @@ use crate::protocol::{Op, Request};
 use crate::ring::HashRing;
 use crate::service::Service;
 
-/// Longest chain of `forward` hops allowed before a node must compute
-/// locally. Two nodes that disagree about the ring (mid-reconfiguration)
-/// can bounce a request between them; the hop budget turns that loop
-/// into one extra network round-trip plus a local computation.
-pub const DEFAULT_MAX_HOPS: u64 = 3;
+/// Longest chain of relays a program request may take: a node holding a
+/// request relayed this many times computes it locally, and a request
+/// that claims more is refused. Two nodes that disagree about ownership
+/// (mid-reconfiguration) can bounce a request between them; the hop
+/// budget turns that loop into a few extra network round-trips plus a
+/// local computation.
+pub const MAX_HOPS: u64 = 3;
 
 /// Default per-call socket timeout for peer traffic (connect, read,
 /// write). Peer calls sit on a worker thread, so they must fail fast
@@ -54,8 +57,6 @@ pub struct ClusterConfig {
     /// makes this process a router: it owns no shard and forwards
     /// everything.
     pub self_addr: Option<String>,
-    /// Forward-chain budget (see [`DEFAULT_MAX_HOPS`]).
-    pub max_hops: u64,
     /// Socket timeout for peer calls, in milliseconds.
     pub peer_timeout_ms: u64,
     /// Address of a loaded peer to `peer-sync` from at startup, before
@@ -69,13 +70,12 @@ pub struct ClusterConfig {
 }
 
 impl ClusterConfig {
-    /// Topology over `peers` with the default hop and timeout budgets;
-    /// a router until [`self_addr`](Self::self_addr) is set.
+    /// Topology over `peers` with the default timeout budget; a router
+    /// until [`self_addr`](Self::self_addr) is set.
     pub fn new<S: AsRef<str>>(peers: &[S]) -> ClusterConfig {
         ClusterConfig {
             peers: peers.iter().map(|p| p.as_ref().to_string()).collect(),
             self_addr: None,
-            max_hops: DEFAULT_MAX_HOPS,
             peer_timeout_ms: DEFAULT_PEER_TIMEOUT_MS,
             sync_from: None,
             replication: 1,
@@ -110,7 +110,7 @@ impl ClusterState {
             .iter()
             .filter(|p| Some(p.as_str()) != config.self_addr.as_deref())
             .collect();
-        let health = HealthTracker::new(&others, 0xC1A0);
+        let health = HealthTracker::new(&others);
         ClusterState {
             config,
             ring,
@@ -125,10 +125,6 @@ impl ClusterState {
 
     pub(crate) fn health(&self) -> &HealthTracker {
         &self.health
-    }
-
-    pub(crate) fn max_hops(&self) -> u64 {
-        self.config.max_hops
     }
 
     /// This node's advertised address; `None` for a router.

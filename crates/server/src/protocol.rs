@@ -13,11 +13,10 @@
 //! {"id":6,"op":"checkproof","source":"…","cert":"{…}"}
 //! {"id":7,"op":"stats"}
 //! {"id":8,"op":"shutdown"}
-//! {"id":9,"op":"forward","hops":1,"req":"{\"op\":\"certify\",…}"}
-//! {"id":10,"op":"peer-sync","cursor":0,"limit":256}
-//! {"id":11,"op":"ping"}
-//! {"id":12,"op":"replicate","payload":"{\"h\":…}"}
-//! {"id":13,"op":"repair","peer":"127.0.0.1:4601"}
+//! {"id":9,"op":"peer-sync","cursor":0,"limit":256}
+//! {"id":10,"op":"ping"}
+//! {"id":11,"op":"replicate","payload":"{\"h\":…}"}
+//! {"id":12,"op":"repair","peer":"127.0.0.1:4601"}
 //! ```
 //!
 //! `certify` additionally accepts `"with_proof":true`: when the program
@@ -27,15 +26,16 @@
 //! `source`; `cert` may be the certificate string or the certificate
 //! object itself (re-serialized canonically on parse).
 //!
-//! The peer ops are cluster plumbing. `forward` wraps a complete
-//! inner request line in `req` with a `hops` count; a node receiving
-//! one answers it exactly as it would the inner line (so forwarded
-//! replies are byte-compatible with direct ones) and the hop count
-//! guards against routing loops while nodes disagree about the ring —
-//! a forward whose hop count exceeds the receiver's budget is refused
-//! with a structured `max_hops_exhausted` error. `peer-sync` pages a
-//! node's cached results to a warm-starting peer as journal record
-//! payloads (`entries`, each a string in the
+//! A node relays a program request it does not own to the owner as
+//! the same request with its `hops` count raised by one, so a relayed
+//! reply is the owner's direct reply. The count guards against routing
+//! loops while nodes disagree about ownership: a program request whose
+//! `hops` exceeds the receiver's budget is refused with a structured
+//! `max_hops_exhausted` error, before any cache probe or computation.
+//!
+//! The peer ops are cluster plumbing. `peer-sync` pages a node's
+//! cached results to a warm-starting peer as journal record payloads
+//! (`entries`, each a string in the
 //! [`crate::persist::encode_record`] format), `cursor`/`limit`
 //! controlling the page and the reply's `next`/`done` fields telling
 //! the receiver how to continue. `ping` is the failure detector's
@@ -76,10 +76,9 @@
 //! | `max_hops_exhausted` | permanent | re-asking the *same* node re-enters the same loop |
 //!
 //! `max_hops_exhausted` is permanent against the node that answered it
-//! — the forward chain it refused is deterministic — but the
-//! cluster-aware client treats it as "advance to the next
-//! preference-list node", which breaks the loop instead of retrying
-//! into it.
+//! — the relay chain it refused is deterministic — but a relaying node
+//! treats it as "advance to the next preference-list node", which
+//! breaks the loop instead of retrying into it.
 
 use crate::json::Json;
 
@@ -102,9 +101,6 @@ pub enum Op {
     Stats,
     /// Stop the service, draining queued work first.
     Shutdown,
-    /// Peer op: answer the inner request in `req` on behalf of another
-    /// node (the sender's ring said this node owns the fingerprint).
-    Forward,
     /// Peer op: page cached results to a warm-starting peer as journal
     /// record payloads.
     PeerSync,
@@ -131,7 +127,6 @@ impl Op {
             Op::Checkproof => "checkproof",
             Op::Stats => "stats",
             Op::Shutdown => "shutdown",
-            Op::Forward => "forward",
             Op::PeerSync => "peer-sync",
             Op::Ping => "ping",
             Op::Replicate => "replicate",
@@ -140,7 +135,8 @@ impl Op {
     }
 
     /// Whether the op computes over a program: it needs `source`, the
-    /// result cache answers it, and `forward` may carry it.
+    /// result cache answers it, it reads `hops`, and a node may relay
+    /// it to the request's owner.
     pub fn is_program(self) -> bool {
         matches!(
             self,
@@ -186,11 +182,9 @@ pub struct Request {
     /// `"por":false` for the full interleaving search). Part of the
     /// cache key: the reply's `states` count depends on it.
     pub por: bool,
-    /// How many times this request has been forwarded between nodes
-    /// (`forward` only; the anti-loop guard). Default 0.
+    /// How many relays between nodes a program request has taken (the
+    /// anti-loop guard). Default 0.
     pub hops: u64,
-    /// The wrapped inner request line (`forward` only; required there).
-    pub req: Option<String>,
     /// Page start for `peer-sync`: skip this many entries. Default 0.
     pub cursor: Option<u64>,
     /// Page size cap for `peer-sync` (capped by the server).
@@ -224,7 +218,6 @@ impl Request {
             Some("checkproof") => Op::Checkproof,
             Some("stats") => Op::Stats,
             Some("shutdown") => Op::Shutdown,
-            Some("forward") => Op::Forward,
             Some("peer-sync") => Op::PeerSync,
             Some("ping") => Op::Ping,
             Some("replicate") => Op::Replicate,
@@ -308,14 +301,6 @@ impl Request {
         let timeout_ms = uint("timeout_ms")?;
         let max_states = uint("max_states")?;
         let hops = uint("hops")?.unwrap_or(0);
-        let req = match value.get("req") {
-            None => None,
-            Some(Json::Str(s)) => Some(s.clone()),
-            Some(_) => return Err(fail("`req` must be a string".into())),
-        };
-        if op == Op::Forward && req.is_none() {
-            return Err(fail("op `forward` needs `req`".into()));
-        }
         let cursor = uint("cursor")?;
         let limit = uint("limit")?;
         let string_field = |name: &str| -> Result<Option<String>, (Option<Json>, String)> {
@@ -373,7 +358,6 @@ impl Request {
             max_states,
             por,
             hops,
-            req,
             cursor,
             limit,
             payload,
@@ -400,7 +384,6 @@ impl Request {
             max_states: None,
             por: true,
             hops: 0,
-            req: None,
             cursor: None,
             limit: None,
             payload: None,
@@ -411,6 +394,16 @@ impl Request {
     /// Renders the request as one protocol line (the inverse of
     /// [`parse`](Self::parse); defaults are omitted).
     pub fn to_line(&self) -> String {
+        self.line_with_hops(self.hops)
+    }
+
+    /// The line a node sends to relay this request to its owner:
+    /// [`to_line`](Self::to_line) with `hops` raised by one.
+    pub(crate) fn relay_line(&self) -> String {
+        self.line_with_hops(self.hops.saturating_add(1))
+    }
+
+    fn line_with_hops(&self, hops: u64) -> String {
         let mut fields: Vec<(String, Json)> = Vec::new();
         if let Some(id) = &self.id {
             fields.push(("id".to_string(), id.clone()));
@@ -470,11 +463,8 @@ impl Request {
         if !self.por {
             fields.push(("por".to_string(), Json::Bool(false)));
         }
-        if self.hops != 0 {
-            fields.push(("hops".to_string(), Json::Num(self.hops as f64)));
-        }
-        if let Some(req) = &self.req {
-            fields.push(("req".to_string(), Json::Str(req.clone())));
+        if hops != 0 {
+            fields.push(("hops".to_string(), Json::Num(hops as f64)));
         }
         if let Some(c) = self.cursor {
             fields.push(("cursor".to_string(), Json::Num(c as f64)));
@@ -509,10 +499,10 @@ pub enum ErrorKind {
     Overloaded,
     /// A worker panicked or the service misbehaved.
     Internal,
-    /// A `forward` arrived with its hop budget already spent: the
-    /// cluster is looping this request between nodes. Permanent against
-    /// the answering node (the refused chain is deterministic); the
-    /// cluster-aware client advances to the next preference-list node.
+    /// A program request arrived with its hop budget already spent: the
+    /// cluster is looping it between nodes. Permanent against the
+    /// answering node (the refused chain is deterministic); the relaying
+    /// node advances to the next preference-list node.
     MaxHopsExhausted,
 }
 
@@ -561,6 +551,17 @@ impl ErrorKind {
     }
 }
 
+/// The `error` field of a failure: `{"kind":…,"message":…}`.
+pub(crate) fn error_field(kind: ErrorKind, message: &str) -> (String, Json) {
+    (
+        "error".to_string(),
+        Json::Obj(vec![
+            ("kind".to_string(), Json::Str(kind.name().to_string())),
+            ("message".to_string(), Json::Str(message.to_string())),
+        ]),
+    )
+}
+
 /// Builder for response lines.
 pub struct Response {
     fields: Vec<(String, Json)>,
@@ -569,29 +570,30 @@ pub struct Response {
 impl Response {
     /// A success response for `op`, echoing `id`.
     pub fn ok(id: Option<&Json>, op: Op) -> Response {
+        Response::reply(id, op, true)
+    }
+
+    /// A response that answers `op` with `ok`, echoing `id`. A failure
+    /// answer appends its own `error` field (a cached failure result
+    /// carries one).
+    pub fn reply(id: Option<&Json>, op: Op, ok: bool) -> Response {
         let mut fields = Vec::new();
         if let Some(id) = id {
             fields.push(("id".to_string(), id.clone()));
         }
-        fields.push(("ok".to_string(), Json::Bool(true)));
+        fields.push(("ok".to_string(), Json::Bool(ok)));
         fields.push(("op".to_string(), Json::Str(op.name().to_string())));
         Response { fields }
     }
 
-    /// A failure response, echoing `id`.
+    /// A failure response that answers no op, echoing `id`.
     pub fn error(id: Option<&Json>, kind: ErrorKind, message: &str) -> Response {
         let mut fields = Vec::new();
         if let Some(id) = id {
             fields.push(("id".to_string(), id.clone()));
         }
         fields.push(("ok".to_string(), Json::Bool(false)));
-        fields.push((
-            "error".to_string(),
-            Json::Obj(vec![
-                ("kind".to_string(), Json::Str(kind.name().to_string())),
-                ("message".to_string(), Json::Str(message.to_string())),
-            ]),
-        ));
+        fields.push(error_field(kind, message));
         Response { fields }
     }
 
@@ -717,28 +719,25 @@ mod tests {
 
     #[test]
     fn peer_ops_parse_and_round_trip() {
-        // forward wraps a complete inner line and carries a hop count.
-        let inner = Request::new(Op::Certify, "var x : integer; x := 0");
-        let mut fwd = Request::new(Op::Forward, "");
-        fwd.req = Some(inner.to_line());
-        fwd.hops = 2;
-        let parsed = Request::parse(&fwd.to_line()).unwrap();
-        assert_eq!(parsed, fwd);
-        assert_eq!(
-            Request::parse(parsed.req.as_deref().unwrap()).unwrap(),
-            inner
-        );
+        // A relayed program request is the request itself with a hop
+        // count.
+        let mut relayed = Request::new(Op::Certify, "var x : integer; x := 0");
+        relayed.hops = 2;
+        assert!(relayed.to_line().contains(r#""hops":2"#));
+        assert_eq!(Request::parse(&relayed.to_line()).unwrap(), relayed);
 
         // hops defaults to 0 and only serializes when nonzero.
-        fwd.hops = 0;
-        assert!(!fwd.to_line().contains("hops"));
-        assert_eq!(Request::parse(&fwd.to_line()).unwrap(), fwd);
+        relayed.hops = 0;
+        assert!(!relayed.to_line().contains("hops"));
+        assert_eq!(Request::parse(&relayed.to_line()).unwrap(), relayed);
+        assert!(Request::parse(r#"{"op":"certify","source":"x","hops":-1}"#).is_err());
 
-        // forward without a wrapped request is a protocol error.
-        let (_, msg) = Request::parse(r#"{"op":"forward"}"#).unwrap_err();
-        assert!(msg.contains("needs `req`"), "{msg}");
-        assert!(Request::parse(r#"{"op":"forward","req":7}"#).is_err());
-        assert!(Request::parse(r#"{"op":"forward","req":"x","hops":-1}"#).is_err());
+        // There is no envelope op: a `forward` line is an unknown op.
+        let (id, msg) =
+            Request::parse(r#"{"id":4,"op":"forward","hops":1,"req":"{\"op\":\"ping\"}"}"#)
+                .unwrap_err();
+        assert_eq!(msg, "unknown op `forward`");
+        assert_eq!(id, Some(Json::Num(4.0)));
 
         // peer-sync needs no source; paging fields round-trip.
         let mut sync = Request::new(Op::PeerSync, "");

@@ -1,151 +1,107 @@
-//! Consistent-hash ring mapping cache fingerprints to cluster nodes.
+//! Rendezvous hashing: the map from cache fingerprints to cluster
+//! nodes.
 //!
 //! Every request is content-addressed by its cache fingerprint (the
 //! FNV-1a hash `CacheKey::of` computes over the canonical request
 //! parts), so sharding is just a stable map from that 64-bit hash to a
-//! node address. The ring places a fixed number of virtual points per
-//! node on the u64 circle — each point the FNV-1a hash of
-//! `"{addr}#{replica}"` — and assigns a key to the first point at or
-//! clockwise of the key's hash. The construction uses nothing but the
-//! node address strings and FNV, so every process that agrees on the
-//! member list agrees on every assignment, with no coordination.
+//! node address. Rendezvous (highest-random-weight) hashing (Thaler &
+//! Ravishankar, 1998) scores a key at every node as
+//! `splitmix64(seed ^ key)`, where a node's seed is `splitmix64` of the
+//! FNV-1a hash of its address, and gives the key to the highest
+//! scorer; the preference list is the nodes in descending score. The
+//! construction uses nothing but the node address strings, so every
+//! process that agrees on the member list agrees on every assignment,
+//! with no coordination.
 //!
-//! Virtual points keep the load spread even and, more importantly,
-//! bound churn: growing from N to N+1 nodes moves only the keys whose
-//! arc the new node's points claim — in expectation 1/(N+1) of the
-//! keyspace — which the property tests below check on sampled keys.
-//! Each point is finished with a SplitMix64 mix of the FNV hash:
-//! FNV-1a alone has weak trailing-byte diffusion, so the 64 replica
-//! points of one node would otherwise cluster into a handful of arcs.
+//! Scores are independent per node, so keys split evenly and churn is
+//! exact: removing a node deletes only its score, leaving the
+//! survivors' order untouched, and growing from N to N+1 nodes moves
+//! exactly the keys the newcomer outscores (1/(N+1) of the keyspace in
+//! expectation), each to the newcomer. The tests below check both.
 
-use crate::cache::fnv1a;
+use std::cmp::Reverse;
+
+use crate::cache::{fnv1a, FNV_OFFSET};
 use crate::fault::splitmix64;
 
-/// Virtual points placed on the ring per node. 64 keeps the per-node
-/// load within a few percent of even for small clusters while keeping
-/// ring construction and lookup (binary search over `n * 64` points)
-/// trivially cheap.
-pub const POINTS_PER_NODE: usize = 64;
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-
-/// A consistent-hash ring over a fixed set of node addresses.
+/// The rendezvous-hash map over a fixed set of node addresses. The
+/// name is historical: there is no ring, only per-node scores.
 ///
-/// Deterministic by construction: two rings built from the same set of
+/// Deterministic by construction: two maps built from the same set of
 /// addresses (in any order) produce identical assignments in any
 /// process — there is no random seed and no insertion-order
 /// dependence.
 #[derive(Debug, Clone)]
 pub struct HashRing {
-    /// `(point, node-index)` sorted by point; ties broken by the
-    /// node's position in the sorted `nodes` list so duplicates of a
-    /// point (vanishingly rare but possible) still resolve identically
-    /// everywhere.
-    points: Vec<(u64, usize)>,
     /// Sorted, deduplicated node addresses.
     nodes: Vec<String>,
+    /// `seeds[i]` is the score seed of `nodes[i]`.
+    seeds: Vec<u64>,
 }
 
 impl HashRing {
-    /// Builds a ring over `nodes` (addresses such as
+    /// Builds the map over `nodes` (addresses such as
     /// `"127.0.0.1:4600"`). Duplicates are dropped; order is
-    /// irrelevant. An empty list yields an empty ring for which
+    /// irrelevant. An empty list yields an empty map for which
     /// [`HashRing::node_for`] returns `None`.
     pub fn new<S: AsRef<str>>(nodes: &[S]) -> Self {
         let mut sorted: Vec<String> = nodes.iter().map(|n| n.as_ref().to_string()).collect();
         sorted.sort();
         sorted.dedup();
-        let mut points = Vec::with_capacity(sorted.len() * POINTS_PER_NODE);
-        for (idx, node) in sorted.iter().enumerate() {
-            for replica in 0..POINTS_PER_NODE {
-                let mut h = fnv1a(FNV_OFFSET, node.as_bytes());
-                h = fnv1a(h, b"#");
-                h = fnv1a(h, replica.to_string().as_bytes());
-                // FNV-1a alone clusters points whose inputs differ only
-                // in the trailing replica digits (the final `*prime`
-                // spreads a last-byte difference across at most ~2^48 of
-                // the circle), which collapses the effective point count
-                // and wrecks the churn bound — finish with a full-width
-                // mixer so the 64 points land independently.
-                points.push((splitmix64(h), idx));
-            }
-        }
-        points.sort();
+        let seeds = sorted
+            .iter()
+            .map(|node| splitmix64(fnv1a(FNV_OFFSET, node.as_bytes())))
+            .collect();
         HashRing {
-            points,
             nodes: sorted,
+            seeds,
         }
     }
 
-    /// Number of distinct nodes on the ring.
+    /// Number of distinct nodes.
     pub fn len(&self) -> usize {
         self.nodes.len()
     }
 
-    /// True when the ring has no nodes.
+    /// True when there are no nodes.
     pub fn is_empty(&self) -> bool {
         self.nodes.is_empty()
     }
 
-    /// The node addresses on the ring, sorted.
+    /// The node addresses, sorted.
     pub fn nodes(&self) -> &[String] {
         &self.nodes
     }
 
-    /// The node owning `key_hash`: the first virtual point at or
-    /// clockwise of the hash, wrapping at the top of the u64 circle.
-    /// `None` only for an empty ring. Total: every u64 maps to exactly
-    /// one node.
-    pub fn node_for(&self, key_hash: u64) -> Option<&str> {
-        if self.points.is_empty() {
-            return None;
-        }
-        let idx = match self.points.binary_search(&(key_hash, 0)) {
-            Ok(i) => i,
-            Err(i) => {
-                if i == self.points.len() {
-                    0 // wrap: past the last point, the first point owns it
-                } else {
-                    i
-                }
-            }
-        };
-        Some(&self.nodes[self.points[idx].1])
+    /// Node `i`'s score for `key_hash`, ranked: a higher score first,
+    /// and on a tie the earlier address.
+    fn rank(&self, i: usize, key_hash: u64) -> (u64, Reverse<usize>) {
+        (splitmix64(self.seeds[i] ^ key_hash), Reverse(i))
     }
 
-    /// The first `rf` *distinct* nodes at or clockwise of `key_hash`,
-    /// deduplicated by node, in ring order: the owner first, then its
-    /// up-ring successors. This is both the replica set for the key
-    /// (replication factor `rf`) and the preference list a router
-    /// walks when the owner is down. `rf` larger than the membership
-    /// yields every node exactly once; `rf = 0` yields nothing.
+    /// The node owning `key_hash`: the highest scorer. `None` only for
+    /// an empty map. Total: every u64 maps to exactly one node.
+    pub fn node_for(&self, key_hash: u64) -> Option<&str> {
+        let best = (0..self.nodes.len()).max_by_key(|&i| self.rank(i, key_hash))?;
+        Some(&self.nodes[best])
+    }
+
+    /// The first `min(rf, len)` nodes by descending score for
+    /// `key_hash`: the owner first, then the runners-up. This is both
+    /// the replica set for the key (replication factor `rf`) and the
+    /// preference list a router walks when the owner is down. `rf`
+    /// larger than the membership yields every node exactly once;
+    /// `rf = 0` yields nothing.
     ///
-    /// Removing a node from the ring only deletes that node's virtual
-    /// points, so the relative order of the survivors' points — and
-    /// therefore every preference list over the survivors — is
-    /// unchanged (the churn property the tests below pin).
+    /// Removing a node only deletes that node's score, so the relative
+    /// order of the survivors — and therefore every preference list
+    /// over them — is unchanged (the churn property the tests below
+    /// pin).
     pub fn preference_list(&self, key_hash: u64, rf: usize) -> Vec<&str> {
-        let want = rf.min(self.nodes.len());
-        let mut out: Vec<&str> = Vec::with_capacity(want);
-        if self.points.is_empty() || want == 0 {
-            return out;
-        }
-        let start = match self.points.binary_search(&(key_hash, 0)) {
-            Ok(i) => i,
-            Err(i) if i == self.points.len() => 0,
-            Err(i) => i,
-        };
-        for off in 0..self.points.len() {
-            let (_, node_idx) = self.points[(start + off) % self.points.len()];
-            let node = self.nodes[node_idx].as_str();
-            if !out.contains(&node) {
-                out.push(node);
-            }
-            if out.len() == want {
-                break;
-            }
-        }
-        out
+        let mut order: Vec<usize> = (0..self.nodes.len()).collect();
+        order.sort_unstable_by_key(|&i| Reverse(self.rank(i, key_hash)));
+        order.truncate(rf);
+        order.into_iter().map(|i| self.nodes[i].as_str()).collect()
     }
 }
 
@@ -178,7 +134,7 @@ mod tests {
     /// the member set, not on insertion order, duplicates, or any
     /// per-process state. (Cross-*process* determinism follows because
     /// the construction touches nothing but the address bytes, FNV-1a,
-    /// and the SplitMix64 finisher — all build-independent.)
+    /// and SplitMix64 — all build-independent.)
     #[test]
     fn assignment_is_deterministic_and_order_independent() {
         let forward = HashRing::new(&["a:1", "b:2", "c:3"]);
@@ -208,7 +164,7 @@ mod tests {
     }
 
     /// Churn bound: growing N → N+1 remaps ≤ ~1/(N+1) of sampled keys
-    /// (2x slack for virtual-point variance at these sample sizes),
+    /// (2x slack for sampling variance at these sample sizes),
     /// and never remaps a key *between* surviving nodes — a moved key
     /// always lands on the new node.
     #[test]
@@ -272,6 +228,30 @@ mod tests {
                 assert_eq!(bounded.len(), rf.min(ring.len()));
                 assert_eq!(bounded[..], full[..rf.min(ring.len())]);
             }
+        }
+    }
+
+    /// Keys split evenly over three loopback nodes: on 16 port triples
+    /// shaped like a local test cluster's, no node owns more than 1.05×
+    /// its fair third of 30,000 keys.
+    #[test]
+    fn three_loopback_nodes_share_keys_evenly() {
+        let keys = 30_000u64;
+        for t in 0..16u64 {
+            let nodes: Vec<String> = (0..3u64)
+                .map(|i| format!("127.0.0.1:{}", 20_000 + 101 * t + i))
+                .collect();
+            let ring = HashRing::new(&nodes);
+            let mut owned = [0u64; 3];
+            for k in 0..keys {
+                let owner = ring.node_for(splitmix64(k)).unwrap();
+                owned[ring.nodes().iter().position(|n| n == owner).unwrap()] += 1;
+            }
+            let busiest = *owned.iter().max().unwrap() as f64 / (keys as f64 / 3.0);
+            assert!(
+                busiest <= 1.05,
+                "{nodes:?}: {owned:?} is {busiest:.3}x fair"
+            );
         }
     }
 
@@ -353,7 +333,7 @@ mod tests {
         }
 
         /// Removal churn bound: deleting one node only deletes that
-        /// node's virtual points, so the survivors' preference order is
+        /// node's score, so the survivors' preference order is
         /// untouched — the shrunken ring's list equals the old full
         /// walk with the removed node filtered out. Only slots the dead
         /// node held are reassigned; no key moves *between* survivors.
@@ -380,7 +360,7 @@ mod tests {
         }
 
         /// Churn bound for any membership: growing N → N+1 remaps at
-        /// most ~1/(N+1) of sampled keys (2.5x slack for virtual-point
+        /// most ~1/(N+1) of sampled keys (2.5x slack for sampling
         /// variance), and every moved key lands on the newcomer.
         #[test]
         fn any_growth_step_remaps_at_most_a_fair_share(

@@ -490,11 +490,12 @@ pub fn serve_listener(listener: TcpListener, cfg: ServerConfig) -> io::Result<Tc
     }
 }
 
-/// How often the failure-detector beat runs on a clustered node.
+/// How often the failure-detector beat runs on a clustered node: it
+/// paces the probes, so a healed peer is readmitted within one tick.
 const HEALTH_TICK: Duration = Duration::from_millis(250);
 
 /// Spawns the detached failure-detector thread: every tick it probes
-/// peers whose probe timer is due and asks each replica readmitted from
+/// every peer that is not UP and asks each replica readmitted from
 /// DOWN to `repair` from this node. The thread holds only a [`Weak`] on
 /// the service, so it exits on its own once the front-end drops the
 /// last strong reference at shutdown — no flag to thread through.

@@ -25,9 +25,7 @@ use crate::fault::{Faults, NoFaults};
 use crate::json::Json;
 use crate::metrics::Metrics;
 use crate::ops::{self, Certified, Inferred};
-use crate::peer::{
-    ClusterConfig, ClusterState, DEFAULT_MAX_HOPS, DEFAULT_PEER_TIMEOUT_MS, MAX_SYNC_PAGE,
-};
+use crate::peer::{ClusterConfig, ClusterState, DEFAULT_PEER_TIMEOUT_MS, MAX_HOPS, MAX_SYNC_PAGE};
 use crate::persist::{encode_record, DurableStore};
 use crate::pool::PoolHealth;
 use crate::protocol::{ErrorKind, Op, Request, Response};
@@ -332,13 +330,12 @@ impl Service {
         let line = match req.op {
             Op::Stats => self.stats_line(req, None),
             Op::Shutdown => Response::ok(req.id.as_ref(), Op::Shutdown).into_line(),
-            Op::Forward => self.forward_op(req, start, token),
             Op::PeerSync => self.peer_sync_op(req),
             Op::Ping => self.ping_op(req),
             Op::Replicate => self.replicate_op(req),
             Op::Repair => self.repair_op(req),
             // The rest are the program ops (`Op::is_program`).
-            _ => self.compute_cached(req, cache_key(req, &self.limits), start, token, 0),
+            _ => self.compute_cached(req, cache_key(req, &self.limits), start, token),
         };
         self.metrics.record_latency(start.elapsed());
         line
@@ -413,66 +410,6 @@ impl Service {
             Op::Checkproof => Some(&self.metrics.checkproof),
             _ => None,
         }
-    }
-
-    /// The `forward` peer op: unwrap the inner request line and answer
-    /// it exactly as a direct request would be answered (so relayed
-    /// replies are byte-compatible), carrying the sender's hop count
-    /// into the routing decision as the anti-loop budget.
-    fn forward_op(&self, req: &Request, start: Instant, token: &CancelToken) -> String {
-        let inner_line = req.req.as_deref().unwrap_or_default();
-        let inner = match Request::parse(inner_line) {
-            Ok(inner) => inner,
-            Err((id, message)) => {
-                Metrics::bump(&self.metrics.errors);
-                return Response::error(
-                    id.as_ref(),
-                    ErrorKind::Protocol,
-                    &format!("bad forwarded request: {message}"),
-                )
-                .into_line();
-            }
-        };
-        // Control ops must not ride inside `forward`: a wrapped
-        // `shutdown` would let any peer kill the node, and a wrapped
-        // `forward` would defeat the hop budget.
-        if !inner.op.is_program() {
-            Metrics::bump(&self.metrics.errors);
-            return Response::error(
-                inner.id.as_ref(),
-                ErrorKind::Protocol,
-                &format!("op `{}` cannot be forwarded", inner.op.name()),
-            )
-            .into_line();
-        }
-        // Loop guard: a sender following the protocol stops forwarding
-        // at the hop budget, so a count past it means a routing loop or
-        // a non-conforming peer. Refuse with a structured (permanent)
-        // error instead of computing — the sender's relay path treats
-        // the refusal as "try the next candidate, else compute locally",
-        // so availability is preserved while the loop is broken.
-        let budget = self
-            .cluster
-            .as_ref()
-            .map(|c| c.max_hops())
-            .unwrap_or(DEFAULT_MAX_HOPS);
-        if req.hops > budget {
-            Metrics::bump(&self.metrics.cluster_forward_hop_exhausted);
-            Metrics::bump(&self.metrics.errors);
-            return Response::error(
-                inner.id.as_ref(),
-                ErrorKind::MaxHopsExhausted,
-                &format!("forward chain exceeded the hop budget of {budget}"),
-            )
-            .into_line();
-        }
-        self.compute_cached(
-            &inner,
-            cache_key(&inner, &self.limits),
-            start,
-            token,
-            req.hops,
-        )
     }
 
     /// The `peer-sync` op: one page of the cache as journal record
@@ -645,13 +582,13 @@ impl Service {
     }
 
     /// One beat of the background health loop: probe every non-UP peer
-    /// whose jittered deadline has passed (the call outcome feeds the
-    /// failure detector, so a healed peer flips back to UP here). A
-    /// replica readmitted from DOWN has missed the pushes skipped while
-    /// it was down, so this node asks it once to `repair` from here;
-    /// the peer pulls what it lacks through the verified `peer-sync`
-    /// path. No queue and no retry: a failed call is one more strike,
-    /// and `secflow repair` covers whatever this misses.
+    /// (the call outcome feeds the failure detector, so a healed peer
+    /// flips back to UP here). A replica readmitted from DOWN has missed
+    /// the pushes skipped while it was down, so this node asks it once
+    /// to `repair` from here; the peer pulls what it lacks through the
+    /// verified `peer-sync` path. No queue and no retry: a failed call
+    /// is one more strike, and `secflow repair` covers whatever this
+    /// misses.
     pub fn health_tick(&self) {
         let Some(cluster) = &self.cluster else { return };
         let ping_line = Request::new(Op::Ping, "").to_line();
@@ -708,11 +645,16 @@ impl Service {
     /// which counts nothing and hands back its key for
     /// [`execute_miss`](Self::execute_miss), so the key (a copy and hash
     /// of the whole request) is built once. `None` for a request that is
-    /// not a program op.
+    /// not a program op. A request over the hop budget is refused here,
+    /// before the probe.
     pub(crate) fn cached_reply(&self, req: &Request) -> Option<Result<String, CacheKey>> {
         let start = Instant::now();
         if !req.op.is_program() {
             return None;
+        }
+        if let Some(refusal) = self.refuse_over_budget(req) {
+            self.metrics.record_latency(start.elapsed());
+            return Some(Ok(refusal));
         }
         let key = cache_key(req, &self.limits);
         let Some(line) = self.reply_from_cache(req, &key, start) else {
@@ -728,7 +670,7 @@ impl Service {
     /// probe's key (the caller counted the request).
     pub(crate) fn execute_miss(&self, req: &Request, key: CacheKey, token: &CancelToken) -> String {
         let start = Instant::now();
-        let line = self.compute_cached(req, key, start, token, 0);
+        let line = self.compute_cached(req, key, start, token);
         self.metrics.record_latency(start.elapsed());
         line
     }
@@ -756,14 +698,36 @@ impl Service {
         Some(finish_line(req, &hit, true, start))
     }
 
+    /// The refusal of a program request whose `hops` exceeds the
+    /// budget: a relay chain that long means nodes disagree about
+    /// ownership, or a peer does not follow the protocol. The
+    /// `max_hops_exhausted` error echoes no `op`, so the sender's
+    /// [`relayed_result`] treats it as a refusal and moves on to its
+    /// next candidate, else computes locally: the loop is broken and the
+    /// request still answered. `None` for a request within the budget.
+    fn refuse_over_budget(&self, req: &Request) -> Option<String> {
+        if req.hops <= MAX_HOPS {
+            return None;
+        }
+        Metrics::bump(&self.metrics.cluster_forward_hop_exhausted);
+        Metrics::bump(&self.metrics.errors);
+        let message = format!(
+            "a relay chain of {} hops exceeds the budget of {MAX_HOPS}",
+            req.hops
+        );
+        Some(Response::error(req.id.as_ref(), ErrorKind::MaxHopsExhausted, &message).into_line())
+    }
+
     fn compute_cached(
         &self,
         req: &Request,
         key: CacheKey,
         start: Instant,
         token: &CancelToken,
-        hops: u64,
     ) -> String {
+        if let Some(refusal) = self.refuse_over_budget(req) {
+            return refusal;
+        }
         self.count_op(req);
         let mut guard = loop {
             if let Some(line) = self.reply_from_cache(req, &key, start) {
@@ -795,16 +759,7 @@ impl Service {
                         Metrics::bump(&self.metrics.errors);
                         Metrics::bump(&self.metrics.timeouts);
                         let (kind, message) = self.timeout_error(req);
-                        let result = CachedResult {
-                            ok: false,
-                            fields: vec![(
-                                "error".to_string(),
-                                Json::Obj(vec![
-                                    ("kind".to_string(), Json::Str(kind.name().to_string())),
-                                    ("message".to_string(), Json::Str(message)),
-                                ]),
-                            )],
-                        };
+                        let result = CachedResult::error(kind, &message);
                         return finish_line(req, &result, false, start);
                     }
                 },
@@ -816,7 +771,7 @@ impl Service {
         // request into one computation cluster-wide. Falls through to
         // local computation when the cluster is unreachable, so a dead
         // owner costs latency, never availability.
-        if let Some(line) = self.forward_to_owner(req, &key, hops, &mut guard) {
+        if let Some(line) = self.forward_to_owner(req, &key, &mut guard) {
             return line;
         }
         let result = self.lead(req, &key, token, guard);
@@ -844,16 +799,7 @@ impl Service {
                 if kind == ErrorKind::Timeout {
                     Metrics::bump(&self.metrics.timeouts);
                 }
-                CachedResult {
-                    ok: false,
-                    fields: vec![(
-                        "error".to_string(),
-                        Json::Obj(vec![
-                            ("kind".to_string(), Json::Str(kind.name().to_string())),
-                            ("message".to_string(), Json::Str(message)),
-                        ]),
-                    )],
-                }
+                CachedResult::error(kind, &message)
             }
         };
         // Parse/binding/fuel outcomes are deterministic in the key, so
@@ -900,37 +846,35 @@ impl Service {
         }))
     }
 
-    /// Tries to forward `req` to the node owning its fingerprint.
-    /// `Some(line)` is the relayed reply (byte-for-byte what the owner
-    /// answered); `None` means "compute locally" — this node owns the
-    /// key, there is no cluster, the hop budget is spent, or every
-    /// candidate peer was unreachable.
+    /// Tries to relay `req` to the node owning its fingerprint, as the
+    /// request itself with `hops` raised by one. `Some(line)` is the
+    /// relayed reply (byte-for-byte what the owner answered); `None`
+    /// means "compute locally" — this node owns the key, there is no
+    /// cluster, the hop budget is spent, or every candidate peer was
+    /// unreachable or refused.
     fn forward_to_owner(
         &self,
         req: &Request,
         key: &CacheKey,
-        hops: u64,
         guard: &mut Option<FlightGuard<'_>>,
     ) -> Option<String> {
         let cluster = self.cluster.as_ref()?;
-        if hops >= cluster.max_hops() {
+        if req.hops >= MAX_HOPS {
             return None;
         }
         let candidates = cluster.route(key.hash);
         if candidates.is_empty() {
             return None;
         }
-        let mut outer = Request::new(Op::Forward, "");
-        outer.req = Some(req.to_line());
-        outer.hops = hops + 1;
-        let outer_line = outer.to_line();
+        let relay_line = req.relay_line();
         for addr in candidates {
-            let Ok(reply) = cluster.call_peer(&addr, &outer_line) else {
+            let Ok(reply) = cluster.call_peer(&addr, &relay_line) else {
                 continue; // peer down: next candidate, else compute here
             };
             let Some((result, relayed_cached)) = relayed_result(&reply, req) else {
-                // Not an inner-shaped reply — the peer rejected the
-                // forward itself (overloaded, draining): next candidate.
+                // Not a reply to the op — the peer refused the request
+                // (overloaded, draining, over the hop budget): next
+                // candidate.
                 continue;
             };
             Metrics::bump(&self.metrics.cluster_forwards);
@@ -1137,10 +1081,10 @@ pub fn route_fingerprint(req: &Request) -> u64 {
     cache_key(req, &Limits::default()).hash
 }
 
-/// Interprets a peer's reply to a `forward` as the inner request's
-/// result: `Some((payload, was_cached))` when the reply is an
-/// inner-shaped response (its `op` echoes the forwarded op), `None`
-/// when the peer answered about the forward itself (a rejection).
+/// Interprets a peer's reply to a relayed request as that request's
+/// result: `Some((payload, was_cached))` when the reply answers the op
+/// (its `op` echoes the relayed op), `None` when the peer refused
+/// the request without answering it (no `op` echo).
 /// The payload is the reply minus the per-response envelope
 /// (`id`/`ok`/`op`/`cached`/`us`) — exactly what the local
 /// cache stores, so a later hit replays it byte-identically.
@@ -1237,41 +1181,15 @@ fn cache_key(req: &Request, limits: &Limits) -> CacheKey {
     ])
 }
 
-/// Renders the final response line: the result's fields, then the
+/// Renders the final response line: `id`, `ok` and `op`, the result's
+/// fields (a failure's include its `error` object), then the
 /// per-response `cached` and `us`.
 fn finish_line(req: &Request, result: &CachedResult, cached: bool, start: Instant) -> String {
-    let base = if result.ok {
-        Response::ok(req.id.as_ref(), req.op)
-    } else {
-        // Error fields already include the `error` object.
-        let mut fields = vec![("ok".to_string(), Json::Bool(false))];
-        if let Some(id) = &req.id {
-            fields.insert(0, ("id".to_string(), id.clone()));
-        }
-        fields.push(("op".to_string(), Json::Str(req.op.name().to_string())));
-        return Json::Obj(
-            fields
-                .into_iter()
-                .chain(result.fields.iter().cloned())
-                .chain([
-                    ("cached".to_string(), Json::Bool(cached)),
-                    elapsed_field(start),
-                ])
-                .collect(),
-        )
-        .to_string();
-    };
-    base.fields(&result.fields)
+    Response::reply(req.id.as_ref(), req.op, result.ok)
+        .fields(&result.fields)
         .field("cached", Json::Bool(cached))
-        .fields(&[elapsed_field(start)])
+        .field("us", Json::Num(start.elapsed().as_micros() as f64))
         .into_line()
-}
-
-fn elapsed_field(start: Instant) -> (String, Json) {
-    (
-        "us".to_string(),
-        Json::Num(start.elapsed().as_micros() as f64),
-    )
 }
 
 /// Response fields for the `lint` op: aggregate counts plus one JSON
@@ -2146,16 +2064,7 @@ mod tests {
         }
         // Publish a failure the way a leader's guard would.
         s.inflight.lock().unwrap().remove(&key.canon);
-        let failure = CachedResult {
-            ok: false,
-            fields: vec![(
-                "error".to_string(),
-                Json::Obj(vec![
-                    ("kind".to_string(), Json::Str("parse".to_string())),
-                    ("message".to_string(), Json::Str("boom".to_string())),
-                ]),
-            )],
-        };
+        let failure = CachedResult::error(ErrorKind::Parse, "boom");
         *flight.slot.lock().unwrap() = Some(Some(failure));
         flight.cv.notify_all();
 
@@ -2310,74 +2219,48 @@ mod tests {
         assert_eq!(v4.get("certified").and_then(Json::as_bool), Some(true));
     }
 
+    /// A program request over the hop budget is refused on every path
+    /// before the cache is probed: with no `op` echo (so a relaying
+    /// sender moves on to its next candidate), counted, and cached
+    /// nowhere. Within the budget the same request computes.
     #[test]
     fn over_budget_forwards_are_refused_with_a_structured_error() {
+        let hops = |n: u64| {
+            let mut req = Request::parse(&line(LEAKY, r#"{}"#)).unwrap();
+            req.id = Some(Json::Num(n as f64));
+            req.hops = n;
+            req
+        };
+        let assert_refused = |reply: &str| {
+            let v = Json::parse(reply).unwrap();
+            assert_eq!(v.get("ok").and_then(Json::as_bool), Some(false));
+            assert_eq!(error_kind(&v), Some("max_hops_exhausted"));
+            assert!(v.get("op").is_none(), "{reply}");
+            assert_eq!(v.get("id").and_then(Json::as_u64), Some(99));
+        };
         let s = svc();
-        let inner = line(LEAKY, r#"{}"#);
-        let outer = format!(
-            r#"{{"op":"forward","req":{},"hops":99}}"#,
-            Json::Str(inner.clone())
-        );
-        let v = Json::parse(&s.handle_line(&outer)).unwrap();
-        assert_eq!(v.get("ok").and_then(Json::as_bool), Some(false));
-        assert_eq!(
-            v.get("error")
-                .and_then(|e| e.get("kind"))
-                .and_then(Json::as_str),
-            Some("max_hops_exhausted")
-        );
-        // The refusal is about the forward, not the inner op — it must
-        // not look like an inner-shaped reply, so the sender's relay
-        // path advances to its next candidate instead of caching it.
-        assert!(v.get("op").is_none());
+        assert_refused(&s.handle_line(&hops(99).to_line()));
         assert_eq!(s.metrics.cluster_forward_hop_exhausted.load(Relaxed), 1);
+        assert_eq!(s.metrics.errors.load(Relaxed), 1);
         assert_eq!(s.cache_len(), 0, "nothing was computed or cached");
 
-        // At the budget (the legitimate maximum a conforming sender
-        // emits), the request still computes.
-        let at_budget = format!(
-            r#"{{"op":"forward","req":{},"hops":{}}}"#,
-            Json::Str(inner),
-            DEFAULT_MAX_HOPS
-        );
-        let v2 = Json::parse(&s.handle_line(&at_budget)).unwrap();
-        assert_eq!(v2.get("ok").and_then(Json::as_bool), Some(true));
-        assert_eq!(v2.get("certified").and_then(Json::as_bool), Some(true));
-    }
+        // Within the budget, the request computes.
+        let v = Json::parse(&s.handle_line(&hops(MAX_HOPS).to_line())).unwrap();
+        assert_eq!(v.get("ok").and_then(Json::as_bool), Some(true));
+        assert_eq!(v.get("certified").and_then(Json::as_bool), Some(true));
+        assert_eq!(s.cache_len(), 1);
 
-    /// `forward` carries program ops only. Every control and peer op
-    /// inside it is refused with a `protocol` error naming the op, and
-    /// counted: a wrapped `shutdown` would let any peer kill the node.
-    #[test]
-    fn forward_refuses_every_non_program_op() {
-        let s = svc();
-        let nested = format!(
-            r#"{{"op":"forward","req":{}}}"#,
-            Json::Str(line(LEAKY, "{}"))
-        );
-        for inner in [
-            r#"{"op":"stats"}"#,
-            r#"{"op":"shutdown"}"#,
-            &nested,
-            r#"{"op":"peer-sync"}"#,
-            r#"{"op":"ping"}"#,
-            r#"{"op":"replicate","payload":"{}"}"#,
-            r#"{"op":"repair","peer":"127.0.0.1:1"}"#,
-        ] {
-            let name = Request::parse(inner).unwrap().op.name();
-            let outer = format!(
-                r#"{{"op":"forward","req":{}}}"#,
-                Json::Str(inner.to_string())
-            );
-            let errors = s.metrics.errors.load(Relaxed);
-            let v = Json::parse(&s.handle_line(&outer)).unwrap();
-            let error = v.get("error").expect("a refusal");
-            assert_eq!(error.get("kind").and_then(Json::as_str), Some("protocol"));
-            let message = error.get("message").and_then(Json::as_str).unwrap();
-            assert!(message.contains(&format!("`{name}`")), "{name}: {message}");
-            assert_eq!(s.metrics.errors.load(Relaxed), errors + 1, "{name}");
-        }
-        assert_eq!(s.cache_len(), 0, "nothing was computed or cached");
+        // Its answer is cached now, and an over-budget copy is still
+        // refused: on the loop thread's probe, and on the pooled path.
+        let over = hops(99);
+        let Some(Ok(inline)) = s.cached_reply(&over) else {
+            panic!("the probe answers an over-budget request itself");
+        };
+        assert_refused(&inline);
+        let key = cache_key(&over, &s.limits);
+        assert_refused(&s.execute_miss(&over, key, &s.cancel_token(&over)));
+        assert_eq!(s.metrics.cluster_forward_hop_exhausted.load(Relaxed), 3);
+        assert_eq!(s.metrics.cache_hits.load(Relaxed), 0);
     }
 
     #[test]

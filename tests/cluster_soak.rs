@@ -211,8 +211,8 @@ fn three_node_cluster_computes_each_distinct_source_exactly_once() {
 /// readmits it and asks it to `repair` from the primary, which pulls
 /// the missed entries through the verified `peer-sync` path. A second
 /// `repair` round confirms the digests already converged. Along the
-/// way, an over-budget `forward` is refused with the structured
-/// `max_hops_exhausted` error (never an inner-shaped reply) over real
+/// way, a `certify` past the hop budget is refused with the structured
+/// `max_hops_exhausted` error (never an answer to the op) over real
 /// sockets.
 #[test]
 fn a_readmitted_replica_repairs_from_its_primary_and_digests_converge() {
@@ -260,11 +260,11 @@ fn a_readmitted_replica_repairs_from_its_primary_and_digests_converge() {
         .and_then(Json::as_str);
     assert_eq!(health_of_b, Some("down"), "A sees B down: {stats}");
 
-    // A hop-exhausted forward is a structured refusal, not an answer.
-    let mut fwd = Request::new(Op::Forward, "");
-    fwd.req = Some(Request::new(Op::Certify, soak_source(0)).to_line());
-    fwd.hops = 99;
-    match RemoteClient::new(&addrs[0], policy).call(&fwd) {
+    // A request past the hop budget is a structured refusal, not an
+    // answer.
+    let mut relayed = Request::new(Op::Certify, soak_source(0));
+    relayed.hops = 99;
+    match RemoteClient::new(&addrs[0], policy).call(&relayed) {
         Err(ClientError::Permanent { kind, .. }) => {
             assert_eq!(kind, ErrorKind::MaxHopsExhausted)
         }
@@ -420,8 +420,8 @@ fn cluster_chaos_soak_converges_with_single_node_fault_free_run() {
 
     // Deterministic per-node fault plans: worker panics, IO errors,
     // short reads/writes, stalls and latency on every connection the
-    // node serves — which includes the `forward` and `peer-sync`
-    // traffic its peers send it. The fault fuse bounds the damage so
+    // node serves — which includes the relayed requests and
+    // `peer-sync` traffic its peers send it. The fault fuse bounds the damage so
     // every client converges.
     let chaos = |seed: usize| {
         format!(

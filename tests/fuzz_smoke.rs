@@ -11,6 +11,7 @@ use secflow::analyze::analyze;
 use secflow::cert::validate_certificate;
 use secflow::lang::{parse, print_program};
 use secflow::server::cache::canon_hash;
+use secflow::server::peer::MAX_HOPS;
 use secflow::server::persist::{decode_record, encode_record};
 use secflow::server::{CacheKey, CachedResult, Json, Limits, Service};
 use secflow::workload::{generate, GenConfig};
@@ -131,13 +132,16 @@ proptest! {
         }
     }
 
-    /// The `forward` peer op over byte soup as the wrapped request
-    /// line: always a well-formed reply — a relayed verdict or a
-    /// structured error with a non-empty kind — never a panic.
+    /// A program request over soup source carrying any hop count, in
+    /// and past the budget: always a well-formed reply — a verdict, a
+    /// structured error, or a hop refusal — never a panic.
     #[test]
-    fn server_forward_soup_never_panics(inner in ".{0,300}") {
+    fn server_relayed_soup_never_panics(source in ".{0,300}", hops in 0u64..10) {
         let service = Service::new(16, Limits::default());
-        let req = format!(r#"{{"op":"forward","req":{}}}"#, Json::Str(inner));
+        let req = format!(
+            r#"{{"op":"certify","source":{},"hops":{hops}}}"#,
+            Json::Str(source)
+        );
         let reply = Json::parse(&service.handle_line(&req)).expect("reply is well-formed JSON");
         let ok = reply.get("ok").and_then(Json::as_bool).expect("ok field");
         if !ok {
@@ -150,20 +154,32 @@ proptest! {
         }
     }
 
-    /// A well-formed `forward` wrapping a certify of soup source: the
-    /// inner request computes exactly as if sent directly (the reply
-    /// carries the inner op), whatever the source bytes.
+    /// A program request over soup source within the hop budget
+    /// computes exactly as if it carried no hops (the reply answers the
+    /// op), and one past the budget is refused without an `op` echo,
+    /// whatever the source bytes.
     #[test]
-    fn server_forward_wrapped_soup_source_never_panics(source in ".{0,200}") {
+    fn server_relayed_soup_source_answers_within_the_budget(
+        source in ".{0,200}",
+        hops in 0u64..10,
+    ) {
         let service = Service::new(16, Limits::default());
-        let inner = format!(r#"{{"op":"certify","source":{}}}"#, Json::Str(source));
-        let req = format!(r#"{{"op":"forward","req":{}}}"#, Json::Str(inner));
+        let req = format!(
+            r#"{{"op":"certify","source":{},"hops":{hops}}}"#,
+            Json::Str(source)
+        );
         let reply = Json::parse(&service.handle_line(&req)).expect("reply is well-formed JSON");
         let ok = reply.get("ok").and_then(Json::as_bool).expect("ok field");
-        if ok {
-            prop_assert_eq!(reply.get("op").and_then(Json::as_str), Some("certify"));
+        let kind = reply
+            .get("error")
+            .and_then(|e| e.get("kind"))
+            .and_then(Json::as_str);
+        if hops > MAX_HOPS {
+            prop_assert_eq!(kind, Some("max_hops_exhausted"));
+            prop_assert!(reply.get("op").is_none());
         } else {
-            prop_assert!(reply.get("error").is_some());
+            prop_assert_eq!(reply.get("op").and_then(Json::as_str), Some("certify"));
+            prop_assert!(ok || kind.is_some());
         }
     }
 
