@@ -143,21 +143,33 @@ impl fmt::Display for Json {
     }
 }
 
+/// Writes `s` as a JSON string. Every byte that needs an escape is
+/// ASCII, so the runs between them are whole UTF-8 and go out in one
+/// write each.
 fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
     f.write_str("\"")?;
-    for c in s.chars() {
-        match c {
-            '"' => f.write_str("\\\"")?,
-            '\\' => f.write_str("\\\\")?,
-            '\n' => f.write_str("\\n")?,
-            '\r' => f.write_str("\\r")?,
-            '\t' => f.write_str("\\t")?,
-            '\u{08}' => f.write_str("\\b")?,
-            '\u{0C}' => f.write_str("\\f")?,
-            c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
-            c => write!(f, "{c}")?,
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let escape = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0x08 => "\\b",
+            0x0C => "\\f",
+            0x00..=0x1F => "",
+            _ => continue,
+        };
+        f.write_str(&s[run..i])?;
+        if escape.is_empty() {
+            write!(f, "\\u{b:04x}")?;
+        } else {
+            f.write_str(escape)?;
         }
+        run = i + 1;
     }
+    f.write_str(&s[run..])?;
     f.write_str("\"")
 }
 
@@ -408,6 +420,20 @@ mod tests {
             let v = Json::parse(text).unwrap();
             let v2 = Json::parse(&v.to_string()).unwrap();
             assert_eq!(v, v2);
+        }
+    }
+
+    #[test]
+    fn strings_are_written_with_one_spelling_per_character() {
+        for (s, want) in [
+            ("", r#""""#),
+            ("plain λ≤🦀", r#""plain λ≤🦀""#),
+            (
+                "\"a\\b\nc\rd\te\u{8}f\u{c}g\u{1}h\u{1f}\u{7f}",
+                "\"\\\"a\\\\b\\nc\\rd\\te\\bf\\fg\\u0001h\\u001f\u{7f}\"",
+            ),
+        ] {
+            assert_eq!(Json::Str(s.to_string()).to_string(), want, "{s:?}");
         }
     }
 

@@ -5,10 +5,10 @@
 //!
 //! ```json
 //! {"format":"secflow-cert",
-//!  "version":1,
+//!  "version":2,
 //!  "lattice":"two",
 //!  "program_sha256":"<hex>",
-//!  "proof":{"rule":"seq","pre":{...},"post":{...},"kids":[...]},
+//!  "proof":{"exprs":[...],"assertions":[...],"root":["seq",0,1,[...]]},
 //!  "digest":"<hex>"}
 //! ```
 //!
@@ -17,13 +17,21 @@
 //!   decimal). Literals use the canonical spellings only.
 //! - `program_sha256` fingerprints the exact source text the proof is
 //!   about; a validator checks it before anything structural.
-//! - `proof` mirrors [`Proof`]: each node carries its rule name
-//!   (`skip`, `assign`, `signal`, `wait`, `if`, `while`, `seq`,
-//!   `cobegin`, `conseq`), its `pre`/`post` assertions, and its
-//!   premises in `kids`. Assertions are
-//!   `{"state":[[lhs,rhs],...],"local":E,"global":E}`; a class
-//!   expression `E` is `{"atoms":["v:<name>"|"local"|"global",...],
-//!   "lit":"<class>"|null}` (`null` = the bottom element ν).
+//! - `proof` mirrors [`Proof`], with every distinct class expression
+//!   and every distinct assertion written once, in a table, and named
+//!   by its index everywhere else. Theorem 1 builds completely
+//!   invariant proofs, so most nodes repeat one of a few assertions.
+//!   - `exprs`: each class expression is `[[atom,...], lit]`, atoms
+//!     `"v:<name>"`, `"local"` or `"global"` in the [`ClassExpr`]
+//!     order (variables by declaration, then `local`, then `global`),
+//!     and `lit` a class literal or `null` (the bottom element ν).
+//!   - `assertions`: each is `[[[lhs,rhs],...], local, global]`, every
+//!     entry an expression index and `local`/`global` possibly `null`
+//!     (unconstrained).
+//!   - `root`: a node is `[rule, pre, post, [kids...]]`, `pre`/`post`
+//!     assertion indices and the rule one of `skip`, `assign`,
+//!     `signal`, `wait`, `if`, `while`, `seq`, `cobegin`, `conseq`.
+//!
 //!   Substitution data is deliberately *not* carried: the checker
 //!   re-derives every substitution from the statement itself, so there
 //!   is nothing in a certificate a validator has to take on faith.
@@ -32,20 +40,35 @@
 //!   content-addressable and cheap to reject after transport damage.
 //!
 //! Canonicality: field order is fixed, whitespace is absent, strings
-//! use the [`Json`] writer's escaping, and class-expression atoms are
-//! already sorted by the [`ClassExpr`] representation — so equal proofs
-//! serialize to equal bytes and equal digests.
+//! use the [`Json`] writer's escaping, atoms are sorted and distinct,
+//! and the tables are numbered in order of first use: a pre-order walk
+//! of the nodes meets each node's `pre`, then its `post`, then its
+//! kids, and a newly met assertion meets each bound's `lhs` then `rhs`,
+//! then `local`, then `global`. Every entry is used and none repeats
+//! another, so equal proofs serialize to equal bytes and equal digests,
+//! and a proof has no other encoding.
 //!
 //! Validation never runs Theorem 1 search. It re-checks, in order:
 //! the envelope (stages `json`/`format`/`version`), the digest
 //! (`digest`), the program fingerprint (`program`), the source parse
-//! (`source`), the lattice descriptor (`lattice`), the proof decode
-//! (`proof`), and finally the full Figure-1 derivation via
-//! [`check_proof`] (`check`). Every failure is a structured
-//! [`CertError`] naming its stage — adversarial input can not panic.
+//! (`source`), the lattice descriptor (`lattice`), the proof decode and
+//! its tables' canonicality (`proof`), and finally the full Figure-1
+//! derivation via [`check_proof`] (`check`). Each table entry is
+//! decoded once, and the table checks hash entries rather than compare
+//! them pairwise. Decoding copies an entry into every bound and node
+//! that names it, so each copy is first charged against a budget of
+//! 64 × statements × (symbols + 2) expression slots (an expression is
+//! one slot plus one per atom), the most any Theorem 1 proof of the
+//! source copies; a proof that would copy more is rejected at stage
+//! `proof`. A forged certificate therefore holds the validator to what
+//! the prover's own proof of the same source would hold, whatever it
+//! repeats. Every failure is a structured [`CertError`] naming its
+//! stage — adversarial input can not panic.
 
+use std::collections::HashMap;
 use std::fmt;
 
+use secflow_lang::metrics::measure;
 use secflow_lang::{parse, Program, SymbolTable};
 use secflow_lattice::{Extended, Lattice, Linear, LinearScheme, TwoPoint};
 use secflow_logic::{check_proof, Assertion, Atom, Bound, ClassExpr, Proof, Rule};
@@ -56,7 +79,7 @@ use crate::json::Json;
 /// The `format` field of every certificate.
 pub const CERT_FORMAT: &str = "secflow-cert";
 /// The schema version this crate emits and accepts.
-pub const CERT_VERSION: u64 = 1;
+pub const CERT_VERSION: u64 = 2;
 
 /// The fixed top-level field order (digest last, over the rest).
 const FIELDS: [&str; 6] = [
@@ -245,96 +268,118 @@ pub fn emit_certificate<L: Lattice>(
         ),
         ("proof".to_string(), encode_proof(proof, symbols, show_lit)),
     ]);
-    let digest = sha256_hex(body.to_string().as_bytes());
-    let Json::Obj(mut fields) = body else {
-        unreachable!("body is an object")
-    };
-    fields.push(("digest".to_string(), Json::Str(digest.clone())));
+    // The certificate is the body with one more field before its
+    // closing brace, so the body is serialized once.
+    let mut text = body.to_string();
+    let digest = sha256_hex(text.as_bytes());
+    text.pop();
+    text.push_str(&format!(",\"digest\":\"{digest}\"}}"));
     Certificate {
-        text: Json::Obj(fields).to_string(),
+        text,
         digest,
         nodes: proof.size(),
     }
 }
 
+/// The `proof` value: both tables, then the root node.
 fn encode_proof<L: Lattice>(
     proof: &Proof<L>,
     symbols: &SymbolTable,
     show_lit: &dyn Fn(&L) -> String,
 ) -> Json {
-    let rule = match &proof.rule {
-        Rule::SkipAxiom => "skip",
-        Rule::AssignAxiom => "assign",
-        Rule::SignalAxiom => "signal",
-        Rule::WaitAxiom => "wait",
-        Rule::If { .. } => "if",
-        Rule::While { .. } => "while",
-        Rule::Seq { .. } => "seq",
-        Rule::Cobegin { .. } => "cobegin",
-        Rule::Conseq { .. } => "conseq",
+    let mut tables = Tables {
+        symbols,
+        show_lit,
+        expr_ids: HashMap::new(),
+        exprs: Vec::new(),
+        assertion_ids: HashMap::new(),
+        assertions: Vec::new(),
     };
-    let mut kids: Vec<Json> = Vec::new();
-    match &proof.rule {
-        Rule::SkipAxiom | Rule::AssignAxiom | Rule::SignalAxiom | Rule::WaitAxiom => {}
-        Rule::If {
-            then_proof,
-            else_proof,
-        } => {
-            kids.push(encode_proof(then_proof, symbols, show_lit));
-            if let Some(e) = else_proof {
-                kids.push(encode_proof(e, symbols, show_lit));
-            }
-        }
-        Rule::While { body } => kids.push(encode_proof(body, symbols, show_lit)),
-        Rule::Seq { parts } => {
-            kids.extend(parts.iter().map(|p| encode_proof(p, symbols, show_lit)))
-        }
-        Rule::Cobegin { branches } => {
-            kids.extend(branches.iter().map(|p| encode_proof(p, symbols, show_lit)))
-        }
-        Rule::Conseq { inner } => kids.push(encode_proof(inner, symbols, show_lit)),
-    }
+    let root = tables.node(proof);
     Json::Obj(vec![
-        ("rule".to_string(), Json::Str(rule.to_string())),
-        (
-            "pre".to_string(),
-            encode_assertion(&proof.pre, symbols, show_lit),
-        ),
-        (
-            "post".to_string(),
-            encode_assertion(&proof.post, symbols, show_lit),
-        ),
-        ("kids".to_string(), Json::Arr(kids)),
+        ("exprs".to_string(), Json::Arr(tables.exprs)),
+        ("assertions".to_string(), Json::Arr(tables.assertions)),
+        ("root".to_string(), root),
     ])
 }
 
-fn encode_assertion<L: Lattice>(
-    a: &Assertion<L>,
-    symbols: &SymbolTable,
-    show_lit: &dyn Fn(&L) -> String,
-) -> Json {
-    let opt = |e: &Option<ClassExpr<L>>| match e {
-        Some(e) => encode_expr(e, symbols, show_lit),
-        None => Json::Null,
-    };
-    Json::Obj(vec![
-        (
-            "state".to_string(),
-            Json::Arr(
-                a.state
-                    .iter()
-                    .map(|b| {
-                        Json::Arr(vec![
-                            encode_expr(&b.lhs, symbols, show_lit),
-                            encode_expr(&b.rhs, symbols, show_lit),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        ("local".to_string(), opt(&a.local)),
-        ("global".to_string(), opt(&a.global)),
-    ])
+/// The emitter's tables: each distinct class expression and assertion,
+/// interned by value and numbered in order of first use.
+struct Tables<'p, 'a, L> {
+    symbols: &'a SymbolTable,
+    show_lit: &'a dyn Fn(&L) -> String,
+    expr_ids: HashMap<&'p ClassExpr<L>, usize>,
+    exprs: Vec<Json>,
+    assertion_ids: HashMap<&'p Assertion<L>, usize>,
+    assertions: Vec<Json>,
+}
+
+impl<'p, L: Lattice> Tables<'p, '_, L> {
+    fn node(&mut self, proof: &'p Proof<L>) -> Json {
+        let rule = match &proof.rule {
+            Rule::SkipAxiom => "skip",
+            Rule::AssignAxiom => "assign",
+            Rule::SignalAxiom => "signal",
+            Rule::WaitAxiom => "wait",
+            Rule::If { .. } => "if",
+            Rule::While { .. } => "while",
+            Rule::Seq { .. } => "seq",
+            Rule::Cobegin { .. } => "cobegin",
+            Rule::Conseq { .. } => "conseq",
+        };
+        let pre = self.assertion(&proof.pre);
+        let post = self.assertion(&proof.post);
+        let mut kids: Vec<Json> = Vec::new();
+        match &proof.rule {
+            Rule::SkipAxiom | Rule::AssignAxiom | Rule::SignalAxiom | Rule::WaitAxiom => {}
+            Rule::If {
+                then_proof,
+                else_proof,
+            } => {
+                kids.push(self.node(then_proof));
+                if let Some(e) = else_proof {
+                    kids.push(self.node(e));
+                }
+            }
+            Rule::While { body } => kids.push(self.node(body)),
+            Rule::Seq { parts } => kids.extend(parts.iter().map(|p| self.node(p))),
+            Rule::Cobegin { branches } => kids.extend(branches.iter().map(|p| self.node(p))),
+            Rule::Conseq { inner } => kids.push(self.node(inner)),
+        }
+        Json::Arr(vec![
+            Json::Str(rule.to_string()),
+            pre,
+            post,
+            Json::Arr(kids),
+        ])
+    }
+
+    fn assertion(&mut self, a: &'p Assertion<L>) -> Json {
+        if let Some(&id) = self.assertion_ids.get(a) {
+            return Json::Num(id as f64);
+        }
+        let state = a
+            .state
+            .iter()
+            .map(|b| Json::Arr(vec![self.expr(&b.lhs), self.expr(&b.rhs)]))
+            .collect();
+        let local = a.local.as_ref().map_or(Json::Null, |e| self.expr(e));
+        let global = a.global.as_ref().map_or(Json::Null, |e| self.expr(e));
+        let id = self.assertions.len();
+        self.assertions
+            .push(Json::Arr(vec![Json::Arr(state), local, global]));
+        self.assertion_ids.insert(a, id);
+        Json::Num(id as f64)
+    }
+
+    fn expr(&mut self, e: &'p ClassExpr<L>) -> Json {
+        let next = self.exprs.len();
+        let id = *self.expr_ids.entry(e).or_insert(next);
+        if id == next {
+            self.exprs.push(encode_expr(e, self.symbols, self.show_lit));
+        }
+        Json::Num(id as f64)
+    }
 }
 
 fn encode_expr<L: Lattice>(
@@ -357,10 +402,7 @@ fn encode_expr<L: Lattice>(
         Extended::Nil => Json::Null,
         Extended::Elem(l) => Json::Str(show_lit(l)),
     };
-    Json::Obj(vec![
-        ("atoms".to_string(), Json::Arr(atoms)),
-        ("lit".to_string(), lit),
-    ])
+    Json::Arr(vec![Json::Arr(atoms), lit])
 }
 
 // ---- validation -----------------------------------------------------------
@@ -494,42 +536,241 @@ fn check_decoded<L: Lattice>(
     proof_json: &Json,
     parse_lit: &dyn Fn(&str) -> Option<L>,
 ) -> Result<usize, CertError> {
-    let proof = decode_proof(proof_json, &program.symbols, parse_lit)?;
+    let proof = decode_proof(proof_json, program, parse_lit, &mut Budget::of(program))?;
     check_proof(&program.body, &proof).map_err(|e| CertError::new("check", e.to_string()))?;
     Ok(proof.size())
 }
 
+fn perr(message: impl Into<String>) -> CertError {
+    CertError::new("proof", message)
+}
+
+/// Reads an index into a table of `len` entries.
+fn index(v: &Json, len: usize, table: &str) -> Result<usize, CertError> {
+    let id = v
+        .as_u64()
+        .ok_or_else(|| perr(format!("{table} index must be a non-negative integer")))?;
+    usize::try_from(id)
+        .ok()
+        .filter(|&id| id < len)
+        .ok_or_else(|| perr(format!("{table} index {id} out of range ({len} entries)")))
+}
+
+/// Checks the canonical numbering of one table while its references are
+/// read in walk order: each reference names an entry already met or the
+/// next one, so the entries are met in index order and none is skipped.
+struct FirstUse {
+    table: &'static str,
+    next: usize,
+}
+
+impl FirstUse {
+    fn meet(&mut self, id: usize) -> Result<(), CertError> {
+        if id > self.next {
+            return Err(perr(format!(
+                "{} {id} is used before {} {} (ids must number first uses in order)",
+                self.table, self.table, self.next
+            )));
+        }
+        self.next += usize::from(id == self.next);
+        Ok(())
+    }
+
+    /// After the walk: every entry of a `len`-entry table was met.
+    fn finish(&self, len: usize) -> Result<(), CertError> {
+        if self.next < len {
+            return Err(perr(format!("{} {} is never used", self.table, self.next)));
+        }
+        Ok(())
+    }
+}
+
+/// What decoding may still copy, in expression slots: a class
+/// expression is one slot plus one per atom, and an assertion one slot
+/// plus its expressions'. Every table entry is copied into each bound
+/// or node that names it, so each copy is charged before it is made,
+/// and a certificate that names one large entry from many places is
+/// rejected before it costs more than the budget.
+struct Budget {
+    total: usize,
+    left: usize,
+}
+
+impl Budget {
+    /// The most that decoding a Theorem 1 proof of `program` can copy.
+    /// Such a proof has at most four nodes per statement (the
+    /// statement's rule, the consequence rule around an axiom or a
+    /// loop, the one a parent adds to weaken a postcondition, and an
+    /// `if`'s implicit `skip`), each of its assertions holds at most
+    /// 4 × (symbols + 2) slots (a bound per symbol, one of them widened
+    /// by an axiom's substitution, and the `local` and `global` bounds),
+    /// and its tables copy no more than its nodes do.
+    fn of(program: &Program) -> Self {
+        let statements = measure(program).statements;
+        let symbols = program.symbols.len();
+        let total = 64usize
+            .saturating_mul(statements)
+            .saturating_mul(symbols + 2);
+        Budget { total, left: total }
+    }
+
+    fn charge(&mut self, slots: usize) -> Result<(), CertError> {
+        self.left = self.left.checked_sub(slots).ok_or_else(|| {
+            perr(format!(
+                "the proof copies more than {} expression slots, more than any proof of this program needs",
+                self.total
+            ))
+        })?;
+        Ok(())
+    }
+}
+
+fn expr_slots<L: Lattice>(e: &ClassExpr<L>) -> usize {
+    1 + e.atoms().len()
+}
+
 fn decode_proof<L: Lattice>(
     v: &Json,
-    symbols: &SymbolTable,
+    program: &Program,
     parse_lit: &dyn Fn(&str) -> Option<L>,
+    budget: &mut Budget,
 ) -> Result<Proof<L>, CertError> {
-    let perr = |m: String| CertError::new("proof", m);
     let obj = v
         .as_obj()
-        .ok_or_else(|| perr("proof node must be an object".into()))?;
-    let [(k_rule, rule), (k_pre, pre), (k_post, post), (k_kids, kids)] = obj else {
+        .ok_or_else(|| perr("`proof` must be an object"))?;
+    let [(k_exprs, exprs), (k_assertions, assertions), (k_root, root)] = obj else {
         return Err(perr(format!(
-            "proof node must have exactly rule/pre/post/kids, found {} field(s)",
+            "`proof` must have exactly exprs/assertions/root, found {} field(s)",
             obj.len()
         )));
     };
-    if k_rule != "rule" || k_pre != "pre" || k_post != "post" || k_kids != "kids" {
+    if k_exprs != "exprs" || k_assertions != "assertions" || k_root != "root" {
         return Err(perr(format!(
-            "proof node fields must be rule/pre/post/kids in order, found {k_rule}/{k_pre}/{k_post}/{k_kids}"
+            "`proof` fields must be exprs/assertions/root in order, found {k_exprs}/{k_assertions}/{k_root}"
         )));
     }
+    let exprs = decode_exprs(exprs, &program.symbols, parse_lit)?;
+    let assertions = decode_assertions(assertions, &exprs, budget)?;
+    let mut used = FirstUse {
+        table: "assertion",
+        next: 0,
+    };
+    let proof = decode_node(root, &assertions, &mut used, budget)?;
+    used.finish(assertions.len())?;
+    Ok(proof)
+}
+
+/// Decodes the expression table, each entry once, rejecting repeats.
+fn decode_exprs<L: Lattice>(
+    v: &Json,
+    symbols: &SymbolTable,
+    parse_lit: &dyn Fn(&str) -> Option<L>,
+) -> Result<Vec<ClassExpr<L>>, CertError> {
+    let rows = v.as_arr().ok_or_else(|| perr("`exprs` must be an array"))?;
+    let exprs = rows
+        .iter()
+        .map(|row| decode_expr(row, symbols, parse_lit))
+        .collect::<Result<Vec<_>, _>>()?;
+    let mut seen = HashMap::with_capacity(exprs.len());
+    for (id, e) in exprs.iter().enumerate() {
+        if let Some(first) = seen.insert(e, id) {
+            return Err(perr(format!("expression {id} repeats expression {first}")));
+        }
+    }
+    Ok(exprs)
+}
+
+/// Decodes the assertion table over the decoded expressions, each entry
+/// once, with its size in slots. The table's own order fixes the
+/// expressions' first uses, and entries are compared by their expression
+/// ids (which name distinct expressions), so a repeat is found by
+/// hashing ids.
+fn decode_assertions<L: Lattice>(
+    v: &Json,
+    exprs: &[ClassExpr<L>],
+    budget: &mut Budget,
+) -> Result<Vec<(Assertion<L>, usize)>, CertError> {
+    let rows = v
+        .as_arr()
+        .ok_or_else(|| perr("`assertions` must be an array"))?;
+    let mut used = FirstUse {
+        table: "expression",
+        next: 0,
+    };
+    // Reads one expression reference and charges the copy it names.
+    let mut expr = |v: &Json, budget: &mut Budget| -> Result<usize, CertError> {
+        let id = index(v, exprs.len(), "expression")?;
+        used.meet(id)?;
+        budget.charge(expr_slots(&exprs[id]))?;
+        Ok(id)
+    };
+    let mut seen = HashMap::with_capacity(rows.len());
+    let mut out = Vec::with_capacity(rows.len());
+    for (id, row) in rows.iter().enumerate() {
+        let Some([state, local, global]) = row.as_arr() else {
+            return Err(perr("an assertion must be a [state, local, global] triple"));
+        };
+        let bounds = state
+            .as_arr()
+            .ok_or_else(|| perr("an assertion's state must be an array"))?;
+        let before = budget.left;
+        budget.charge(1)?;
+        let mut state_ids = Vec::with_capacity(2 * bounds.len());
+        let mut out_state = Vec::with_capacity(bounds.len());
+        for b in bounds {
+            let Some([lhs, rhs]) = b.as_arr() else {
+                return Err(perr("a bound must be a [lhs, rhs] pair"));
+            };
+            let (lhs, rhs) = (expr(lhs, budget)?, expr(rhs, budget)?);
+            state_ids.extend([lhs, rhs]);
+            out_state.push(Bound::new(exprs[lhs].clone(), exprs[rhs].clone()));
+        }
+        let mut bound = |v: &Json| match v {
+            Json::Null => Ok(None),
+            other => expr(other, budget).map(Some),
+        };
+        let (local, global) = (bound(local)?, bound(global)?);
+        let assertion = Assertion {
+            state: out_state,
+            local: local.map(|id| exprs[id].clone()),
+            global: global.map(|id| exprs[id].clone()),
+        };
+        out.push((assertion, before - budget.left));
+        if let Some(first) = seen.insert((state_ids, local, global), id) {
+            return Err(perr(format!("assertion {id} repeats assertion {first}")));
+        }
+    }
+    used.finish(exprs.len())?;
+    Ok(out)
+}
+
+fn decode_node<L: Lattice>(
+    v: &Json,
+    assertions: &[(Assertion<L>, usize)],
+    used: &mut FirstUse,
+    budget: &mut Budget,
+) -> Result<Proof<L>, CertError> {
+    let Some([rule, pre, post, kids]) = v.as_arr() else {
+        return Err(perr("a proof node must be a [rule, pre, post, kids] array"));
+    };
     let rule_name = rule
         .as_str()
-        .ok_or_else(|| perr("`rule` must be a string".into()))?;
-    let pre = decode_assertion(pre, symbols, parse_lit)?;
-    let post = decode_assertion(post, symbols, parse_lit)?;
+        .ok_or_else(|| perr("a node's rule must be a string"))?;
+    let mut assertion = |v: &Json| -> Result<Assertion<L>, CertError> {
+        let id = index(v, assertions.len(), "assertion")?;
+        used.meet(id)?;
+        let (assertion, slots) = &assertions[id];
+        budget.charge(*slots)?;
+        Ok(assertion.clone())
+    };
+    let pre = assertion(pre)?;
+    let post = assertion(post)?;
     let kid_vals = kids
         .as_arr()
-        .ok_or_else(|| perr("`kids` must be an array".into()))?;
+        .ok_or_else(|| perr("a node's kids must be an array"))?;
     let mut children = Vec::with_capacity(kid_vals.len());
     for k in kid_vals {
-        children.push(decode_proof(k, symbols, parse_lit)?);
+        children.push(decode_node(k, assertions, used, budget)?);
     }
 
     let n = children.len();
@@ -593,71 +834,14 @@ fn decode_proof<L: Lattice>(
     Ok(Proof::new(pre, post, rule))
 }
 
-fn decode_assertion<L: Lattice>(
-    v: &Json,
-    symbols: &SymbolTable,
-    parse_lit: &dyn Fn(&str) -> Option<L>,
-) -> Result<Assertion<L>, CertError> {
-    let perr = |m: String| CertError::new("proof", m);
-    let obj = v
-        .as_obj()
-        .ok_or_else(|| perr("assertion must be an object".into()))?;
-    let [(k_state, state), (k_local, local), (k_global, global)] = obj else {
-        return Err(perr(
-            "assertion must have exactly state/local/global".into(),
-        ));
-    };
-    if k_state != "state" || k_local != "local" || k_global != "global" {
-        return Err(perr(
-            "assertion fields must be state/local/global in order".into(),
-        ));
-    }
-    let bounds = state
-        .as_arr()
-        .ok_or_else(|| perr("`state` must be an array".into()))?;
-    let mut out_state = Vec::with_capacity(bounds.len());
-    for b in bounds {
-        let pair = b
-            .as_arr()
-            .ok_or_else(|| perr("a bound must be a [lhs, rhs] pair".into()))?;
-        let [lhs, rhs] = pair else {
-            return Err(perr("a bound must be a [lhs, rhs] pair".into()));
-        };
-        out_state.push(Bound::new(
-            decode_expr(lhs, symbols, parse_lit)?,
-            decode_expr(rhs, symbols, parse_lit)?,
-        ));
-    }
-    let opt = |v: &Json| -> Result<Option<ClassExpr<L>>, CertError> {
-        match v {
-            Json::Null => Ok(None),
-            other => Ok(Some(decode_expr(other, symbols, parse_lit)?)),
-        }
-    };
-    Ok(Assertion {
-        state: out_state,
-        local: opt(local)?,
-        global: opt(global)?,
-    })
-}
-
 fn decode_expr<L: Lattice>(
     v: &Json,
     symbols: &SymbolTable,
     parse_lit: &dyn Fn(&str) -> Option<L>,
 ) -> Result<ClassExpr<L>, CertError> {
-    let perr = |m: String| CertError::new("proof", m);
-    let obj = v
-        .as_obj()
-        .ok_or_else(|| perr("class expression must be an object".into()))?;
-    let [(k_atoms, atoms), (k_lit, lit)] = obj else {
-        return Err(perr("class expression must have exactly atoms/lit".into()));
+    let Some([atoms, lit]) = v.as_arr() else {
+        return Err(perr("a class expression must be an [atoms, lit] pair"));
     };
-    if k_atoms != "atoms" || k_lit != "lit" {
-        return Err(perr(
-            "class expression fields must be atoms/lit in order".into(),
-        ));
-    }
     let mut acc = match lit {
         Json::Null => ClassExpr::nil(),
         Json::Str(s) => match parse_lit(s) {
@@ -668,21 +852,20 @@ fn decode_expr<L: Lattice>(
                 )))
             }
         },
-        _ => return Err(perr("`lit` must be a string or null".into())),
+        _ => return Err(perr("a literal must be a string or null")),
     };
     let atoms = atoms
         .as_arr()
-        .ok_or_else(|| perr("`atoms` must be an array".into()))?;
+        .ok_or_else(|| perr("a class expression's atoms must be an array"))?;
+    let mut last = None;
     for a in atoms {
-        let name = a
-            .as_str()
-            .ok_or_else(|| perr("an atom must be a string".into()))?;
-        let term = match name {
-            "local" => ClassExpr::local(),
-            "global" => ClassExpr::global(),
+        let name = a.as_str().ok_or_else(|| perr("an atom must be a string"))?;
+        let atom = match name {
+            "local" => Atom::Local,
+            "global" => Atom::Global,
             _ => match name.strip_prefix("v:") {
                 Some(var) => match symbols.lookup(var) {
-                    Some(v) => ClassExpr::var(v),
+                    Some(v) => Atom::VarClass(v),
                     None => {
                         return Err(perr(format!(
                             "`{var}` is not a declared variable of this program"
@@ -692,7 +875,12 @@ fn decode_expr<L: Lattice>(
                 None => return Err(perr(format!("unknown atom `{name}`"))),
             },
         };
-        acc = acc.join(&term);
+        // One spelling per expression: atoms distinct and in order.
+        if last.is_some_and(|last| last >= atom) {
+            return Err(perr(format!("atom `{name}` is out of order or repeated")));
+        }
+        last = Some(atom);
+        acc = acc.join(&ClassExpr::atom(atom));
     }
     Ok(acc)
 }
@@ -784,10 +972,8 @@ mod tests {
     #[test]
     fn any_body_byte_flip_is_rejected_at_digest_stage() {
         let cert = two_cert(CHANNEL);
-        // Flip a character inside the proof body (the first "rule").
-        let mutated = cert
-            .text
-            .replacen("\"rule\":\"seq\"", "\"rule\":\"shq\"", 1);
+        // Flip a character inside the proof body (the first `seq` node).
+        let mutated = cert.text.replacen("[\"seq\",", "[\"shq\",", 1);
         assert_ne!(mutated, cert.text);
         let err = validate_certificate(CHANNEL, &mutated).unwrap_err();
         assert_eq!(err.stage, "digest");
@@ -797,18 +983,17 @@ mod tests {
     fn resealed_mutations_reach_the_checker_and_are_rejected() {
         let cert = two_cert(CHANNEL);
         // Rule swap, resealed past the digest gate: structural/check error.
-        let swapped = reseal(
-            &cert
-                .text
-                .replacen("\"rule\":\"assign\"", "\"rule\":\"skip\"", 1),
-        )
-        .unwrap();
+        let swapped = reseal(&cert.text.replacen("[\"assign\",", "[\"skip\",", 1)).unwrap();
         let err = validate_certificate(CHANNEL, &swapped).unwrap_err();
         assert!(err.stage == "proof" || err.stage == "check", "{err}");
 
-        // Class relabel: the forged bound no longer checks.
-        let relabeled =
-            reseal(&cert.text.replacen("\"lit\":\"high\"", "\"lit\":\"low\"", 1)).unwrap();
+        // The root claims its precondition (`global ≤ ν`) as its
+        // postcondition. The tables stay canonical, so the forgery
+        // decodes, and the branches' posts (`global ≤ high`) no longer
+        // compose to it.
+        let root = "\"root\":[\"cobegin\",0,1,";
+        assert!(cert.text.contains(root));
+        let relabeled = reseal(&cert.text.replacen(root, "\"root\":[\"cobegin\",0,0,", 1)).unwrap();
         let err = validate_certificate(CHANNEL, &relabeled).unwrap_err();
         assert_eq!(err.stage, "check", "{err}");
     }
@@ -816,9 +1001,20 @@ mod tests {
     #[test]
     fn version_bump_is_rejected() {
         let cert = two_cert(CHANNEL);
-        let bumped = reseal(&cert.text.replacen("\"version\":1", "\"version\":2", 1)).unwrap();
-        let err = validate_certificate(CHANNEL, &bumped).unwrap_err();
-        assert_eq!(err.stage, "version");
+        for version in [1, 3] {
+            let other = reseal(&cert.text.replacen(
+                "\"version\":2",
+                &format!("\"version\":{version}"),
+                1,
+            ))
+            .unwrap();
+            let err = validate_certificate(CHANNEL, &other).unwrap_err();
+            assert_eq!(err.stage, "version");
+            assert_eq!(
+                err.message,
+                format!("unsupported schema version {version} (this validator speaks 2)")
+            );
+        }
     }
 
     #[test]
@@ -899,10 +1095,54 @@ mod tests {
         assert_eq!(summary.digest, cert.digest);
     }
 
+    /// Theorem 1's own proofs decode within half the budget, on the
+    /// workload shapes and on generated programs under random
+    /// bindings, so the budget turns away no proof the prover makes.
+    #[test]
+    fn theorem_1_proofs_decode_within_half_the_budget() {
+        use secflow_lang::print_program;
+        use secflow_workload::{
+            branchy, dining_philosophers, fig3_program, generate, kbit_channel, loop_heavy,
+            random_binding, sequential_chain, sync_heavy, wide_cobegin, GenConfig,
+        };
+        let mut programs = vec![
+            (sequential_chain(400, 8), None),
+            (dining_philosophers(5, 1000, false), None),
+            (loop_heavy(50), None),
+            (branchy(6), None),
+            (wide_cobegin(8), None),
+            (sync_heavy(10), None),
+            (fig3_program(), None),
+            (kbit_channel(4), None),
+        ];
+        programs.extend((0..300).map(|seed| (generate(&GenConfig::default(), seed), Some(seed))));
+        let mut worst = 0.0f64;
+        for (program, seed) in programs {
+            let source = print_program(&program);
+            let program = parse(&source).unwrap();
+            let sbind = match seed {
+                Some(seed) => random_binding(&program, &TwoPointScheme, seed),
+                None => StaticBinding::constant(&program.symbols, &TwoPointScheme, TwoPoint::High),
+            };
+            let Ok(proof) = prove(&program, &sbind, Extended::Nil, Extended::Nil) else {
+                continue;
+            };
+            let cert = emit_certificate(&proof, &program.symbols, "two", &source, &show_two_class);
+            let json = Json::parse(&cert.text).unwrap();
+            let proof_json = &json.as_obj().unwrap()[4].1;
+            let mut budget = Budget::of(&program);
+            decode_proof(proof_json, &program, &parse_two_lit, &mut budget).unwrap();
+            let used = (budget.total - budget.left) as f64 / budget.total as f64;
+            assert!(used <= 0.5, "{used:.3} of the budget for\n{source}");
+            worst = worst.max(used);
+        }
+        assert!(worst > 0.0, "no program was proved");
+    }
+
     #[test]
     fn depth_bombs_die_in_the_json_parser() {
         let bomb = format!(
-            r#"{{"format":"secflow-cert","version":1,"lattice":"two","program_sha256":"x","proof":{},"digest":"y"}}"#,
+            r#"{{"format":"secflow-cert","version":2,"lattice":"two","program_sha256":"x","proof":{},"digest":"y"}}"#,
             "[".repeat(200) + &"]".repeat(200)
         );
         let err = validate_certificate(CHANNEL, &bomb).unwrap_err();

@@ -40,7 +40,7 @@ impl fmt::Display for Atom {
 /// Kept in a flattened normal form: a set of atoms plus one literal
 /// (`nil` when no literal contributes). This makes syntactic operations
 /// (substitution, evaluation, display) straightforward and canonical.
-#[derive(Clone, PartialEq, Eq, Debug)]
+#[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub struct ClassExpr<L> {
     /// Distinct atoms joined into the expression.
     atoms: Vec<Atom>,
@@ -167,7 +167,7 @@ impl<L: Lattice + fmt::Display> fmt::Display for ClassExpr<L> {
 }
 
 /// One conjunct: `lhs ≤ rhs`.
-#[derive(Clone, PartialEq, Eq, Debug)]
+#[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub struct Bound<L> {
     /// The bounded class expression.
     pub lhs: ClassExpr<L>,
@@ -208,7 +208,7 @@ impl<L: Lattice + fmt::Display> fmt::Display for Bound<L> {
 /// left-hand sides — substitution instances of the axioms do). The `local`
 /// and `global` fields are the distinguished bounds on the certification
 /// variables; `None` means unconstrained.
-#[derive(Clone, PartialEq, Eq, Debug)]
+#[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub struct Assertion<L> {
     /// The `V` conjuncts.
     pub state: Vec<Bound<L>>,

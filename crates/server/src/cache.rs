@@ -88,6 +88,20 @@ pub struct CachedResult {
 }
 
 impl CachedResult {
+    /// Bytes of text in the fields, names and string values: about
+    /// what rendering the reply copies and escapes.
+    pub(crate) fn text_len(&self) -> usize {
+        fn text(v: &Json) -> usize {
+            match v {
+                Json::Str(s) => s.len(),
+                Json::Arr(items) => items.iter().map(text).sum(),
+                Json::Obj(fields) => fields.iter().map(|(k, v)| k.len() + text(v)).sum(),
+                _ => 0,
+            }
+        }
+        self.fields.iter().map(|(k, v)| k.len() + text(v)).sum()
+    }
+
     /// A failure result: one `error` field with `kind` and `message`.
     pub(crate) fn error(kind: ErrorKind, message: &str) -> CachedResult {
         CachedResult {
@@ -143,6 +157,15 @@ impl ResultCache {
         entry.stamp = self.clock;
         self.recency.insert(entry.stamp, key.hash);
         Some(entry.value.clone())
+    }
+
+    /// The result under `key`, without refreshing its recency or
+    /// copying it.
+    pub(crate) fn peek(&self, key: &CacheKey) -> Option<&CachedResult> {
+        self.map
+            .get(&key.hash)
+            .filter(|e| e.canon == key.canon)
+            .map(|e| &e.value)
     }
 
     /// Whether `key` is present (exact canon match), without refreshing

@@ -449,7 +449,10 @@ impl<F: Faults + Clone> Loop<'_, F> {
     /// drop the line; the global `expected` count still goes down, so
     /// shutdown drain never waits on a ghost. The high-water mark is
     /// checked against the backlog queued *before* this line, so memory
-    /// stays under the mark plus one reply.
+    /// stays under the mark plus one reply. A backlog past the mark is
+    /// first offered to the socket: it may be replies this pass queued
+    /// and has not flushed yet (a window of with-proof hits outgrows the
+    /// mark on its own), and only what the client leaves unread counts.
     fn deliver(&mut self, token: ConnToken, line: &str) {
         self.expected = self.expected.saturating_sub(1);
         let Some(conn) = self.slots.get_mut(token.slot).and_then(Option::as_mut) else {
@@ -459,6 +462,12 @@ impl<F: Faults + Clone> Loop<'_, F> {
             return;
         }
         conn.inflight = conn.inflight.saturating_sub(1);
+        if conn.wbuf.len() > self.cfg.write_high_water {
+            self.flush(token.slot);
+        }
+        let Some(conn) = self.slots[token.slot].as_mut() else {
+            return;
+        };
         if conn.wbuf.len() > self.cfg.write_high_water {
             Metrics::bump(&self.service.metrics.conn_rejected_overloaded);
             conn.overload_disconnect();

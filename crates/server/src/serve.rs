@@ -3,8 +3,9 @@
 //! protocol and share one [`Service`] and one [`Pool`]:
 //!
 //! - every op but `stats`, `ping` and `shutdown` is queued to the pool,
-//!   unless it is a program op the cache already answers (and not a
-//!   `with_proof` one): that hit is answered on the calling thread;
+//!   unless it is a program op the cache already answers with a short
+//!   reply (at most 2 KiB of text, so not a certificate of more than a
+//!   small program): that hit is answered on the calling thread;
 //!   when the queue is full the request is refused immediately with an
 //!   `overloaded` error instead of growing an unbounded backlog. Each
 //!   queued job carries its request's cancellation token, which bounds
@@ -246,14 +247,12 @@ pub(crate) fn dispatch<R: ReplySink, F: Faults>(
             // same faults whether or not the cache answers.
             let inject_latency = faults.latency();
             let inject_panic = faults.worker_panic();
-            // A cache hit costs a probe and an encode of a payload the
-            // size of its request, so it is answered right here, with
-            // no handoff. A with-proof hit is not: its certificate is
-            // ~140x its source, too much to copy on a thread shared by
-            // every connection.
-            // A miss hands its key to the job, so the key is built
+            // A short cache hit costs a probe and a small encode, so it
+            // is answered right here, with no handoff; a long one (a
+            // certificate, mostly) is rendered by a worker. A miss, or a
+            // long hit, hands its key to the job, so the key is built
             // once.
-            let probe = (inject_latency.is_none() && !inject_panic && !req.with_proof)
+            let probe = (inject_latency.is_none() && !inject_panic)
                 .then(|| service.cached_reply(&req))
                 .flatten();
             let miss = match probe {
@@ -537,6 +536,7 @@ fn serve_listener_with<F: Faults + Clone>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::service::INLINE_HIT_MAX_TEXT;
 
     #[test]
     fn bounded_reader_accepts_lines_within_the_cap() {
@@ -625,8 +625,30 @@ mod tests {
     }
 
     #[test]
-    fn a_cached_with_proof_certify_is_queued() {
+    fn a_cached_with_proof_certify_is_answered_inline() {
         let line = certify_line(true);
+        let service = warmed(&line);
+        let pool = Pool::new(1, 4);
+        let (tx, rx) = mpsc::channel::<String>();
+        let Dispatched::Inline(reply) = dispatch(&line, &service, &pool, &tx, &NoFaults) else {
+            panic!("a short with-proof cache hit left the calling thread");
+        };
+        let v = Json::parse(&reply).unwrap();
+        assert_eq!(v.get("cached").and_then(Json::as_bool), Some(true));
+        assert!(v.get("certificate").and_then(Json::as_str).is_some());
+        pool.shutdown();
+        assert!(rx.try_recv().is_err(), "nothing went through the sink");
+    }
+
+    /// A hit whose certificate makes a long reply is rendered by a
+    /// worker, so the calling thread (the poll loop) never copies it.
+    #[test]
+    fn a_cached_with_proof_certify_is_queued() {
+        let body: Vec<String> = (0..80).map(|i| format!("x := x + {i}")).collect();
+        let line = format!(
+            r#"{{"id":7,"op":"certify","source":"var x : integer; begin {} end","with_proof":true}}"#,
+            body.join("; ")
+        );
         let service = warmed(&line);
         let pool = Pool::new(1, 4);
         let (tx, rx) = mpsc::channel::<String>();
@@ -637,7 +659,8 @@ mod tests {
         pool.shutdown();
         let v = Json::parse(&rx.recv().unwrap()).unwrap();
         assert_eq!(v.get("cached").and_then(Json::as_bool), Some(true));
-        assert!(v.get("certificate").and_then(Json::as_str).is_some());
+        let cert = v.get("certificate").and_then(Json::as_str).unwrap();
+        assert!(cert.len() > INLINE_HIT_MAX_TEXT, "{} B", cert.len());
     }
 
     #[test]

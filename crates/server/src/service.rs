@@ -14,7 +14,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use secflow_analyze::AnalysisReport;
-use secflow_cert::{parse_lattice_spec, validate_certificate, verdict_fields};
+use secflow_cert::{parse_lattice_spec, validate_certificate, verdict_fields, CERT_VERSION};
 use secflow_lang::span::LineIndex;
 use secflow_lang::{parse, Program, Severity};
 use secflow_runtime::{explore_with, ExploreLimits};
@@ -89,6 +89,14 @@ impl Limits {
         }
     }
 }
+
+/// The most reply text a cache hit may carry and still be answered on
+/// the calling thread, which the poll loop shares with every connection.
+/// Every hit of the benchmark's `hot_certify` carries less (at most
+/// 1,953 B); a `with_proof` hit of anything but a small program carries
+/// more, and is rendered by a worker, which measured faster for the
+/// hit's own client and for every other (EXPERIMENTS E25).
+pub(crate) const INLINE_HIT_MAX_TEXT: usize = 2048;
 
 /// The certification service: cache + metrics + limits. Stateless with
 /// respect to individual requests, so any worker can execute any job.
@@ -641,8 +649,9 @@ impl Service {
 
     /// Answers a program-op request from the cache alone, on the
     /// calling thread. `Ok` is a hit's reply line, counted and timed
-    /// exactly as a worker would count and time it. `Err` is a miss,
-    /// which counts nothing and hands back its key for
+    /// exactly as a worker would count and time it. `Err` is a miss, or
+    /// a hit whose reply carries more than [`INLINE_HIT_MAX_TEXT`]
+    /// bytes of text; it counts nothing and hands back its key for
     /// [`execute_miss`](Self::execute_miss), so the key (a copy and hash
     /// of the whole request) is built once. `None` for a request that is
     /// not a program op. A request over the hop budget is refused here,
@@ -657,7 +666,7 @@ impl Service {
             return Some(Ok(refusal));
         }
         let key = cache_key(req, &self.limits);
-        let Some(line) = self.reply_from_cache(req, &key, start) else {
+        let Some(line) = self.reply_from_cache(req, &key, start, INLINE_HIT_MAX_TEXT) else {
             return Some(Err(key));
         };
         self.count_op(req);
@@ -683,9 +692,22 @@ impl Service {
     }
 
     /// The hit branch shared by the worker path and the inline path:
-    /// probes the cache and, on a hit, counts it and renders the reply.
-    fn reply_from_cache(&self, req: &Request, key: &CacheKey, start: Instant) -> Option<String> {
-        let hit = self.cache.lock().ok()?.get(key)?;
+    /// probes the cache and, on a hit whose reply carries at most
+    /// `max_text` bytes of text, counts it and renders the reply.
+    fn reply_from_cache(
+        &self,
+        req: &Request,
+        key: &CacheKey,
+        start: Instant,
+        max_text: usize,
+    ) -> Option<String> {
+        let hit = {
+            let mut cache = self.cache.lock().ok()?;
+            if cache.peek(key)?.text_len() > max_text {
+                return None;
+            }
+            cache.get(key)?
+        };
         Metrics::bump(&self.metrics.cache_hits);
         if req.op == Op::Checkproof {
             // The key is dominated by the certificate text, so this is
@@ -730,7 +752,7 @@ impl Service {
         }
         self.count_op(req);
         let mut guard = loop {
-            if let Some(line) = self.reply_from_cache(req, &key, start) {
+            if let Some(line) = self.reply_from_cache(req, &key, start, usize::MAX) {
                 return line;
             }
             // Single flight: if an identical computation is already in
@@ -1162,13 +1184,24 @@ fn cache_key(req: &Request, limits: &Limits) -> CacheKey {
     } else {
         String::new()
     };
+    // A certificate is written in one wire version, and a `checkproof`
+    // verdict is what a validator of one version says, so both results
+    // are keyed by it: a journal or a peer of a build that speaks
+    // another version never answers for this one.
+    let proof = if req.with_proof {
+        format!("with_proof:v{CERT_VERSION}")
+    } else if req.op == Op::Checkproof {
+        format!("checkproof:v{CERT_VERSION}")
+    } else {
+        String::new()
+    };
     CacheKey::of(&[
         req.op.name(),
         &lattice,
         &default_class,
         if req.baseline { "baseline" } else { "" },
         if req.dot { "dot" } else { "" },
-        if req.with_proof { "with_proof" } else { "" },
+        &proof,
         req.cert.as_deref().unwrap_or(""),
         &fuel,
         &classes,

@@ -51,10 +51,16 @@ coend";
         summary.nodes, summary.lattice
     );
 
-    // 4. Tampering does not survive: relabel one class and the digest
+    // 4. Tampering does not survive: make the root claim its own
+    //    precondition (`global ≤ ν`) as its postcondition and the digest
     //    no longer matches; reseal the digest and the checker pinpoints
     //    the broken rule.
-    let tampered = cert.text.replacen("\"lit\":\"high\"", "\"lit\":\"low\"", 1);
+    let tampered = cert.text.replacen(
+        "\"root\":[\"cobegin\",0,1,",
+        "\"root\":[\"cobegin\",0,0,",
+        1,
+    );
+    assert_ne!(tampered, cert.text);
     let err = validate_certificate(source, &tampered).expect_err("the digest catches the edit");
     assert_eq!(err.stage, "digest");
     println!("== tampered certificate rejected ==\n{err}\n");

@@ -157,8 +157,8 @@ fn linear_lattice_certificates_round_trip_end_to_end() {
 fn certificate_sizes_are_pinned() {
     let s = svc();
     for (program, nodes, bytes) in [
-        (sequential_chain(400, 8), 801, 893_324),
-        (dining_philosophers(5, 1000, false), 76, 154_632),
+        (sequential_chain(400, 8), 801, 15_194),
+        (dining_philosophers(5, 1000, false), 76, 4_876),
     ] {
         let reply = certify_with_proof(&s, &print_program(&program), "two");
         let cert = reply.get("certificate").and_then(Json::as_str).unwrap();

@@ -20,7 +20,11 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::Ordering::Relaxed;
 use std::time::Duration;
 
-use secflow::server::{DurableStore, FsyncMode, Json, Limits, PersistConfig, Service};
+use secflow::cert::reseal;
+use secflow::server::{
+    route_fingerprint, CacheKey, CachedResult, DurableStore, FsyncMode, Json, Limits,
+    PersistConfig, Request, Service,
+};
 
 const LEAKY: &str = "var x, y : integer; sem : semaphore;
     cobegin if x = 0 then signal(sem) || begin wait(sem); y := 0 end coend";
@@ -202,6 +206,84 @@ fn warm_start_reserves_certificates_with_zero_reproving() {
     // The offline store inspection sees the certificate-bearing entry.
     let report = secflow::server::inspect_store(&dir).unwrap();
     assert_eq!(report.cert_entries(), 1);
+}
+
+/// A build whose certificates were wire version 1 keyed a `with_proof`
+/// certify and a `checkproof` without the version. A store it wrote
+/// must answer neither request here: the certificate would be one this
+/// build's `checkproof` rejects, and the verdict one it would not give.
+#[test]
+fn results_keyed_without_the_certificate_version_are_not_reserved() {
+    let dir = tmp_dir("cert-version");
+    let provable = "var x, y : integer; cobegin y := x || x := 1 coend";
+    let source = Json::Str(provable.to_string());
+    let certify = format!(r#"{{"op":"certify","source":{source},"with_proof":true}}"#);
+    let fresh = Json::parse(&Service::new(4, Limits::default()).handle_line(&certify)).unwrap();
+    let cert = fresh.get("certificate").and_then(Json::as_str).unwrap();
+    let v1_cert = reseal(&cert.replacen("\"version\":2", "\"version\":1", 1)).unwrap();
+    let checkproof = format!(
+        r#"{{"op":"checkproof","source":{source},"cert":{}}}"#,
+        Json::Str(v1_cert.clone())
+    );
+
+    // The key parts of both builds, which differ only in the proof slot.
+    // A plain certify's key did not change, which anchors the spelling.
+    let key = |op: &str, slot: &str, cert: &str| {
+        CacheKey::of(&[
+            op, "two", "", "", "", slot, cert, "1000000", "", "", "", "", provable,
+        ])
+    };
+    let plain = format!(r#"{{"op":"certify","source":{source}}}"#);
+    for (line, slot) in [
+        (&plain, ""),
+        (&certify, "with_proof:v2"),
+        (&checkproof, "checkproof:v2"),
+    ] {
+        let req = Request::parse(line).unwrap();
+        let cert = req.cert.as_deref().unwrap_or("");
+        assert_eq!(key(req.op.name(), slot, cert).hash, route_fingerprint(&req));
+    }
+    {
+        let cfg = PersistConfig {
+            fsync: FsyncMode::Always,
+            ..PersistConfig::new(&dir)
+        };
+        let mut older = DurableStore::open(cfg).unwrap();
+        let certified = CachedResult {
+            ok: true,
+            fields: vec![
+                ("certified".to_string(), Json::Bool(true)),
+                ("certificate".to_string(), Json::Str(v1_cert.clone())),
+            ],
+        };
+        let valid = CachedResult {
+            ok: true,
+            fields: vec![("valid".to_string(), Json::Bool(true))],
+        };
+        older
+            .append(&key("certify", "with_proof", ""), &certified)
+            .unwrap();
+        older
+            .append(&key("checkproof", "", &v1_cert), &valid)
+            .unwrap();
+    }
+
+    let warm = service_in(&dir, 64, 8 << 20);
+    assert_eq!(persist_stat(&warm, "entries_recovered"), 2.0);
+    let reply = Json::parse(&warm.handle_line(&certify)).unwrap();
+    assert_eq!(reply.get("cached").and_then(Json::as_bool), Some(false));
+    let cert = reply.get("certificate").and_then(Json::as_str).unwrap();
+    assert!(cert.contains(r#""version":2,"#), "{cert}");
+    let verdict = Json::parse(&warm.handle_line(&checkproof)).unwrap();
+    assert_eq!(verdict.get("cached").and_then(Json::as_bool), Some(false));
+    assert_eq!(verdict.get("valid").and_then(Json::as_bool), Some(false));
+    assert_eq!(
+        verdict
+            .get("reason")
+            .and_then(|r| r.get("stage"))
+            .and_then(Json::as_str),
+        Some("version")
+    );
 }
 
 /// Warm start *from a peer* instead of from local disk: a cold node

@@ -118,12 +118,19 @@ fn the_papers_proof_validates_as_a_certificate_cfm_would_not_issue() {
 
 #[test]
 fn a_weakened_bound_decodes_but_fails_the_checker() {
-    // The first `x ≤ low` is the root postcondition; `x ≤ high` there no
-    // longer matches what the composition derives.
+    // Assertion 0 bounds `x ≤ high` and assertion 1 `x ≤ low`; the
+    // root's postcondition is assertion 1. Naming assertion 0 there
+    // weakens that bound and keeps the tables canonical, so the forgery
+    // decodes, but `x ≤ high` no longer matches what the composition
+    // derives.
     let (source, cert) = paper_certificate();
-    let bound = r#"[{"atoms":["v:x"],"lit":null},{"atoms":[],"lit":"low"}]"#;
-    assert!(cert.contains(bound));
-    let forged = reseal(&cert.replacen(bound, &bound.replace("low", "high"), 1)).unwrap();
+    let tables = r#""exprs":[[["v:x"],null],[[],"high"],[["v:y"],null],[[],"low"],"#;
+    let bounds = r#""assertions":[[[[0,1],[2,3]],3,3],[[[0,3],[2,3]],3,3],"#;
+    let root = r#""root":["seq",0,1,"#;
+    for part in [tables, bounds, root] {
+        assert!(cert.contains(part), "{part}");
+    }
+    let forged = reseal(&cert.replacen(root, r#""root":["seq",0,0,"#, 1)).unwrap();
     let err = validate_certificate(&source, &forged).unwrap_err();
     assert_eq!(err.stage, "check", "{err}");
 }
@@ -132,9 +139,9 @@ fn a_weakened_bound_decodes_but_fails_the_checker() {
 /// gets past the digest and must die in the decoder with `message`.
 fn assert_forged_rule_fails_in_the_decoder(from: &str, to: &str, message: &str) {
     let (source, cert) = paper_certificate();
-    let from = format!(r#""rule":"{from}""#);
+    let from = format!(r#"["{from}","#);
     assert!(cert.contains(&from));
-    let forged = reseal(&cert.replacen(&from, &format!(r#""rule":"{to}""#), 1)).unwrap();
+    let forged = reseal(&cert.replacen(&from, &format!(r#"["{to}","#), 1)).unwrap();
     let err = validate_certificate(&source, &forged).unwrap_err();
     assert_eq!(err.stage, "proof", "{err}");
     assert!(err.message.contains(message), "{err}");

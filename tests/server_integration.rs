@@ -381,7 +381,7 @@ fn write_high_water_bounds_the_unread_backlog_not_one_reply() {
     .unwrap();
     let request = format!(
         r#"{{"id":1,"op":"certify","source":{},"with_proof":true}}"#,
-        Json::Str(chain_source(100))
+        Json::Str(chain_source(7000))
     );
     let reference = Service::new(16, Limits::default());
     let expected = strip_timing(&reference.handle_line(&request));
@@ -407,17 +407,19 @@ fn write_high_water_bounds_the_unread_backlog_not_one_reply() {
     assert_eq!(rejected_overloaded(&server), 0);
 
     // A slow reader: pipelined requests (13 MB of replies for 48, more
-    // than the kernel buffers) sent in one write, then nothing read
-    // until the server has given up on it. 100 requests outrun the
-    // pipeline window, so some are still unread when the goodbye goes
-    // out; it must arrive all the same.
+    // than the kernel buffers), then nothing read until the server has
+    // given up on it. The requests outgrow the kernel buffers too (5.7
+    // MB for 48), so a thread of their own writes them while the server
+    // reads. 100 requests outrun the pipeline window, so some are still
+    // unread when the goodbye goes out; it must arrive all the same.
     for (cut_off, requests) in [48, 100].into_iter().enumerate() {
         let cut_off = cut_off as u64;
         let slow = TcpStream::connect(server.local_addr()).expect("connect");
         slow.set_read_timeout(Some(Duration::from_secs(60)))
             .unwrap();
         let batch: String = (0..requests).map(|_| format!("{request}\n")).collect();
-        (&slow).write_all(batch.as_bytes()).expect("send batch");
+        let sender = slow.try_clone().unwrap();
+        let writer = std::thread::spawn(move || (&sender).write_all(batch.as_bytes()));
         let deadline = Instant::now() + Duration::from_secs(60);
         while rejected_overloaded(&server) == cut_off {
             assert!(
@@ -428,6 +430,7 @@ fn write_high_water_bounds_the_unread_backlog_not_one_reply() {
         }
         let mut received = Vec::new();
         (&slow).read_to_end(&mut received).expect("drain to EOF");
+        writer.join().unwrap().expect("send batch");
         let goodbyes: Vec<&[u8]> = received
             .split(|&b| b == b'\n')
             .filter(|line| line.windows(12).any(|w| w == b"\"overloaded\""))
@@ -450,63 +453,78 @@ fn write_high_water_bounds_the_unread_backlog_not_one_reply() {
 /// Cache hits answered on the poll loop still pass through the pipeline
 /// window: a client that pipelines far more hits than the high-water
 /// mark holds replies for, and reads them on a second thread, gets every
-/// reply and is never taken for a slow reader.
+/// reply and is never taken for a slow reader. That holds for
+/// with-proof hits too: the chain's replies, about 2 KB, are still
+/// short enough for the loop to answer, and one window of them
+/// outgrows the mark within a single pass.
 #[test]
 fn pipelined_hits_that_are_read_are_never_cut_off() {
+    let high_water = 64 * 1024;
     let server = serve_tcp(
         "127.0.0.1:0",
         ServerConfig {
-            write_high_water: 64 * 1024,
+            write_high_water: high_water,
             ..config(2, 128)
         },
     )
     .unwrap();
-    let source = chain_source(10);
     let mut client = Client::connect(&server);
-    client.send(&certify_line(0, &source, "{}"));
-    assert_eq!(
-        client.recv().unwrap().get("ok").and_then(Json::as_bool),
-        Some(true)
-    );
+    for with_proof in [false, true] {
+        let source = chain_source(10);
+        let line = |id: u64| {
+            format!(
+                r#"{{"id":{id},"op":"certify","source":{},"with_proof":{with_proof}}}"#,
+                Json::Str(source.clone())
+            )
+        };
+        client.send(&line(0));
+        let first = client.recv().unwrap();
+        assert_eq!(first.get("ok").and_then(Json::as_bool), Some(true));
+        assert_eq!(
+            64 * first.to_string().len() > high_water,
+            with_proof,
+            "only a window of with-proof replies outgrows the mark"
+        );
 
-    let requests = 2000u64;
-    let stream = TcpStream::connect(server.local_addr()).expect("connect");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(60)))
-        .unwrap();
-    let mut reader = BufReader::new(stream.try_clone().unwrap());
-    let replies = std::thread::spawn(move || {
-        let mut replies = Vec::new();
-        let mut line = String::new();
-        while replies.len() < requests as usize && reader.read_line(&mut line).expect("read") > 0 {
-            replies.push(Json::parse(line.trim()).expect("reply is valid JSON"));
-            line.clear();
+        let requests = 2000u64;
+        let stream = TcpStream::connect(server.local_addr()).expect("connect");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(60)))
+            .unwrap();
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        let replies = std::thread::spawn(move || {
+            let mut replies = Vec::new();
+            let mut line = String::new();
+            while replies.len() < requests as usize
+                && reader.read_line(&mut line).expect("read") > 0
+            {
+                replies.push(Json::parse(line.trim()).expect("reply is valid JSON"));
+                line.clear();
+            }
+            replies
+        });
+        let batch: String = (1..=requests).map(|id| line(id) + "\n").collect();
+        assert!(batch.len() > high_water, "the requests outgrow the mark");
+        (&stream).write_all(batch.as_bytes()).expect("send batch");
+        let replies = replies.join().unwrap();
+        if let Some(other) = replies
+            .iter()
+            .find(|v| v.get("cached").and_then(Json::as_bool) != Some(true))
+        {
+            panic!("after {} hits: {other}", replies.len());
         }
-        replies
-    });
-    let batch: String = (1..=requests)
-        .map(|id| certify_line(id, &source, "{}") + "\n")
-        .collect();
-    assert!(batch.len() > 64 * 1024, "the requests outgrow the mark");
-    (&stream).write_all(batch.as_bytes()).expect("send batch");
-    let replies = replies.join().unwrap();
-    if let Some(other) = replies
-        .iter()
-        .find(|v| v.get("cached").and_then(Json::as_bool) != Some(true))
-    {
-        panic!("after {} hits: {other}", replies.len());
+        let mut ids: Vec<u64> = replies
+            .iter()
+            .map(|v| v.get("id").and_then(Json::as_u64).expect("reply has an id"))
+            .collect();
+        ids.sort_unstable();
+        assert_eq!(
+            ids,
+            (1..=requests).collect::<Vec<_>>(),
+            "every reply arrived"
+        );
+        assert_eq!(rejected_overloaded(&server), 0);
     }
-    let mut ids: Vec<u64> = replies
-        .iter()
-        .map(|v| v.get("id").and_then(Json::as_u64).expect("reply has an id"))
-        .collect();
-    ids.sort_unstable();
-    assert_eq!(
-        ids,
-        (1..=requests).collect::<Vec<_>>(),
-        "every reply arrived"
-    );
-    assert_eq!(rejected_overloaded(&server), 0);
 
     client.send(r#"{"op":"shutdown"}"#);
     client.recv().unwrap();
