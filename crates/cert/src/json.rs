@@ -7,8 +7,16 @@
 
 use std::fmt;
 
-/// Maximum nesting depth accepted by the parser.
-const MAX_DEPTH: usize = 64;
+/// Maximum nesting depth accepted by the parser: exactly enough for
+/// every certificate the prover writes for a program that
+/// [`secflow_lang::parse`] accepts, carried inline in a request. Each
+/// of the program's [`MAX_NESTING`](secflow_lang::parser::MAX_NESTING)
+/// levels adds at most two proof nodes (its rule and one `conseq`), so
+/// a proof is at most `2 × MAX_NESTING` nodes deep. Below the request,
+/// the certificate and its `proof` object, node `k` of a line sits at
+/// depth `2k + 1` and the last node's contents one level deeper. A
+/// release build parses that deep in under 512 KiB of stack.
+pub(crate) const MAX_DEPTH: usize = 4 * secflow_lang::parser::MAX_NESTING as usize + 2;
 
 /// A JSON value.
 #[derive(Clone, Debug, PartialEq)]
@@ -457,8 +465,11 @@ mod tests {
         ] {
             assert!(Json::parse(text).is_err(), "accepted {text:?}");
         }
-        let deep = "[".repeat(100) + &"]".repeat(100);
-        assert!(Json::parse(&deep).is_err());
+        // The outermost array sits at depth 0, so `n` brackets nest
+        // `n - 1` deep.
+        let nested = |n: usize| "[".repeat(n) + &"]".repeat(n);
+        assert!(Json::parse(&nested(MAX_DEPTH + 2)).is_err());
+        assert!(Json::parse(&nested(MAX_DEPTH + 1)).is_ok());
     }
 
     #[test]

@@ -842,10 +842,10 @@ fn decode_expr<L: Lattice>(
     let Some([atoms, lit]) = v.as_arr() else {
         return Err(perr("a class expression must be an [atoms, lit] pair"));
     };
-    let mut acc = match lit {
-        Json::Null => ClassExpr::nil(),
+    let lit = match lit {
+        Json::Null => Extended::Nil,
         Json::Str(s) => match parse_lit(s) {
-            Some(l) => ClassExpr::lit(Extended::Elem(l)),
+            Some(l) => Extended::Elem(l),
             None => {
                 return Err(perr(format!(
                     "`{s}` is not a class literal of this lattice"
@@ -857,7 +857,7 @@ fn decode_expr<L: Lattice>(
     let atoms = atoms
         .as_arr()
         .ok_or_else(|| perr("a class expression's atoms must be an array"))?;
-    let mut last = None;
+    let mut sorted: Vec<Atom> = Vec::with_capacity(atoms.len());
     for a in atoms {
         let name = a.as_str().ok_or_else(|| perr("an atom must be a string"))?;
         let atom = match name {
@@ -875,14 +875,14 @@ fn decode_expr<L: Lattice>(
                 None => return Err(perr(format!("unknown atom `{name}`"))),
             },
         };
-        // One spelling per expression: atoms distinct and in order.
-        if last.is_some_and(|last| last >= atom) {
+        // One spelling per expression: atoms distinct and in order, so
+        // the checked list is already the expression's normal form.
+        if sorted.last().is_some_and(|&last| last >= atom) {
             return Err(perr(format!("atom `{name}` is out of order or repeated")));
         }
-        last = Some(atom);
-        acc = acc.join(&ClassExpr::atom(atom));
+        sorted.push(atom);
     }
-    Ok(acc)
+    Ok(ClassExpr::from_sorted(sorted, lit))
 }
 
 // ---- resealing ------------------------------------------------------------
@@ -913,6 +913,7 @@ pub fn reseal(cert_text: &str) -> Result<String, CertError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::MAX_DEPTH;
     use secflow_core::StaticBinding;
     use secflow_lattice::{LinearScheme, TwoPointScheme};
     use secflow_logic::prove;
@@ -1141,11 +1142,91 @@ mod tests {
 
     #[test]
     fn depth_bombs_die_in_the_json_parser() {
-        let bomb = format!(
-            r#"{{"format":"secflow-cert","version":2,"lattice":"two","program_sha256":"x","proof":{},"digest":"y"}}"#,
-            "[".repeat(200) + &"]".repeat(200)
-        );
-        let err = validate_certificate(CHANNEL, &bomb).unwrap_err();
+        // `proof` is one level down, so `n` brackets nest `n` deep.
+        let bomb = |n: usize| {
+            format!(
+                r#"{{"format":"secflow-cert","version":2,"lattice":"two","program_sha256":"x","proof":{},"digest":"y"}}"#,
+                "[".repeat(n) + &"]".repeat(n)
+            )
+        };
+        let err = validate_certificate(CHANNEL, &bomb(MAX_DEPTH + 1)).unwrap_err();
         assert_eq!(err.stage, "json");
+        assert!(err.message.starts_with("nesting too deep"), "{err:?}");
+        // At the cap the parser lets the document through.
+        let err = validate_certificate(CHANNEL, &bomb(MAX_DEPTH)).unwrap_err();
+        assert_eq!(err.stage, "digest");
+    }
+
+    /// How deep the deepest value in `v` sits, counted as the parser
+    /// counts: the document is at depth 0.
+    fn depth(v: &Json) -> usize {
+        let kids: Vec<&Json> = match v {
+            Json::Arr(items) => items.iter().collect(),
+            Json::Obj(fields) => fields.iter().map(|(_, v)| v).collect(),
+            _ => Vec::new(),
+        };
+        kids.into_iter().map(|k| 1 + depth(k)).max().unwrap_or(0)
+    }
+
+    #[test]
+    fn the_deepest_program_parse_accepts_has_a_certificate_that_validates() {
+        // An unoptimized build needs several times the stack a release
+        // build does (about 1.3 MiB there) to prove and check this deep.
+        let deep = std::thread::Builder::new().stack_size(32 << 20);
+        let run = deep.spawn(|| {
+            // `parse` counts a statement and its condition as a level
+            // each. Each `while` is a `conseq` over a `while` node, and
+            // the `wait` a `conseq` over its axiom: 600 nodes in a line.
+            let deepest = |whiles: usize| {
+                format!(
+                    "var x : integer; s : semaphore; {} wait(s)",
+                    "while x > 0 do ".repeat(whiles)
+                )
+            };
+            let src = deepest(299);
+            let cert = two_cert(&src);
+            assert_eq!(cert.nodes, 600);
+            let summary = validate_certificate(&src, &cert.text).unwrap();
+            assert_eq!(summary.digest, cert.digest);
+            // Carried inline in a request, it reaches the cap exactly.
+            let request = Json::parse(&format!(r#"{{"cert":{}}}"#, cert.text)).unwrap();
+            assert_eq!(depth(&request), MAX_DEPTH);
+            assert!(parse(&deepest(300)).is_err(), "the parser's limit moved");
+        });
+        if let Err(panic) = run.unwrap().join() {
+            std::panic::resume_unwind(panic);
+        }
+    }
+
+    #[test]
+    fn a_16000_atom_expression_decodes_as_the_join_of_its_atoms() {
+        let names: Vec<String> = (0..16_000).map(|i| format!("v{i}")).collect();
+        let program = parse(&format!("var {} : integer; skip", names.join(", "))).unwrap();
+        let atoms = names
+            .iter()
+            .map(|n| format!("v:{n}"))
+            .chain(["local".into(), "global".into()])
+            .map(Json::Str)
+            .collect();
+        let row = Json::Arr(vec![Json::Arr(atoms), Json::Str("high".into())]);
+        let decoded = decode_expr(&row, &program.symbols, &|s| parse_two_class(s).ok()).unwrap();
+        // Joined pairwise, so building the reference costs less than
+        // joining one atom at a time would.
+        let mut joined: Vec<ClassExpr<TwoPoint>> = program
+            .symbols
+            .iter()
+            .map(|(v, _)| ClassExpr::var(v))
+            .chain([ClassExpr::local(), ClassExpr::global()])
+            .chain([ClassExpr::lit(Extended::Elem(TwoPoint::High))])
+            .collect();
+        while joined.len() > 1 {
+            joined = joined
+                .chunks(2)
+                .map(|pair| pair.iter().skip(1).fold(pair[0].clone(), |a, b| a.join(b)))
+                .collect();
+        }
+        let joined = joined.pop().unwrap();
+        assert_eq!(decoded.atoms().len(), 16_002);
+        assert_eq!(decoded, joined);
     }
 }

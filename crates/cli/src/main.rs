@@ -1250,19 +1250,17 @@ fn cmd_gen(args: &[String]) -> Result<ExitCode, CliError> {
     match opts.value("request") {
         None => out!("{source}"),
         Some(op_name) => {
-            let op = match op_name {
-                "certify" => secflow_server::Op::Certify,
-                "infer" => secflow_server::Op::Infer,
-                "flows" => secflow_server::Op::Flows,
-                "lint" => secflow_server::Op::Lint,
-                "explore" => secflow_server::Op::Explore,
-                other => return Err(format!("bad --request op `{other}`").into()),
+            // A program op a generated workload can carry: `checkproof`
+            // needs a certificate, and the other ops take no program.
+            let op = match Op::from_name(op_name) {
+                Some(op) if op.is_program() && op != Op::Checkproof => op,
+                _ => return Err(format!("bad --request op `{op_name}`").into()),
             };
-            let mut req = secflow_server::Request::new(op, source);
+            let mut req = Request::new(op, source);
             if let Some(t) = opts.value("timeout-ms") {
                 req.timeout_ms = Some(t.parse().map_err(|_| "bad --timeout-ms")?);
             }
-            if op == secflow_server::Op::Explore {
+            if op == Op::Explore {
                 // Raise the state cap to the server's hard limit so a
                 // deadline, not truncation, is what stops the search.
                 req.max_states = Some(u64::MAX);

@@ -625,6 +625,33 @@ fn gen_sizes_out_of_range_are_usage_errors_that_name_the_range() {
 }
 
 #[test]
+fn gen_requests_only_the_program_ops_a_workload_can_carry() {
+    for op in ["certify", "infer", "flows", "lint", "explore"] {
+        let out = secflow(&["gen", "--chain", "2", "--request", op]);
+        assert_eq!(out.status.code(), Some(0), "{op}");
+        assert!(stdout(&out).contains(&format!(r#""op":"{op}""#)), "{op}");
+    }
+    for op in [
+        "checkproof",
+        "stats",
+        "shutdown",
+        "peer-sync",
+        "ping",
+        "replicate",
+        "repair",
+        "nope",
+    ] {
+        let out = secflow(&["gen", "--chain", "2", "--request", op]);
+        assert_eq!(out.status.code(), Some(2), "{op}");
+        let err = String::from_utf8_lossy(&out.stderr).into_owned();
+        assert!(
+            err.contains(&format!("bad --request op `{op}`")),
+            "{op}: {err}"
+        );
+    }
+}
+
+#[test]
 fn persistence_flags_require_cache_dir() {
     let out = secflow(&["serve", "--fsync", "always"]);
     assert_eq!(out.status.code(), Some(2));

@@ -68,8 +68,9 @@ pub fn parse_expr(source: &str, symbols: &SymbolTable) -> Result<Expr, Diagnosti
 /// Maximum statement/expression nesting the parser accepts. Real
 /// programs nest a handful of levels; the bound exists so adversarial
 /// inputs (e.g. 50k open parentheses) produce a diagnostic instead of
-/// exhausting the stack.
-const MAX_NESTING: u32 = 300;
+/// exhausting the stack. The certificate reader sizes its JSON depth
+/// limit from it.
+pub const MAX_NESTING: u32 = 300;
 
 struct Parser {
     tokens: Vec<Token>,

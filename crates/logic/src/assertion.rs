@@ -57,6 +57,17 @@ impl<L: Lattice> ClassExpr<L> {
         }
     }
 
+    /// The join of `atoms` and the literal `lit`, built as it stands.
+    /// `atoms` must already be sorted and distinct, the normal form, so
+    /// no join, copy or sort is needed; it panics if they are not.
+    pub fn from_sorted(atoms: Vec<Atom>, lit: Extended<L>) -> Self {
+        assert!(
+            atoms.windows(2).all(|w| w[0] < w[1]),
+            "atoms must be sorted and distinct"
+        );
+        ClassExpr { atoms, lit }
+    }
+
     /// The literal `nil` (the bottom of the extended scheme).
     pub fn nil() -> Self {
         Self::lit(Extended::Nil)

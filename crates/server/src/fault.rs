@@ -18,147 +18,79 @@
 //!   fault-free run.
 //!
 //! Production pays nothing: the serve path is generic over [`Faults`]
-//! and monomorphizes against [`NoFaults`], whose hooks are all
-//! constant-`false` inlines.
+//! and monomorphizes against [`NoFaults`], whose hooks are the trait's
+//! quiet defaults (constant `false`, inlined away). The durable store
+//! and the cluster's peer calls, which are not on the poll loop, share
+//! the same plan as an `Arc<dyn Faults>`.
+//!
+//! A hook is declared twice: once in the trait, with its quiet default,
+//! and once in [`FaultPlan`], which drives it.
 
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use std::time::Duration;
 
-/// Fault-injection hooks consulted by the serve path. Implementations
-/// must be cheap and thread-safe; every hook answers "inject here?".
+/// Fault-injection hooks consulted by the serve path, the durable store
+/// and the cluster's peer calls. Every hook answers "inject here?" and
+/// is quiet by default; implementations must be cheap and thread-safe.
 pub trait Faults: Send + Sync + 'static {
     /// Inject a panic into the worker about to run a job?
-    fn worker_panic(&self) -> bool;
+    fn worker_panic(&self) -> bool {
+        false
+    }
 
     /// Artificial latency to add before serving a request.
-    fn latency(&self) -> Option<std::time::Duration>;
+    fn latency(&self) -> Option<Duration> {
+        None
+    }
 
     /// Fail this stream read with an IO error?
-    fn read_error(&self) -> bool;
+    fn read_error(&self) -> bool {
+        false
+    }
 
     /// Truncate this read to a single byte?
-    fn short_io(&self) -> bool;
+    fn short_io(&self) -> bool {
+        false
+    }
 
     /// Drop this freshly-accepted connection?
-    fn drop_connection(&self) -> bool;
+    fn drop_connection(&self) -> bool {
+        false
+    }
 
     /// Tear this journal append in half, as a crash mid-write would?
-    /// (Consulted by the durable store; default quiet so third-party
-    /// impls predating persistence keep compiling.)
+    /// Consulted by the durable store.
     fn torn_write(&self) -> bool {
         false
     }
 
-    /// Silently skip an fsync the durability mode asked for?
+    /// Silently skip an fsync the durability mode asked for? Consulted
+    /// by the durable store.
     fn short_fsync(&self) -> bool {
         false
     }
 
     /// Pretend this connection produced no bytes this poll tick, as a
-    /// stalled (slowloris-style) sender would? (Consulted only by the
-    /// readiness-driven front-end; defaulted quiet for the same
-    /// compatibility reason as [`Faults::torn_write`].)
+    /// stalled (slowloris-style) sender would? Consulted by the poll
+    /// loop's reads.
     fn stall_read(&self) -> bool {
         false
     }
 
     /// Drop this outbound peer call to `addr` before it leaves, as an
     /// asymmetric network partition would? Consulted by the cluster's
-    /// peer-call path (forwarding, replication, probes); defaulted
-    /// quiet for the same compatibility reason as
-    /// [`Faults::torn_write`].
+    /// peer-call path (forwarding, replication, probes).
     fn drop_peer(&self, _addr: &str) -> bool {
         false
     }
 }
 
-impl<F: Faults> Faults for std::sync::Arc<F> {
-    fn worker_panic(&self) -> bool {
-        (**self).worker_panic()
-    }
-
-    fn latency(&self) -> Option<std::time::Duration> {
-        (**self).latency()
-    }
-
-    fn read_error(&self) -> bool {
-        (**self).read_error()
-    }
-
-    fn short_io(&self) -> bool {
-        (**self).short_io()
-    }
-
-    fn drop_connection(&self) -> bool {
-        (**self).drop_connection()
-    }
-
-    fn torn_write(&self) -> bool {
-        (**self).torn_write()
-    }
-
-    fn short_fsync(&self) -> bool {
-        (**self).short_fsync()
-    }
-
-    fn stall_read(&self) -> bool {
-        (**self).stall_read()
-    }
-
-    fn drop_peer(&self, addr: &str) -> bool {
-        (**self).drop_peer(addr)
-    }
-}
-
-/// The production plan: no faults, ever. All hooks inline to constants.
+/// The production plan: no faults, ever. Every hook is the trait's
+/// quiet default.
 #[derive(Clone, Copy, Default, Debug)]
 pub struct NoFaults;
 
-impl Faults for NoFaults {
-    #[inline(always)]
-    fn worker_panic(&self) -> bool {
-        false
-    }
-
-    #[inline(always)]
-    fn latency(&self) -> Option<std::time::Duration> {
-        None
-    }
-
-    #[inline(always)]
-    fn read_error(&self) -> bool {
-        false
-    }
-
-    #[inline(always)]
-    fn short_io(&self) -> bool {
-        false
-    }
-
-    #[inline(always)]
-    fn drop_connection(&self) -> bool {
-        false
-    }
-
-    #[inline(always)]
-    fn torn_write(&self) -> bool {
-        false
-    }
-
-    #[inline(always)]
-    fn short_fsync(&self) -> bool {
-        false
-    }
-
-    #[inline(always)]
-    fn stall_read(&self) -> bool {
-        false
-    }
-
-    #[inline(always)]
-    fn drop_peer(&self, _addr: &str) -> bool {
-        false
-    }
-}
+impl Faults for NoFaults {}
 
 /// Per-mille injection rates and limits for a seeded chaos run.
 #[derive(Debug)]
@@ -305,9 +237,9 @@ impl Faults for FaultPlan {
         self.roll(self.panic_per_mille)
     }
 
-    fn latency(&self) -> Option<std::time::Duration> {
+    fn latency(&self) -> Option<Duration> {
         self.roll(self.latency_per_mille)
-            .then(|| std::time::Duration::from_millis(self.latency_ms))
+            .then(|| Duration::from_millis(self.latency_ms))
     }
 
     fn read_error(&self) -> bool {
@@ -445,9 +377,13 @@ mod tests {
     fn no_faults_is_quiet() {
         let f = NoFaults;
         assert!(!f.worker_panic());
+        assert!(f.latency().is_none());
         assert!(!f.read_error());
         assert!(!f.short_io());
         assert!(!f.drop_connection());
-        assert!(f.latency().is_none());
+        assert!(!f.torn_write());
+        assert!(!f.short_fsync());
+        assert!(!f.stall_read());
+        assert!(!f.drop_peer("127.0.0.1:1"));
     }
 }

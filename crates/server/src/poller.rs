@@ -189,7 +189,7 @@ impl ReplySink for TokenSink {
 }
 
 /// The poll loop's whole mutable world.
-struct Loop<'a, F: Faults + Clone> {
+struct Loop<'a, F: Faults> {
     cfg: &'a ServerConfig,
     service: &'a Arc<Service>,
     pool: &'a Pool,
@@ -234,11 +234,11 @@ impl Timeouts {
 }
 
 /// Runs the poll-loop front-end until a `shutdown` request drains it.
-pub(crate) fn run<F: Faults + Clone>(
+pub(crate) fn run<F: Faults>(
     listener: TcpListener,
     cfg: ServerConfig,
     service: Arc<Service>,
-    faults: F,
+    faults: Arc<F>,
 ) {
     let Ok((wake_rx, wake_tx)) = UnixStream::pair() else {
         return;
@@ -260,7 +260,7 @@ pub(crate) fn run<F: Faults + Clone>(
         cfg: &cfg,
         service: &service,
         pool: &pool,
-        faults: &faults,
+        faults: &*faults,
         reply_tx,
         wake: Arc::new(wake_tx),
         slots: Vec::new(),
@@ -339,7 +339,7 @@ fn admits<S>(conn: &Conn<S>, draining: bool, cfg: &ServerConfig) -> bool {
     !(draining || conn.closing || conn.inflight >= cfg.pipeline_window)
 }
 
-impl<F: Faults + Clone> Loop<'_, F> {
+impl<F: Faults> Loop<'_, F> {
     /// Refills `fds` with what each socket is waiting for and returns
     /// the nearest deadline the loop keeps (`None`: wait for an event).
     /// A connection that wants neither to read nor to write goes in as

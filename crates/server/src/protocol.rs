@@ -116,6 +116,27 @@ pub enum Op {
 }
 
 impl Op {
+    /// Every operation, in declaration order.
+    pub const ALL: [Op; 12] = [
+        Op::Certify,
+        Op::Infer,
+        Op::Flows,
+        Op::Lint,
+        Op::Explore,
+        Op::Checkproof,
+        Op::Stats,
+        Op::Shutdown,
+        Op::PeerSync,
+        Op::Ping,
+        Op::Replicate,
+        Op::Repair,
+    ];
+
+    /// The operation whose wire name is `name`.
+    pub fn from_name(name: &str) -> Option<Op> {
+        Op::ALL.into_iter().find(|op| op.name() == name)
+    }
+
     /// Wire name of the operation.
     pub fn name(self) -> &'static str {
         match self {
@@ -210,19 +231,9 @@ impl Request {
             return Err(fail("request must be a JSON object".into()));
         }
         let op = match value.get("op").and_then(Json::as_str) {
-            Some("certify") => Op::Certify,
-            Some("infer") => Op::Infer,
-            Some("flows") => Op::Flows,
-            Some("lint") => Op::Lint,
-            Some("explore") => Op::Explore,
-            Some("checkproof") => Op::Checkproof,
-            Some("stats") => Op::Stats,
-            Some("shutdown") => Op::Shutdown,
-            Some("peer-sync") => Op::PeerSync,
-            Some("ping") => Op::Ping,
-            Some("replicate") => Op::Replicate,
-            Some("repair") => Op::Repair,
-            Some(other) => return Err(fail(format!("unknown op `{other}`"))),
+            Some(name) => {
+                Op::from_name(name).ok_or_else(|| fail(format!("unknown op `{name}`")))?
+            }
             None => return Err(fail("missing string field `op`".into())),
         };
 
@@ -618,6 +629,20 @@ impl Response {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn every_op_parses_from_its_wire_name() {
+        let mut names: Vec<&str> = Op::ALL.iter().map(|op| op.name()).collect();
+        for op in Op::ALL {
+            assert_eq!(Op::from_name(op.name()), Some(op));
+        }
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), Op::ALL.len(), "wire names are distinct");
+        assert_eq!(Op::from_name("Certify"), None);
+        let (_, msg) = Request::parse(r#"{"op":"Certify","source":"x"}"#).unwrap_err();
+        assert_eq!(msg, "unknown op `Certify`");
+    }
 
     #[test]
     fn parses_certify() {

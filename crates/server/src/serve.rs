@@ -32,9 +32,14 @@
 //! - **Deterministic chaos.** When [`ServerConfig::chaos`] holds a
 //!   [`FaultPlan`], the poll loop and the dispatch path consult it for
 //!   injected connection drops, IO errors, short reads, stalls,
-//!   latency, and worker panics. With the default `chaos: None` every
-//!   hook is [`NoFaults`], which inlines to constant `false`s —
-//!   production pays nothing.
+//!   latency, and worker panics; the durable store and the cluster's
+//!   peer calls get the same `Arc`, as an `Arc<dyn Faults>`, for torn
+//!   writes, skipped fsyncs and partitions. A front-end takes the plan
+//!   as an `Arc<F>` and calls its hooks through `&F`, so with the
+//!   default `chaos: None` the poll loop and dispatch are compiled
+//!   against [`NoFaults`], whose quiet defaults inline to constant
+//!   `false`s — production pays nothing, and no hook there is a `dyn`
+//!   call.
 
 use std::io::{self, BufRead, Write};
 use std::net::{SocketAddr, TcpListener};
@@ -118,16 +123,16 @@ impl Default for ServerConfig {
 /// surface as the serve call's `io::Result`, not inside a spawned
 /// thread. The chaos hooks are shared with the store for torn-write and
 /// short-fsync injection.
-fn build_service<F: Faults + Clone>(cfg: &ServerConfig, faults: &F) -> io::Result<Service> {
+fn build_service<F: Faults>(cfg: &ServerConfig, faults: &Arc<F>) -> io::Result<Service> {
     let mut service = match &cfg.persist {
         Some(pcfg) => {
-            let store = DurableStore::open_with_faults(pcfg.clone(), Arc::new(faults.clone()))?;
+            let store = DurableStore::open_with_faults(pcfg.clone(), faults.clone())?;
             Service::with_persist(cfg.cache_capacity, cfg.limits, store)
         }
         None => Service::new(cfg.cache_capacity, cfg.limits),
     };
     if let Some(cluster) = &cfg.cluster {
-        service = service.with_cluster_faults(cluster.clone(), Arc::new(faults.clone()));
+        service = service.with_cluster_faults(cluster.clone(), faults.clone());
         if let Some(peer) = &cluster.sync_from {
             // Warm start before serving: drain a loaded peer's cache so
             // this node never re-explores work the cluster already paid
@@ -378,11 +383,11 @@ pub(crate) fn oversized_line_error(max: usize) -> String {
 pub fn serve_stdio(cfg: ServerConfig) -> io::Result<()> {
     match cfg.chaos.clone() {
         Some(plan) => serve_stdio_with(cfg, plan),
-        None => serve_stdio_with(cfg, NoFaults),
+        None => serve_stdio_with(cfg, Arc::new(NoFaults)),
     }
 }
 
-fn serve_stdio_with<F: Faults + Clone>(cfg: ServerConfig, faults: F) -> io::Result<()> {
+fn serve_stdio_with<F: Faults>(cfg: ServerConfig, faults: Arc<F>) -> io::Result<()> {
     let service = Arc::new(build_service(&cfg, &faults)?);
     let pool = Pool::new(cfg.workers, cfg.queue_capacity);
     let (reply_tx, reply_rx) = mpsc::channel::<String>();
@@ -413,7 +418,7 @@ fn serve_stdio_with<F: Faults + Clone>(cfg: ServerConfig, faults: F) -> io::Resu
                 if trimmed.is_empty() {
                     continue;
                 }
-                match dispatch(trimmed, &service, &pool, &reply_tx, &faults) {
+                match dispatch(trimmed, &service, &pool, &reply_tx, &*faults) {
                     Dispatched::Shutdown(id) => {
                         shutdown = Some(id);
                         break;
@@ -485,7 +490,7 @@ pub fn serve_tcp(addr: &str, cfg: ServerConfig) -> io::Result<TcpServer> {
 pub fn serve_listener(listener: TcpListener, cfg: ServerConfig) -> io::Result<TcpServer> {
     match cfg.chaos.clone() {
         Some(plan) => serve_listener_with(listener, cfg, plan),
-        None => serve_listener_with(listener, cfg, NoFaults),
+        None => serve_listener_with(listener, cfg, Arc::new(NoFaults)),
     }
 }
 
@@ -511,10 +516,10 @@ fn spawn_health_loop(service: &Arc<Service>) {
         });
 }
 
-fn serve_listener_with<F: Faults + Clone>(
+fn serve_listener_with<F: Faults>(
     listener: TcpListener,
     cfg: ServerConfig,
-    faults: F,
+    faults: Arc<F>,
 ) -> io::Result<TcpServer> {
     let local = listener.local_addr()?;
     // Open the store (recovery included) before spawning, so a bad

@@ -408,18 +408,6 @@ impl Service {
         resp.into_line()
     }
 
-    fn op_counter(&self, op: Op) -> Option<&std::sync::atomic::AtomicU64> {
-        match op {
-            Op::Certify => Some(&self.metrics.certify),
-            Op::Infer => Some(&self.metrics.infer),
-            Op::Flows => Some(&self.metrics.flows),
-            Op::Lint => Some(&self.metrics.lint),
-            Op::Explore => Some(&self.metrics.explore),
-            Op::Checkproof => Some(&self.metrics.checkproof),
-            _ => None,
-        }
-    }
-
     /// The `peer-sync` op: one page of the cache as journal record
     /// payloads, oldest (least recently used) first — the same order
     /// and encoding compaction writes to disk, shipped over the wire.
@@ -684,9 +672,10 @@ impl Service {
         line
     }
 
-    /// Counts one program-op request, once, whichever path answers it.
+    /// Counts one program-op request, once, whichever path answers it,
+    /// on the counter `stats` shows under the op's name.
     fn count_op(&self, req: &Request) {
-        if let Some(counter) = self.op_counter(req.op) {
+        if let Some(counter) = self.metrics.counter(req.op.name()) {
             Metrics::bump(counter);
         }
     }

@@ -166,3 +166,57 @@ fn certificate_sizes_are_pinned() {
         assert_eq!(cert.len(), bytes);
     }
 }
+
+/// The deepest programs `parse` accepts get certificates the service
+/// takes back, as a string and as an inline object; a JSON bomb deeper
+/// than the parser's cap is still refused before any decoding.
+#[test]
+fn certificates_at_the_nesting_limit_validate_through_the_service() {
+    // An unoptimized build needs several times the stack a release build
+    // does (about 1.3 MiB there) to prove and check proofs this deep.
+    let deep = std::thread::Builder::new().stack_size(32 << 20);
+    let run = deep.spawn(|| {
+        for src in [
+            format!("var x : integer; {} x := 1", "while x > 0 do ".repeat(298)),
+            format!(
+                "var x : integer; s : semaphore; {} wait(s)",
+                "while x > 0 do ".repeat(299)
+            ),
+        ] {
+            let reply = certify_with_proof(&svc(), &src, "two");
+            let cert = reply
+                .get("certificate")
+                .and_then(Json::as_str)
+                .expect("a certificate")
+                .to_string();
+            // Fresh services, so neither verdict is a cache hit.
+            let as_string = checkproof(&svc(), &src, &cert);
+            assert_eq!(as_string.get("valid"), Some(&Json::Bool(true)), "{as_string:?}");
+            let line = format!(
+                r#"{{"op":"checkproof","source":{},"cert":{cert}}}"#,
+                Json::Str(src.clone())
+            );
+            let inline = Json::parse(&svc().handle_line(&line)).unwrap();
+            assert_eq!(inline.get("valid"), Some(&Json::Bool(true)), "{inline:?}");
+        }
+
+        let bomb = format!(
+            r#"{{"format":"secflow-cert","version":2,"lattice":"two","program_sha256":"x","proof":{},"digest":"y"}}"#,
+            "[".repeat(5_000) + &"]".repeat(5_000)
+        );
+        let verdict = checkproof(&svc(), CLEAN, &bomb);
+        assert_eq!(verdict.get("valid"), Some(&Json::Bool(false)));
+        let stage = verdict.get("reason").and_then(|r| r.get("stage"));
+        assert_eq!(stage.and_then(Json::as_str), Some("json"), "{verdict:?}");
+        let line = format!(
+            r#"{{"op":"checkproof","source":{},"cert":{bomb}}}"#,
+            Json::Str(CLEAN.to_string())
+        );
+        let refused = Json::parse(&svc().handle_line(&line)).unwrap();
+        let kind = refused.get("error").and_then(|e| e.get("kind"));
+        assert_eq!(kind.and_then(Json::as_str), Some("protocol"), "{refused:?}");
+    });
+    if let Err(panic) = run.unwrap().join() {
+        std::panic::resume_unwind(panic);
+    }
+}
