@@ -1120,10 +1120,6 @@ fn cmd_cache_inspect(args: &[String]) -> Result<ExitCode, CliError> {
         let n = |v: u64| Json::Num(v as f64);
         let obj = Json::Obj(vec![
             (
-                "snapshot_entries".to_string(),
-                n(report.snapshot_entries.len() as u64),
-            ),
-            (
                 "journal_entries".to_string(),
                 n(report.journal_entries.len() as u64),
             ),
@@ -1133,7 +1129,6 @@ fn cmd_cache_inspect(args: &[String]) -> Result<ExitCode, CliError> {
             ),
             ("cert_entries".to_string(), n(report.cert_entries() as u64)),
             ("frames_skipped".to_string(), n(report.frames_skipped)),
-            ("snapshot_bytes".to_string(), n(report.snapshot_bytes)),
             ("journal_bytes".to_string(), n(report.journal_bytes)),
             ("tmp_present".to_string(), Json::Bool(report.tmp_present)),
             ("clean".to_string(), Json::Bool(report.clean())),

@@ -3,8 +3,10 @@
 //! the real crash), and restarted in the same directory. The warm
 //! server must answer the whole corpus from disk: `cached:true`,
 //! byte-identical replies modulo the `us` timing field, zero explored
-//! states. A second test flips one journal byte between the kill and
-//! the restart and asserts recovery skips exactly one frame.
+//! states. Other tests flip one journal byte between the kill and the
+//! restart (recovery skips exactly one frame), tear the journal's tail
+//! (results acknowledged after the restart still recover), and send the
+//! deepest program `parse` accepts to a single worker.
 
 #![cfg(unix)]
 
@@ -343,4 +345,96 @@ fn corrupted_journal_byte_skips_one_frame_on_warm_start() {
         .count();
     assert_eq!(recomputed, 1, "exactly the corrupted entry recomputes");
     warm.kill_dash_nine();
+}
+
+/// A distinct `certify` per tag, so each one is a miss and an append.
+fn certify_line(id: u64, tag: &str) -> String {
+    format!(
+        r#"{{"id":{id},"op":"certify","source":{}}}"#,
+        Json::Str(format!("var {tag} : integer; {tag} := 1"))
+    )
+}
+
+/// A crash that tears the journal's tail must not hide the results
+/// acknowledged after the restart: recovery cuts the torn bytes off, so
+/// later appends land where the next scan reads them.
+#[test]
+fn a_torn_tail_hides_no_result_acknowledged_after_it() {
+    let dir = tmp_dir("torn-tail");
+    let mut first = Server::spawn(&dir);
+    first.round_trip(&[certify_line(1, "a"), certify_line(2, "b")]);
+    first.kill_dash_nine();
+
+    let journal = dir.join("journal.wal");
+    let bytes = std::fs::read(&journal).unwrap();
+    std::fs::write(&journal, &bytes[..bytes.len() - 7]).unwrap();
+
+    let mut torn = Server::spawn(&dir);
+    let stats = torn.stats();
+    assert_eq!(persist_stat(&stats, "entries_recovered"), 1);
+    assert_eq!(persist_stat(&stats, "frames_skipped"), 1);
+    let later: Vec<String> = ["c", "d", "e"]
+        .iter()
+        .zip(3..)
+        .map(|(tag, id)| certify_line(id, tag))
+        .collect();
+    for (id, v) in torn.round_trip(&later) {
+        assert_eq!(v.get("ok").and_then(Json::as_bool), Some(true), "id {id}");
+    }
+    torn.kill_dash_nine();
+
+    let mut warm = Server::spawn(&dir);
+    let stats = warm.stats();
+    assert_eq!(persist_stat(&stats, "entries_recovered"), 4);
+    assert_eq!(persist_stat(&stats, "frames_skipped"), 0);
+    for (id, v) in warm.round_trip(&later) {
+        assert_eq!(
+            v.get("cached").and_then(Json::as_bool),
+            Some(true),
+            "id {id} was acknowledged before the kill"
+        );
+    }
+    warm.kill_dash_nine();
+}
+
+/// A pool worker survives the deepest program `parse` accepts: the
+/// unoptimized server proves it with a certificate and validates that
+/// certificate as a string and as an inline object. Each needs more
+/// than a thread's default 2 MiB of stack, and an overflow would abort
+/// the whole process.
+#[test]
+fn workers_prove_and_check_the_deepest_program() {
+    let src = format!(
+        "var x : integer; s : semaphore; {} wait(s)",
+        "while x > 0 do ".repeat(299)
+    );
+    let node = TcpNode::spawn(&tmp_dir("deep-a"), &["--workers", "1"]);
+    let certify = format!(
+        r#"{{"id":1,"op":"certify","source":{},"with_proof":true}}"#,
+        Json::Str(src.clone())
+    );
+    let reply = node.round_trip(&[certify]).remove(&1).unwrap();
+    let cert = reply
+        .get("certificate")
+        .and_then(Json::as_str)
+        .unwrap_or_else(|| panic!("no certificate in {reply:?}"))
+        .to_string();
+    let as_string = format!(
+        r#"{{"id":2,"op":"checkproof","source":{},"cert":{}}}"#,
+        Json::Str(src.clone()),
+        Json::Str(cert.clone())
+    );
+    let verdict = node.round_trip(&[as_string]).remove(&2).unwrap();
+    assert_eq!(verdict.get("valid"), Some(&Json::Bool(true)), "{verdict:?}");
+    node.kill_dash_nine();
+
+    // A fresh node, so the inline form is validated, not a cache hit.
+    let node = TcpNode::spawn(&tmp_dir("deep-b"), &["--workers", "1"]);
+    let inline = format!(
+        r#"{{"id":3,"op":"checkproof","source":{},"cert":{cert}}}"#,
+        Json::Str(src)
+    );
+    let verdict = node.round_trip(&[inline]).remove(&3).unwrap();
+    assert_eq!(verdict.get("valid"), Some(&Json::Bool(true)), "{verdict:?}");
+    node.kill_dash_nine();
 }

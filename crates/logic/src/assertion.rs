@@ -8,11 +8,14 @@
 //! `{V, L, G}` notation into state bounds plus the distinguished bounds on
 //! `local` and `global` (either of which may be absent = unconstrained).
 
+use std::cmp::Ordering;
 use std::collections::BTreeMap;
 use std::fmt;
 
 use secflow_lang::{Expr, VarId};
 use secflow_lattice::{Extended, Lattice};
+
+use crate::render::Named;
 
 /// An atom a class expression can mention.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -96,23 +99,46 @@ impl<L: Lattice> ClassExpr<L> {
         Self::atom(Atom::Global)
     }
 
+    /// The join of `atoms`, in any order and with repeats, and `lit`.
+    fn normalized(mut atoms: Vec<Atom>, lit: Extended<L>) -> Self {
+        atoms.sort_unstable();
+        atoms.dedup();
+        ClassExpr { atoms, lit }
+    }
+
     /// The class `e̲` of an expression: the join of the classes of its
     /// variables (constants contribute the join identity).
     pub fn of_expr(expr: &Expr) -> Self {
-        let mut out = Self::nil();
-        expr.for_each_var(&mut |v| out = out.join(&Self::var(v)));
-        out
+        let mut atoms = Vec::new();
+        expr.for_each_var(&mut |v| atoms.push(Atom::VarClass(v)));
+        Self::normalized(atoms, Extended::Nil)
     }
 
-    /// Join (`⊕`) of two class expressions.
+    /// Join (`⊕`) of two class expressions: one merge of the two sorted
+    /// atom lists.
     pub fn join(&self, other: &Self) -> Self {
-        let mut atoms = self.atoms.clone();
-        for a in &other.atoms {
-            if !atoms.contains(a) {
-                atoms.push(*a);
+        let (a, b) = (&self.atoms, &other.atoms);
+        let mut atoms = Vec::with_capacity(a.len() + b.len());
+        let (mut i, mut j) = (0, 0);
+        while i < a.len() && j < b.len() {
+            match a[i].cmp(&b[j]) {
+                Ordering::Less => {
+                    atoms.push(a[i]);
+                    i += 1;
+                }
+                Ordering::Greater => {
+                    atoms.push(b[j]);
+                    j += 1;
+                }
+                Ordering::Equal => {
+                    atoms.push(a[i]);
+                    i += 1;
+                    j += 1;
+                }
             }
         }
-        atoms.sort();
+        atoms.extend_from_slice(&a[i..]);
+        atoms.extend_from_slice(&b[j..]);
         ClassExpr {
             atoms,
             lit: self.lit.join(&other.lit),
@@ -141,14 +167,18 @@ impl<L: Lattice> ClassExpr<L> {
     /// paper's `P[x ← e]` notation requires for the `wait` axiom, which
     /// substitutes `sem̲` and `global` at once).
     pub fn subst(&self, map: &BTreeMap<Atom, ClassExpr<L>>) -> Self {
-        let mut out = Self::lit(self.lit.clone());
+        let mut atoms = Vec::with_capacity(self.atoms.len());
+        let mut lit = self.lit.clone();
         for a in &self.atoms {
             match map.get(a) {
-                Some(repl) => out = out.join(repl),
-                None => out = out.join(&Self::atom(*a)),
+                Some(repl) => {
+                    atoms.extend_from_slice(&repl.atoms);
+                    lit = lit.join(&repl.lit);
+                }
+                None => atoms.push(*a),
             }
         }
-        out
+        Self::normalized(atoms, lit)
     }
 
     /// `true` iff the expression mentions `a`.
@@ -159,21 +189,7 @@ impl<L: Lattice> ClassExpr<L> {
 
 impl<L: Lattice + fmt::Display> fmt::Display for ClassExpr<L> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.atoms.is_empty() {
-            return write!(f, "{}", self.lit);
-        }
-        let mut first = true;
-        for a in &self.atoms {
-            if !first {
-                write!(f, " ⊕ ")?;
-            }
-            write!(f, "{a}")?;
-            first = false;
-        }
-        if !self.lit.is_nil() {
-            write!(f, " ⊕ {}", self.lit)?;
-        }
-        Ok(())
+        Named(self, None).fmt(f)
     }
 }
 
@@ -209,7 +225,7 @@ impl<L: Lattice> Bound<L> {
 
 impl<L: Lattice + fmt::Display> fmt::Display for Bound<L> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{} ≤ {}", self.lhs, self.rhs)
+        Named(self, None).fmt(f)
     }
 }
 
@@ -290,29 +306,7 @@ impl<L: Lattice> Assertion<L> {
 
 impl<L: Lattice + fmt::Display> fmt::Display for Assertion<L> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{{")?;
-        let mut first = true;
-        for b in &self.state {
-            if !first {
-                write!(f, ", ")?;
-            }
-            write!(f, "{b}")?;
-            first = false;
-        }
-        if let Some(l) = &self.local {
-            if !first {
-                write!(f, ", ")?;
-            }
-            write!(f, "local ≤ {l}")?;
-            first = false;
-        }
-        if let Some(g) = &self.global {
-            if !first {
-                write!(f, ", ")?;
-            }
-            write!(f, "global ≤ {g}")?;
-        }
-        write!(f, "}}")
+        Named(self, None).fmt(f)
     }
 }
 

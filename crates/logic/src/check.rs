@@ -18,7 +18,9 @@ use secflow_lang::{Expr, Span, Stmt, VarId};
 use secflow_lattice::{Extended, Lattice};
 
 use crate::assertion::{Assertion, Atom, Bound, ClassExpr};
-use crate::entail::{entails, entails_bound, equivalent, EntailError};
+use crate::entail::{
+    entails, entails_bound, entails_bound_env, equivalent, EntailError, UpperBounds,
+};
 use crate::proof::{Proof, Rule};
 
 /// Why a proof failed to check.
@@ -216,8 +218,8 @@ impl Checker {
                 },
             ) => self.check_cobegin(sbranches, branches, proof),
 
-            (rule_kind, _) => Err(CheckError::new(
-                rule_name_of(rule_kind),
+            _ => Err(CheckError::new(
+                proof.rule_name(),
                 format!(
                     "rule does not match statement {:?}",
                     discriminant_name(stmt)
@@ -571,6 +573,9 @@ fn check_preserved<L: Lattice + fmt::Display>(
         }
     };
     let lg = lit_of(&action.pre.local)?.join(&lit_of(&action.pre.global)?);
+    if a.state.is_empty() {
+        return Ok(());
+    }
 
     // Rebuild T's substitution with the context folded in as a literal
     // and without any entry for the `global` atom.
@@ -611,9 +616,18 @@ fn check_preserved<L: Lattice + fmt::Display>(
         local: a.local.clone(),
         global: a.global.clone(),
     };
+    let env = UpperBounds::of(&combined).map_err(|e| e.to_string())?;
     for b in &a.state {
+        // A bound that mentions no substituted atom is unchanged, and as
+        // one of `combined`'s own conjuncts it is entailed.
+        if !subst
+            .keys()
+            .any(|&atom| b.lhs.mentions(atom) || b.rhs.mentions(atom))
+        {
+            continue;
+        }
         let substituted = b.subst(&subst);
-        match entails_bound(&combined, &substituted) {
+        match entails_bound_env(&env, &substituted) {
             Ok(true) => {}
             Ok(false) => {
                 return Err(format!(
@@ -679,20 +693,6 @@ fn require_same_bound<L: Lattice + fmt::Display>(
             rule,
             format!("{what}: {} vs {}", show(a), show(b)),
         ))
-    }
-}
-
-fn rule_name_of<L>(rule: &Rule<L>) -> &'static str {
-    match rule {
-        Rule::SkipAxiom => "skip axiom",
-        Rule::AssignAxiom => "assignment axiom",
-        Rule::SignalAxiom => "signal axiom",
-        Rule::WaitAxiom => "wait axiom",
-        Rule::If { .. } => "alternation rule",
-        Rule::While { .. } => "iteration rule",
-        Rule::Seq { .. } => "composition rule",
-        Rule::Cobegin { .. } => "concurrent-execution rule",
-        Rule::Conseq { .. } => "consequence rule",
     }
 }
 

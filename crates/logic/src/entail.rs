@@ -116,7 +116,9 @@ pub fn entails_bound<L: Lattice + std::fmt::Display>(
     entails_bound_env(&env, bound)
 }
 
-fn entails_bound_env<L: Lattice + std::fmt::Display>(
+/// Decides `bound` against an environment built once by
+/// [`UpperBounds::of`].
+pub(crate) fn entails_bound_env<L: Lattice + std::fmt::Display>(
     env: &UpperBounds<L>,
     bound: &Bound<L>,
 ) -> Result<bool, EntailError> {

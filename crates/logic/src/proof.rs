@@ -11,6 +11,7 @@ use std::fmt;
 use secflow_lattice::Lattice;
 
 use crate::assertion::Assertion;
+use crate::render::Named;
 
 /// A flow-logic derivation of `{pre} S {post}`.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -126,45 +127,9 @@ impl<L: Lattice> Proof<L> {
     }
 }
 
-impl<L: Lattice + fmt::Display> Proof<L> {
-    fn fmt_at(&self, f: &mut fmt::Formatter<'_>, depth: usize) -> fmt::Result {
-        let pad = "  ".repeat(depth);
-        writeln!(f, "{pad}[{}]", self.rule_name())?;
-        writeln!(f, "{pad}  pre:  {}", self.pre)?;
-        writeln!(f, "{pad}  post: {}", self.post)?;
-        match &self.rule {
-            Rule::SkipAxiom | Rule::AssignAxiom | Rule::SignalAxiom | Rule::WaitAxiom => Ok(()),
-            Rule::If {
-                then_proof,
-                else_proof,
-            } => {
-                then_proof.fmt_at(f, depth + 1)?;
-                if let Some(e) = else_proof {
-                    e.fmt_at(f, depth + 1)?;
-                }
-                Ok(())
-            }
-            Rule::While { body } => body.fmt_at(f, depth + 1),
-            Rule::Seq { parts } => {
-                for p in parts {
-                    p.fmt_at(f, depth + 1)?;
-                }
-                Ok(())
-            }
-            Rule::Cobegin { branches } => {
-                for p in branches {
-                    p.fmt_at(f, depth + 1)?;
-                }
-                Ok(())
-            }
-            Rule::Conseq { inner } => inner.fmt_at(f, depth + 1),
-        }
-    }
-}
-
 impl<L: Lattice + fmt::Display> fmt::Display for Proof<L> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        self.fmt_at(f, 0)
+        Named(self, None).fmt(f)
     }
 }
 

@@ -1,10 +1,12 @@
-//! Rendering proofs and assertions with source-level variable names.
+//! Rendering proofs and assertions, with source-level variable names
+//! or without.
 //!
-//! The `Display` impls in this crate print `class(v3)` because bare
-//! assertions carry no symbol table; this module threads one through so
-//! the CLI and examples can show `m̲ ≤ High` style output.
+//! There is one formatter, `Named`. The `Display` impls in this crate
+//! call it without a symbol table, so a variable's class prints as
+//! `class(v3)`; the `render_*` functions thread a table through so the
+//! CLI and examples can show `m̲ ≤ High` style output.
 
-use std::fmt::Write as _;
+use std::fmt;
 
 use secflow_lang::SymbolTable;
 use secflow_lattice::Lattice;
@@ -12,98 +14,117 @@ use secflow_lattice::Lattice;
 use crate::assertion::{Assertion, Atom, Bound, ClassExpr};
 use crate::proof::{Proof, Rule};
 
-/// Renders a class expression with variable names.
-pub fn render_class_expr<L: Lattice + std::fmt::Display>(
-    e: &ClassExpr<L>,
-    symbols: &SymbolTable,
-) -> String {
-    let mut parts: Vec<String> = e
-        .atoms()
-        .iter()
-        .map(|a| match a {
-            Atom::VarClass(v) => format!("{}̲", symbols.name(*v)),
-            Atom::Local => "local".to_string(),
-            Atom::Global => "global".to_string(),
-        })
-        .collect();
-    if parts.is_empty() || !e.literal().is_nil() {
-        parts.push(e.literal().to_string());
+/// `value` displayed with each variable's class named from `symbols`
+/// (`x̲`), or by index (`class(v3)`) without a table.
+pub(crate) struct Named<'a, T>(pub &'a T, pub Option<&'a SymbolTable>);
+
+impl<L: Lattice + fmt::Display> fmt::Display for Named<'_, ClassExpr<L>> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let Named(e, symbols) = self;
+        if e.atoms().is_empty() {
+            return write!(f, "{}", e.literal());
+        }
+        for (i, a) in e.atoms().iter().enumerate() {
+            if i > 0 {
+                write!(f, " ⊕ ")?;
+            }
+            match (a, symbols) {
+                (Atom::VarClass(v), Some(symbols)) => write!(f, "{}̲", symbols.name(*v))?,
+                _ => write!(f, "{a}")?,
+            }
+        }
+        if !e.literal().is_nil() {
+            write!(f, " ⊕ {}", e.literal())?;
+        }
+        Ok(())
     }
-    parts.join(" ⊕ ")
 }
 
-/// Renders a bound with variable names.
-pub fn render_bound<L: Lattice + std::fmt::Display>(b: &Bound<L>, symbols: &SymbolTable) -> String {
-    format!(
-        "{} ≤ {}",
-        render_class_expr(&b.lhs, symbols),
-        render_class_expr(&b.rhs, symbols)
-    )
+impl<L: Lattice + fmt::Display> fmt::Display for Named<'_, Bound<L>> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let Named(b, symbols) = *self;
+        write!(f, "{} ≤ {}", Named(&b.lhs, symbols), Named(&b.rhs, symbols))
+    }
 }
 
-/// Renders an assertion with variable names.
-pub fn render_assertion<L: Lattice + std::fmt::Display>(
-    a: &Assertion<L>,
-    symbols: &SymbolTable,
-) -> String {
-    let mut parts: Vec<String> = a.state.iter().map(|b| render_bound(b, symbols)).collect();
-    if let Some(l) = &a.local {
-        parts.push(format!("local ≤ {}", render_class_expr(l, symbols)));
+impl<L: Lattice + fmt::Display> fmt::Display for Named<'_, Assertion<L>> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let Named(a, symbols) = *self;
+        let mut sep = "";
+        write!(f, "{{")?;
+        for b in &a.state {
+            write!(f, "{sep}{}", Named(b, symbols))?;
+            sep = ", ";
+        }
+        if let Some(l) = &a.local {
+            write!(f, "{sep}local ≤ {}", Named(l, symbols))?;
+            sep = ", ";
+        }
+        if let Some(g) = &a.global {
+            write!(f, "{sep}global ≤ {}", Named(g, symbols))?;
+        }
+        write!(f, "}}")
     }
-    if let Some(g) = &a.global {
-        parts.push(format!("global ≤ {}", render_class_expr(g, symbols)));
-    }
-    format!("{{{}}}", parts.join(", "))
 }
 
-/// Renders a whole proof tree with variable names.
-pub fn render_proof<L: Lattice + std::fmt::Display>(
+impl<L: Lattice + fmt::Display> fmt::Display for Named<'_, Proof<L>> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write_proof(f, self.0, self.1, 0)
+    }
+}
+
+fn write_proof<L: Lattice + fmt::Display>(
+    f: &mut fmt::Formatter<'_>,
     proof: &Proof<L>,
-    symbols: &SymbolTable,
-) -> String {
-    let mut out = String::new();
-    render_at(proof, symbols, 0, &mut out);
-    out
-}
-
-fn render_at<L: Lattice + std::fmt::Display>(
-    proof: &Proof<L>,
-    symbols: &SymbolTable,
+    symbols: Option<&SymbolTable>,
     depth: usize,
-    out: &mut String,
-) {
+) -> fmt::Result {
     let pad = "  ".repeat(depth);
-    let _ = writeln!(out, "{pad}[{}]", proof.rule_name());
-    let _ = writeln!(
-        out,
-        "{pad}  pre:  {}",
-        render_assertion(&proof.pre, symbols)
-    );
-    let _ = writeln!(
-        out,
-        "{pad}  post: {}",
-        render_assertion(&proof.post, symbols)
-    );
+    writeln!(f, "{pad}[{}]", proof.rule_name())?;
+    writeln!(f, "{pad}  pre:  {}", Named(&proof.pre, symbols))?;
+    writeln!(f, "{pad}  post: {}", Named(&proof.post, symbols))?;
+    let premise = |f: &mut fmt::Formatter<'_>, p: &Proof<L>| write_proof(f, p, symbols, depth + 1);
     match &proof.rule {
-        Rule::SkipAxiom | Rule::AssignAxiom | Rule::SignalAxiom | Rule::WaitAxiom => {}
+        Rule::SkipAxiom | Rule::AssignAxiom | Rule::SignalAxiom | Rule::WaitAxiom => Ok(()),
         Rule::If {
             then_proof,
             else_proof,
         } => {
-            render_at(then_proof, symbols, depth + 1, out);
-            if let Some(e) = else_proof {
-                render_at(e, symbols, depth + 1, out);
-            }
+            premise(f, then_proof)?;
+            else_proof.as_deref().map_or(Ok(()), |e| premise(f, e))
         }
-        Rule::While { body } => render_at(body, symbols, depth + 1, out),
-        Rule::Seq { parts } => parts
-            .iter()
-            .for_each(|p| render_at(p, symbols, depth + 1, out)),
-        Rule::Cobegin { branches } => branches
-            .iter()
-            .for_each(|p| render_at(p, symbols, depth + 1, out)),
-        Rule::Conseq { inner } => render_at(inner, symbols, depth + 1, out),
+        Rule::While { body } => premise(f, body),
+        Rule::Seq { parts: premises } | Rule::Cobegin { branches: premises } => {
+            premises.iter().try_for_each(|p| premise(f, p))
+        }
+        Rule::Conseq { inner } => premise(f, inner),
     }
+}
+
+/// Renders a class expression with variable names.
+pub fn render_class_expr<L: Lattice + fmt::Display>(
+    e: &ClassExpr<L>,
+    symbols: &SymbolTable,
+) -> String {
+    Named(e, Some(symbols)).to_string()
+}
+
+/// Renders a bound with variable names.
+pub fn render_bound<L: Lattice + fmt::Display>(b: &Bound<L>, symbols: &SymbolTable) -> String {
+    Named(b, Some(symbols)).to_string()
+}
+
+/// Renders an assertion with variable names.
+pub fn render_assertion<L: Lattice + fmt::Display>(
+    a: &Assertion<L>,
+    symbols: &SymbolTable,
+) -> String {
+    Named(a, Some(symbols)).to_string()
+}
+
+/// Renders a whole proof tree with variable names.
+pub fn render_proof<L: Lattice + fmt::Display>(proof: &Proof<L>, symbols: &SymbolTable) -> String {
+    Named(proof, Some(symbols)).to_string()
 }
 
 #[cfg(test)]

@@ -35,11 +35,12 @@
 //! - [`cache`]: a content-addressed result cache keyed by an FNV-1a
 //!   fingerprint of (op, lattice, binding, fuel, source) with exact LRU
 //!   eviction — repeated certifications skip re-parsing entirely;
-//! - [`persist`] / [`snapshot`]: a crash-safe durable store for the
-//!   cache — an append-only CRC32-framed journal compacted into an
-//!   atomically-published snapshot, with a recovery path that skips
-//!   torn, truncated or bit-flipped records instead of failing
-//!   (`serve --cache-dir`);
+//! - [`persist`]: a crash-safe durable store for the cache — one
+//!   append-only CRC32-framed journal, compacted by rewriting it and
+//!   renaming the rewrite over it, with a recovery path that skips
+//!   bit-flipped records and cuts a torn tail instead of failing
+//!   (`serve --cache-dir`), and its offline inspection
+//!   (`secflow cache-inspect`);
 //! - [`ring`] / [`peer`]: the sharded-cluster layer — deterministic
 //!   rendezvous hashing over the cache fingerprint, relaying a request
 //!   to its owner (with a hop count) so any computation happens exactly
@@ -97,7 +98,6 @@ pub mod protocol;
 pub mod ring;
 pub mod serve;
 pub mod service;
-pub mod snapshot;
 
 /// The JSON value model of the line protocol (re-export of
 /// `secflow_cert::json`, where it moved so certificates and the
@@ -114,12 +114,12 @@ pub use health::{HealthTracker, PeerHealth, PeerReport};
 pub use json::{Json, JsonError};
 pub use metrics::{Metrics, LATENCY_BUCKETS_US};
 pub use peer::{sync_from_peer, ClusterConfig, SyncReport};
-pub use persist::{DurableStore, FsyncMode, PersistConfig, PersistStats, RecoveredEntry};
+pub use persist::{
+    carries_certificate, inspect_store, render_report, DurableStore, FsyncMode, PersistConfig,
+    PersistStats, RecoveredEntry, StoreReport,
+};
 pub use pool::{Pool, PoolHealth, SubmitError};
 pub use protocol::{ErrorKind, Op, Request, Response};
 pub use ring::HashRing;
 pub use serve::{bind_ephemeral, serve_listener, serve_stdio, serve_tcp, ServerConfig, TcpServer};
 pub use service::{route_fingerprint, Limits, Service};
-pub use snapshot::{
-    carries_certificate, inspect_store, publish_snapshot, render_report, StoreReport,
-};

@@ -17,7 +17,7 @@ use secflow_cert::{
 use secflow_core::{denning_certify, infer_binding, FlowGraph, StaticBinding};
 use secflow_lang::{Program, VarId};
 use secflow_lattice::{Extended, Lattice, LinearScheme, Scheme, TwoPointScheme};
-use secflow_logic::{check_proof, render_proof};
+use secflow_logic::render_proof;
 
 use crate::protocol::{ErrorKind, Request};
 
@@ -212,14 +212,11 @@ fn prove_in<S: Spelled>(req: &Request, program: &Program, scheme: &S) -> Result<
     let binding = build_binding(req, program, scheme)?;
     Ok(
         match secflow_logic::prove(program, &binding, Extended::Nil, Extended::Nil) {
-            Ok(proof) => {
-                check_proof(&program.body, &proof)
-                    .map_err(|e| (ErrorKind::Internal, e.to_string()))?;
-                Proved::Proof {
-                    nodes: proof.size(),
-                    text: render_proof(&proof, &program.symbols),
-                }
-            }
+            // `prove` has already run the independent checker.
+            Ok(proof) => Proved::Proof {
+                nodes: proof.size(),
+                text: render_proof(&proof, &program.symbols),
+            },
             Err(e) => Proved::NoProof(e.to_string()),
         },
     )

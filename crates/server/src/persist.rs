@@ -1,5 +1,5 @@
-//! Crash-safe durable result store: an append-only write-ahead journal
-//! of cache entries, compacted periodically into a snapshot file.
+//! Crash-safe durable result store: one append-only journal of cache
+//! entries, rewritten in place of itself when it has grown.
 //!
 //! CFM certification is deterministic and content-addressed (paper
 //! §6.0: the verdict is a pure function of the canonical request text),
@@ -11,17 +11,22 @@
 //!   response is considered durable. Appends are plain `write(2)` calls
 //!   (no userspace buffering), optionally followed by `fsync` per
 //!   [`FsyncMode`].
-//! - **Snapshot** (`snapshot.sfs`): when the journal outgrows
-//!   [`PersistConfig::journal_max_bytes`], the live cache contents are
-//!   written to `snapshot.tmp`, fsynced, atomically renamed over the
-//!   old snapshot, and the journal is truncated (see [`crate::snapshot`]
-//!   for the publication protocol and its crash-consistency argument).
-//! - **Recovery**: on open, the snapshot is replayed first, then the
-//!   journal; later records win. Torn writes, truncated tails,
-//!   bit-flipped records and leftover `snapshot.tmp` files are
-//!   *skipped* (counted in [`PersistStats::frames_skipped`]), never
-//!   fatal and never served: a frame either passes its CRC or
-//!   contributes nothing.
+//! - **Compaction**: once more than [`PersistConfig::journal_max_bytes`]
+//!   have been appended since the last compaction, the live cache
+//!   entries are written to `journal.tmp`, synced, and renamed over
+//!   `journal.wal`; appends go on through the handle that wrote them.
+//!   Before the rename the old journal is whole and after it the new one
+//!   is, so no crash loses what was durable (DESIGN §10).
+//! - **Recovery**: on open, a leftover `journal.tmp` (an interrupted
+//!   compaction) is removed and the journal is scanned once; later
+//!   records win. Bit-flipped and undecodable records are *skipped*
+//!   (counted in [`PersistStats::frames_skipped`]), never fatal and never
+//!   served: a frame either passes its CRC or contributes nothing. A
+//!   torn tail is cut off, so the next append lands where the next scan
+//!   reads it.
+//!
+//! [`inspect_store`] reads the same file offline for `secflow
+//! cache-inspect`.
 //!
 //! # Frame format
 //!
@@ -48,10 +53,8 @@ use crate::json::Json;
 
 /// Journal file name inside the cache directory.
 pub const JOURNAL_FILE: &str = "journal.wal";
-/// Published snapshot file name inside the cache directory.
-pub const SNAPSHOT_FILE: &str = "snapshot.sfs";
-/// In-progress (unpublished) snapshot; ignored and removed on open.
-pub const SNAPSHOT_TMP_FILE: &str = "snapshot.tmp";
+/// A compaction's new journal before its rename; removed on open.
+pub const JOURNAL_TMP_FILE: &str = "journal.tmp";
 
 /// Hard cap on one record's payload; a length field beyond this is
 /// garbage (a torn or overwritten header), not a real frame.
@@ -104,11 +107,12 @@ pub const SYNC_EVERY_APPENDS: u64 = 64;
 /// Configuration for a [`DurableStore`].
 #[derive(Clone, Debug)]
 pub struct PersistConfig {
-    /// Directory holding the journal and snapshot. Must already exist
-    /// and be writable (the CLI validates this up front).
+    /// Directory holding the journal. Must already exist and be
+    /// writable (the CLI validates this up front).
     pub dir: PathBuf,
-    /// Journal size that triggers compaction into a snapshot
-    /// (0 disables compaction; the journal grows without bound).
+    /// Bytes appended since the last compaction that trigger the next
+    /// one; a fresh open counts the whole journal it found (0 disables
+    /// compaction; the journal grows without bound).
     pub journal_max_bytes: u64,
     /// When appended records are fsynced.
     pub fsync: FsyncMode,
@@ -134,9 +138,10 @@ pub struct PersistStats {
     /// Corrupt/torn frames skipped during recovery (cumulative over
     /// recoveries performed by this store instance).
     pub frames_skipped: u64,
-    /// Current journal size in bytes.
+    /// Current journal size in bytes (after a compaction, the live
+    /// entries it rewrote included).
     pub journal_bytes: u64,
-    /// Snapshot compactions performed by this instance.
+    /// Compactions performed by this instance.
     pub compactions: u64,
     /// Wall time of the last recovery, in microseconds.
     pub last_recovery_us: u64,
@@ -178,7 +183,7 @@ pub struct RecoveredEntry {
     pub value: CachedResult,
 }
 
-/// Outcome of scanning one frame file (journal or snapshot).
+/// Outcome of scanning one journal.
 #[derive(Default)]
 pub struct ScanOutcome {
     /// Decoded entries, in file order (duplicates preserved; the caller
@@ -189,6 +194,10 @@ pub struct ScanOutcome {
     pub skipped: u64,
     /// Total bytes in the file.
     pub bytes: u64,
+    /// Offset just past the last frame that framed, CRC-failed ones
+    /// included: short of `bytes` when a torn tail or an implausible
+    /// length ended the scan.
+    pub end: u64,
 }
 
 // ---- CRC-32 (IEEE, reflected) ------------------------------------------
@@ -263,10 +272,11 @@ pub fn encode_frame(payload: &[u8]) -> Vec<u8> {
     frame
 }
 
-/// Scans a whole frame file leniently: CRC-failed frames are skipped
+/// Scans a whole journal leniently: CRC-failed frames are skipped
 /// individually (their length header still locates the next frame);
-/// torn tails and garbage lengths end the scan (the longest valid
-/// prefix wins). Never errors on content — only on unreadable files.
+/// torn tails and garbage lengths end the scan at
+/// [`ScanOutcome::end`] (the longest valid prefix wins). Never errors
+/// on content — only on unreadable files.
 pub fn scan_frames(bytes: &[u8]) -> ScanOutcome {
     let mut out = ScanOutcome {
         bytes: bytes.len() as u64,
@@ -299,10 +309,11 @@ pub fn scan_frames(bytes: &[u8]) -> ScanOutcome {
             None => out.skipped += 1,
         }
     }
+    out.end = offset as u64;
     out
 }
 
-/// Reads and scans one frame file; a missing file is an empty scan.
+/// Reads and scans one journal; a missing file is an empty scan.
 pub fn scan_file(path: &Path) -> io::Result<ScanOutcome> {
     let mut bytes = Vec::new();
     match File::open(path) {
@@ -324,6 +335,10 @@ pub struct DurableStore {
     cfg: PersistConfig,
     journal: File,
     journal_bytes: u64,
+    /// Bytes appended since the last compaction (at open: the whole
+    /// journal found, whose live share is unknown); the compaction
+    /// trigger, which the rewritten live entries never count toward.
+    appended: u64,
     appends_since_sync: u64,
     last_sync: Instant,
     faults: Arc<dyn Faults>,
@@ -346,21 +361,20 @@ impl DurableStore {
         faults: Arc<dyn Faults>,
     ) -> io::Result<DurableStore> {
         let begin = Instant::now();
-        // A leftover snapshot.tmp is an unpublished, possibly torn
-        // compaction: discard it (the published snapshot + journal are
-        // still complete).
-        let _ = std::fs::remove_file(cfg.dir.join(SNAPSHOT_TMP_FILE));
-        let snapshot = scan_file(&cfg.dir.join(SNAPSHOT_FILE))?;
-        let journal_scan = scan_file(&cfg.dir.join(JOURNAL_FILE))?;
-        let journal = OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(cfg.dir.join(JOURNAL_FILE))?;
+        // A leftover journal.tmp is an interrupted compaction: the
+        // journal it would have replaced is still whole.
+        let _ = std::fs::remove_file(cfg.dir.join(JOURNAL_TMP_FILE));
+        let path = cfg.dir.join(JOURNAL_FILE);
+        let scan = scan_file(&path)?;
+        let journal = OpenOptions::new().create(true).append(true).open(&path)?;
+        if scan.end < scan.bytes {
+            // Cut the torn tail off: an append behind it would sit where
+            // no later scan can frame it.
+            journal.set_len(scan.end)?;
+        }
         let journal_bytes = journal.metadata()?.len();
-        let mut recovered = snapshot.entries;
-        recovered.extend(journal_scan.entries);
         let stats = PersistStats {
-            frames_skipped: snapshot.skipped + journal_scan.skipped,
+            frames_skipped: scan.skipped,
             journal_bytes,
             last_recovery_us: begin.elapsed().as_micros().min(u64::MAX as u128) as u64,
             ..PersistStats::default()
@@ -369,17 +383,17 @@ impl DurableStore {
             cfg,
             journal,
             journal_bytes,
+            appended: journal_bytes,
             appends_since_sync: 0,
             last_sync: Instant::now(),
             faults,
             stats,
-            recovered,
+            recovered: scan.entries,
         })
     }
 
-    /// Takes the entries recovered at open time (in replay order:
-    /// snapshot first, then journal; later duplicates win when replayed
-    /// through `ResultCache::put`).
+    /// Takes the entries recovered at open time, in journal order
+    /// (later duplicates win when replayed through `ResultCache::put`).
     pub fn drain_recovered(&mut self) -> Vec<RecoveredEntry> {
         std::mem::take(&mut self.recovered)
     }
@@ -415,10 +429,12 @@ impl DurableStore {
         }
         // Refresh from the file: torn writes grow it by less than a
         // full frame, and append mode means others never shrink it.
+        let before = self.journal_bytes;
         self.journal_bytes = self
             .journal
             .metadata()
             .map_or(self.journal_bytes, |m| m.len());
+        self.appended += self.journal_bytes.saturating_sub(before);
         self.appends_since_sync += 1;
         let due = match self.cfg.fsync {
             FsyncMode::Always => true,
@@ -429,51 +445,200 @@ impl DurableStore {
             FsyncMode::Never => false,
         };
         if due {
-            if self.faults.short_fsync() {
-                // Chaos: an fsync the firmware lied about. Nothing to
-                // observe in-process; recovery tolerance covers it.
-                self.stats.short_fsyncs += 1;
-            } else if let Err(e) = self.journal.sync_all() {
-                self.stats.io_errors += 1;
-                return Err(e);
-            }
+            sync(&*self.faults, &mut self.stats, &self.journal)?;
             self.appends_since_sync = 0;
             self.last_sync = Instant::now();
         }
         Ok(())
     }
 
-    /// Whether the journal has outgrown its budget and a compaction
-    /// should run.
+    /// Whether more than the budget has been appended since the last
+    /// compaction, so a compaction should run.
     pub fn wants_compaction(&self) -> bool {
-        self.cfg.journal_max_bytes > 0 && self.journal_bytes > self.cfg.journal_max_bytes
+        self.cfg.journal_max_bytes > 0 && self.appended > self.cfg.journal_max_bytes
     }
 
-    /// Compacts `live` (the cache's current entries, oldest first) into
-    /// a freshly published snapshot and truncates the journal. See
-    /// [`crate::snapshot::publish_snapshot`] for the crash-consistency
-    /// protocol. Entries evicted from the cache are dropped here — they
-    /// were recoverable from the journal until this moment (documented
-    /// semantics; see DESIGN §10).
+    /// Rewrites the journal as `live` (the cache's current entries,
+    /// oldest first): they go to `journal.tmp`, which is synced and
+    /// renamed over the journal. Until the rename the old journal is
+    /// whole, and after it the new one is. Entries evicted from the
+    /// cache are dropped here — they were recoverable from the journal
+    /// until this moment (documented semantics; see DESIGN §10).
     pub fn compact(&mut self, live: &[(u64, String, CachedResult)]) -> io::Result<()> {
         let durable = self.cfg.fsync != FsyncMode::Never;
-        crate::snapshot::publish_snapshot(&self.cfg.dir, live, durable)?;
-        // The snapshot now holds everything worth keeping: reset the
-        // journal. An append-mode handle ignores seek positions, so
-        // truncating the shared handle is safe.
-        self.journal.set_len(0)?;
+        let tmp_path = self.cfg.dir.join(JOURNAL_TMP_FILE);
+        let mut fresh = OpenOptions::new()
+            .create(true)
+            .append(true)
+            .open(&tmp_path)?;
+        fresh.set_len(0)?; // a failed compaction may have left one
+        let mut written = 0;
+        for (hash, canon, value) in live {
+            let frame = encode_frame(&encode_record(*hash, canon, value));
+            fresh.write_all(&frame)?;
+            written += frame.len() as u64;
+        }
         if durable {
-            if self.faults.short_fsync() {
-                self.stats.short_fsyncs += 1;
-            } else {
-                self.journal.sync_all()?;
+            sync(&*self.faults, &mut self.stats, &fresh)?;
+        }
+        std::fs::rename(&tmp_path, self.cfg.dir.join(JOURNAL_FILE))?;
+        if durable {
+            // Make the rename durable: fsync the containing directory.
+            // Directory fsync is not supported everywhere; a failure here
+            // only widens the loss window, it cannot corrupt.
+            if let Ok(d) = File::open(&self.cfg.dir) {
+                let _ = d.sync_all();
             }
         }
-        self.journal_bytes = 0;
+        // Append through the handle that wrote the new journal: the old
+        // one names an unlinked file now, so nothing may fail in between.
+        self.journal = fresh;
+        self.journal_bytes = written;
+        self.appended = 0;
         self.appends_since_sync = 0;
         self.stats.compactions += 1;
         Ok(())
     }
+}
+
+/// `fsync`s `file`, unless the chaos plan skips this one: an fsync the
+/// firmware lied about, with nothing to observe in-process (recovery's
+/// tolerance covers it).
+fn sync(faults: &dyn Faults, stats: &mut PersistStats, file: &File) -> io::Result<()> {
+    if faults.short_fsync() {
+        stats.short_fsyncs += 1;
+        return Ok(());
+    }
+    file.sync_all().inspect_err(|_| stats.io_errors += 1)
+}
+
+// ---- offline inspection -------------------------------------------------
+
+/// Everything `secflow cache-inspect` learns from one store directory,
+/// without mutating it (a leftover `journal.tmp` is reported, not
+/// removed).
+pub struct StoreReport {
+    /// Entries decoded from the journal, in file order.
+    pub journal_entries: Vec<RecoveredEntry>,
+    /// Frames skipped (corruption indicator).
+    pub frames_skipped: u64,
+    /// Journal size in bytes.
+    pub journal_bytes: u64,
+    /// Whether a `journal.tmp` is lying around (a compaction was
+    /// interrupted; harmless, removed at next open).
+    pub tmp_present: bool,
+}
+
+impl StoreReport {
+    /// Distinct entries a recovery of this store would load (a later
+    /// record overrides an earlier one with the same content hash).
+    pub fn unique_entries(&self) -> usize {
+        let mut seen = std::collections::HashSet::new();
+        for e in &self.journal_entries {
+            seen.insert((e.key.hash, e.key.canon.clone()));
+        }
+        seen.len()
+    }
+
+    /// Entries whose persisted reply carries a proof certificate — the
+    /// results a warm-started server re-serves with zero re-proving.
+    pub fn cert_entries(&self) -> usize {
+        self.journal_entries
+            .iter()
+            .filter(|e| carries_certificate(&e.value))
+            .count()
+    }
+
+    /// True when every frame in the store scanned clean.
+    pub fn clean(&self) -> bool {
+        self.frames_skipped == 0
+    }
+}
+
+/// Whether a persisted result's fields include a proof certificate.
+pub fn carries_certificate(value: &CachedResult) -> bool {
+    value
+        .fields
+        .iter()
+        .any(|(k, v)| k == "certificate" && v.as_str().is_some())
+}
+
+/// Scans a store directory read-only (the offline `cache-inspect`
+/// path). Errors only on unreadable files, never on corrupt content.
+pub fn inspect_store(dir: &Path) -> io::Result<StoreReport> {
+    if !dir.is_dir() {
+        return Err(io::Error::new(
+            io::ErrorKind::NotFound,
+            format!("`{}` is not a directory", dir.display()),
+        ));
+    }
+    let journal = scan_file(&dir.join(JOURNAL_FILE))?;
+    Ok(StoreReport {
+        frames_skipped: journal.skipped,
+        journal_bytes: journal.bytes,
+        journal_entries: journal.entries,
+        tmp_present: dir.join(JOURNAL_TMP_FILE).exists(),
+    })
+}
+
+/// Renders a human-readable inspection report (the `cache-inspect`
+/// output without `--json`).
+pub fn render_report(report: &StoreReport) -> String {
+    use std::fmt::Write as _;
+    let mut out = String::new();
+    let entries = &report.journal_entries;
+    let _ = writeln!(
+        out,
+        "journal: {} entries, {} bytes",
+        entries.len(),
+        report.journal_bytes
+    );
+    for e in entries {
+        let _ = writeln!(
+            out,
+            "  {:016x}  ok={}  {} field(s)  {}{}",
+            e.key.hash,
+            e.value.ok,
+            e.value.fields.len(),
+            summarize_canon(&e.key.canon),
+            if carries_certificate(&e.value) {
+                "  +cert"
+            } else {
+                ""
+            },
+        );
+    }
+    let _ = writeln!(
+        out,
+        "unique entries: {}   with certificates: {}   frames skipped: {}{}{}",
+        report.unique_entries(),
+        report.cert_entries(),
+        report.frames_skipped,
+        if report.tmp_present {
+            "   (interrupted compaction tmp present)"
+        } else {
+            ""
+        },
+        if report.clean() {
+            "   CLEAN"
+        } else {
+            "   CORRUPT FRAMES"
+        },
+    );
+    out
+}
+
+/// First length-prefixed part of a canonical key — the operation name —
+/// so inspection output shows what kind of result each record holds.
+fn summarize_canon(canon: &str) -> String {
+    let Some((len, rest)) = canon.split_once(':') else {
+        return String::from("?");
+    };
+    let Ok(n) = len.parse::<usize>() else {
+        return String::from("?");
+    };
+    rest.get(..n)
+        .map_or_else(|| String::from("?"), str::to_string)
 }
 
 #[cfg(test)]
@@ -564,6 +729,11 @@ mod tests {
         assert_eq!(reopened.stats().frames_skipped, 1);
         assert_eq!(entries.len(), 2, "frames after the flip still recover");
         assert_eq!(entries[0].key.canon, entry("b").0.canon);
+        assert_eq!(
+            std::fs::read(&path).unwrap(),
+            bytes,
+            "a frame that frames stays"
+        );
     }
 
     #[test]
@@ -583,12 +753,51 @@ mod tests {
         let entries = reopened.drain_recovered();
         assert_eq!(entries.len(), 1);
         assert_eq!(reopened.stats().frames_skipped, 1);
-        // The store stays appendable after a torn tail: new records land
-        // after the tear and recovery of *those* is then blocked by the
-        // bad frame — which is exactly why compaction exists. Verify the
-        // append itself never errors.
+        // The store stays appendable after a torn tail: open cut the torn
+        // bytes off, so a new record lands where the next scan reads it
+        // (`a_torn_tail_hides_no_later_append`).
         let (key, value) = entry("после");
         reopened.append(&key, &value).unwrap();
+    }
+
+    #[test]
+    fn a_torn_tail_hides_no_later_append() {
+        let dir = tmp_dir("torn-later");
+        let cfg = PersistConfig {
+            fsync: FsyncMode::Always,
+            ..PersistConfig::new(&dir)
+        };
+        let mut store = DurableStore::open(cfg.clone()).unwrap();
+        for tag in ["a", "b"] {
+            let (key, value) = entry(tag);
+            store.append(&key, &value).unwrap();
+        }
+        drop(store);
+        let path = dir.join(JOURNAL_FILE);
+        let bytes = std::fs::read(&path).unwrap();
+        std::fs::write(&path, &bytes[..bytes.len() - 7]).unwrap();
+
+        let mut torn = DurableStore::open(cfg.clone()).unwrap();
+        assert_eq!(torn.drain_recovered().len(), 1);
+        assert_eq!(torn.stats().frames_skipped, 1);
+        for tag in ["c", "d", "e"] {
+            let (key, value) = entry(tag);
+            torn.append(&key, &value).unwrap();
+        }
+        drop(torn);
+
+        let mut reopened = DurableStore::open(cfg).unwrap();
+        let canons: Vec<String> = reopened
+            .drain_recovered()
+            .into_iter()
+            .map(|e| e.key.canon)
+            .collect();
+        let expected: Vec<String> = ["a", "c", "d", "e"]
+            .iter()
+            .map(|tag| entry(tag).0.canon)
+            .collect();
+        assert_eq!(canons, expected, "every acknowledged append recovers");
+        assert_eq!(reopened.stats().frames_skipped, 0);
     }
 
     #[test]
@@ -667,5 +876,173 @@ mod tests {
         assert_eq!(FsyncMode::parse("interval").unwrap(), FsyncMode::Interval);
         assert_eq!(FsyncMode::parse("never").unwrap(), FsyncMode::Never);
         assert!(FsyncMode::parse("sometimes").is_err());
+    }
+
+    fn live(tags: &[&str]) -> Vec<(u64, String, CachedResult)> {
+        tags.iter()
+            .map(|tag| {
+                let (key, value) = entry(tag);
+                (key.hash, key.canon, value)
+            })
+            .collect()
+    }
+
+    fn files_in(dir: &Path) -> Vec<String> {
+        let mut names: Vec<String> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        names.sort();
+        names
+    }
+
+    #[test]
+    fn compaction_rewrites_the_journal_and_drops_nothing_live() {
+        let dir = tmp_dir("compact");
+        let mut store = DurableStore::open(PersistConfig::new(&dir)).unwrap();
+        let entries = live(&["a", "b", "c"]);
+        for (hash, canon, value) in &entries {
+            let key = CacheKey {
+                hash: *hash,
+                canon: canon.clone(),
+            };
+            store.append(&key, value).unwrap();
+            store.append(&key, value).unwrap(); // a duplicate compaction drops
+        }
+        let journal = dir.join(JOURNAL_FILE);
+        let before = std::fs::metadata(&journal).unwrap().len();
+        store.compact(&entries).unwrap();
+        let after = std::fs::metadata(&journal).unwrap().len();
+        assert_eq!(after * 2, before, "one frame per live entry");
+        assert_eq!(store.stats().journal_bytes, after);
+        assert_eq!(store.stats().compactions, 1);
+        assert!(!store.wants_compaction());
+        assert_eq!(files_in(&dir), [JOURNAL_FILE]);
+        // Appends after the rename land in the new journal.
+        let (key, value) = entry("d");
+        store.append(&key, &value).unwrap();
+        drop(store);
+
+        let mut reopened = DurableStore::open(PersistConfig::new(&dir)).unwrap();
+        assert_eq!(reopened.drain_recovered().len(), 4);
+        assert_eq!(reopened.stats().frames_skipped, 0);
+    }
+
+    #[test]
+    fn live_entries_over_the_budget_do_not_compact_every_append() {
+        let dir = tmp_dir("budget");
+        let entries = live(&["a", "b", "c", "d", "e", "f", "g", "h"]);
+        let frame = |(hash, canon, value): &(u64, String, CachedResult)| {
+            encode_frame(&encode_record(*hash, canon, value)).len() as u64
+        };
+        let live_bytes: u64 = entries.iter().map(frame).sum();
+        // The budget is three appends; the live set alone is over it.
+        let cfg = PersistConfig {
+            journal_max_bytes: 3 * frame(&entries[0]),
+            ..PersistConfig::new(&dir)
+        };
+        assert!(live_bytes > cfg.journal_max_bytes);
+        let mut store = DurableStore::open(cfg.clone()).unwrap();
+        store.compact(&entries).unwrap();
+        assert_eq!(store.stats().journal_bytes, live_bytes);
+        let mut wanted = Vec::new();
+        for tag in ["i", "j", "k", "l"] {
+            let (key, value) = entry(tag);
+            store.append(&key, &value).unwrap();
+            wanted.push(store.wants_compaction());
+        }
+        assert_eq!(wanted, [false, false, false, true]);
+        store.compact(&entries).unwrap();
+        assert!(!store.wants_compaction());
+        drop(store);
+
+        // A fresh open counts the journal it found toward the budget.
+        let reopened = DurableStore::open(cfg).unwrap();
+        assert!(reopened.wants_compaction());
+    }
+
+    #[test]
+    fn interrupted_compaction_leaves_old_state_recoverable() {
+        let dir = tmp_dir("interrupted");
+        let mut store = DurableStore::open(PersistConfig::new(&dir)).unwrap();
+        for (hash, canon, value) in live(&["a", "b"]) {
+            store.append(&CacheKey { hash, canon }, &value).unwrap();
+        }
+        drop(store);
+        // Simulate a crash before the rename: a torn tmp file, journal
+        // intact.
+        std::fs::write(dir.join(JOURNAL_TMP_FILE), b"torn half-written journ").unwrap();
+
+        let report = inspect_store(&dir).unwrap();
+        assert!(report.tmp_present);
+        assert_eq!(report.journal_entries.len(), 2);
+
+        let mut reopened = DurableStore::open(PersistConfig::new(&dir)).unwrap();
+        assert_eq!(reopened.drain_recovered().len(), 2);
+        assert_eq!(reopened.stats().frames_skipped, 0, "tmp is not scanned");
+        assert_eq!(files_in(&dir), [JOURNAL_FILE], "tmp removed on open");
+    }
+
+    #[test]
+    fn inspect_reports_corruption_and_op_names() {
+        let dir = tmp_dir("inspect");
+        let mut store = DurableStore::open(PersistConfig::new(&dir)).unwrap();
+        for (hash, canon, value) in live(&["a", "b"]) {
+            store.append(&CacheKey { hash, canon }, &value).unwrap();
+        }
+        drop(store);
+        let clean = inspect_store(&dir).unwrap();
+        assert!(clean.clean());
+        assert_eq!(clean.unique_entries(), 2);
+        let rendered = render_report(&clean);
+        assert!(rendered.contains("certify"), "{rendered}");
+        assert!(rendered.contains("CLEAN"), "{rendered}");
+
+        let path = dir.join(JOURNAL_FILE);
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[9] ^= 0x40;
+        std::fs::write(&path, &bytes).unwrap();
+        let corrupt = inspect_store(&dir).unwrap();
+        assert!(!corrupt.clean());
+        assert_eq!(corrupt.frames_skipped, 1);
+        assert!(render_report(&corrupt).contains("CORRUPT"));
+    }
+
+    #[test]
+    fn inspect_counts_certificate_entries() {
+        let dir = tmp_dir("certs");
+        let mut entries = live(&["plain"]);
+        let key = CacheKey::of(&["certify", "with-proof"]);
+        entries.push((
+            key.hash,
+            key.canon,
+            CachedResult {
+                ok: true,
+                fields: vec![
+                    ("certified".to_string(), Json::Bool(true)),
+                    (
+                        "certificate".to_string(),
+                        Json::Str(r#"{"format":"secflow-cert"}"#.to_string()),
+                    ),
+                ],
+            },
+        ));
+        let mut store = DurableStore::open(PersistConfig::new(&dir)).unwrap();
+        store.compact(&entries).unwrap();
+        drop(store);
+        let report = inspect_store(&dir).unwrap();
+        assert_eq!(report.unique_entries(), 2);
+        assert_eq!(report.cert_entries(), 1);
+        let rendered = render_report(&report);
+        assert!(rendered.starts_with("journal: 2 entries"), "{rendered}");
+        assert!(rendered.contains("+cert"), "{rendered}");
+        assert!(rendered.contains("with certificates: 1"), "{rendered}");
+    }
+
+    #[test]
+    fn inspect_missing_dir_errors() {
+        let missing = std::env::temp_dir().join("secflow-persist-definitely-missing");
+        let _ = std::fs::remove_dir_all(&missing);
+        assert!(inspect_store(&missing).is_err());
     }
 }

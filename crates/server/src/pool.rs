@@ -22,6 +22,14 @@ use std::thread::JoinHandle;
 
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
+/// Stack reserved for each worker, sized for the deepest program
+/// `parse` accepts (`MAX_NESTING`): proving it with a certificate takes
+/// about 8 MiB of stack unoptimized and validating it about 4 MiB, both
+/// about 1.3 MiB in release. On the 2 MiB default such a request
+/// overflows and aborts the whole process. The stack is reserved, not
+/// committed: a job touches only the pages it uses.
+const WORKER_STACK_BYTES: usize = 32 << 20;
+
 /// Why a submission was refused.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum SubmitError {
@@ -66,6 +74,7 @@ impl Pool {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("secflow-worker-{i}"))
+                    .stack_size(WORKER_STACK_BYTES)
                     .spawn(move || worker_loop(&shared))
                     .expect("spawn worker thread")
             })

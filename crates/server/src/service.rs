@@ -106,7 +106,7 @@ pub struct Service {
     /// them).
     pub metrics: Metrics,
     limits: Limits,
-    /// Crash-safe journal/snapshot of the cache, when serving with
+    /// Crash-safe journal of the cache, when serving with
     /// `--cache-dir` (None = memory-only, the default).
     persist: Option<Mutex<DurableStore>>,
     /// Single-flight table: cache fingerprint (canonical key text) →
@@ -914,11 +914,11 @@ impl Service {
     }
 
     /// Appends a freshly cached result to the durable journal, then
-    /// compacts if the journal outgrew its budget. The cache lock is
-    /// never held while this runs; compaction takes persist → cache, so
-    /// nested lock order is one-directional and deadlock-free. Disk
-    /// errors are counted in [`crate::persist::PersistStats`] — serving
-    /// continues memory-only.
+    /// compacts once the appends since the last compaction outgrew
+    /// their budget. The cache lock is never held while this runs;
+    /// compaction takes persist → cache, so nested lock order is
+    /// one-directional and deadlock-free. Disk errors are counted in
+    /// [`crate::persist::PersistStats`] — serving continues memory-only.
     fn journal(&self, key: &CacheKey, value: &CachedResult) {
         let Some(persist) = &self.persist else { return };
         let Ok(mut store) = persist.lock() else {

@@ -396,8 +396,9 @@ fn evicted_entries_survive_in_the_journal_until_compaction() {
     drop(roomy);
 
     // Now a tight journal budget: the next miss triggers a compaction,
-    // whose snapshot holds only the 2 entries live in the small cache.
-    // The journal's memory of the evicted entries is gone — by design.
+    // which rewrites the journal as only the 2 entries live in the small
+    // cache. The journal's memory of the evicted entries is gone — by
+    // design.
     let compacting = service_in(&dir, 2, 1);
     compacting.handle_line(&certify("dddd"));
     assert!(persist_stat(&compacting, "compactions") >= 1.0);
