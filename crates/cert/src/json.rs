@@ -135,19 +135,27 @@ impl fmt::Display for Json {
                 }
                 f.write_str("]")
             }
-            Json::Obj(fields) => {
-                f.write_str("{")?;
-                for (i, (k, v)) in fields.iter().enumerate() {
-                    if i > 0 {
-                        f.write_str(",")?;
-                    }
-                    write_escaped(f, k)?;
-                    f.write_str(":")?;
-                    write!(f, "{v}")?;
-                }
-                f.write_str("}")
-            }
+            Json::Obj(fields) => Fields(fields).fmt(f),
         }
+    }
+}
+
+/// Object fields, borrowed: displays exactly as the [`Json::Obj`] that
+/// owned them would, so part of a parsed object serializes in place.
+pub(crate) struct Fields<'a>(pub(crate) &'a [(String, Json)]);
+
+impl fmt::Display for Fields<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("{")?;
+        for (i, (k, v)) in self.0.iter().enumerate() {
+            if i > 0 {
+                f.write_str(",")?;
+            }
+            write_escaped(f, k)?;
+            f.write_str(":")?;
+            write!(f, "{v}")?;
+        }
+        f.write_str("}")
     }
 }
 

@@ -55,18 +55,21 @@
 //! its tables' canonicality (`proof`), and finally the full Figure-1
 //! derivation via [`check_proof`] (`check`). Each table entry is
 //! decoded once, and the table checks hash entries rather than compare
-//! them pairwise. Decoding copies an entry into every bound and node
-//! that names it, so each copy is first charged against a budget of
-//! 64 × statements × (symbols + 2) expression slots (an expression is
-//! one slot plus one per atom), the most any Theorem 1 proof of the
-//! source copies; a proof that would copy more is rejected at stage
-//! `proof`. A forged certificate therefore holds the validator to what
-//! the prover's own proof of the same source would hold, whatever it
-//! repeats. Every failure is a structured [`CertError`] naming its
-//! stage — adversarial input can not panic.
+//! them pairwise. Every node that names an assertion shares the one
+//! decoded entry, so a decoded proof holds each entry once and a
+//! pointer per reference. Each reference is still charged, at the full
+//! size of the entry it names, against a budget of 64 × statements ×
+//! (symbols + 2) expression slots (an expression is one slot plus one
+//! per atom), the most any Theorem 1 proof of the source names; a proof
+//! that would name more is rejected at stage `proof`. A forged
+//! certificate therefore asks the checker for no more than the prover's
+//! own proof of the same source would, whatever it repeats. Every
+//! failure is a structured [`CertError`] naming its stage — adversarial
+//! input can not panic.
 
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::Arc;
 
 use secflow_lang::metrics::measure;
 use secflow_lang::{parse, Program, SymbolTable};
@@ -74,7 +77,7 @@ use secflow_lattice::{Extended, Lattice, Linear, LinearScheme, TwoPoint};
 use secflow_logic::{check_proof, Assertion, Atom, Bound, ClassExpr, Proof, Rule};
 
 use crate::digest::sha256_hex;
-use crate::json::Json;
+use crate::json::{Fields, Json};
 
 /// The `format` field of every certificate.
 pub const CERT_FORMAT: &str = "secflow-cert";
@@ -293,6 +296,7 @@ fn encode_proof<L: Lattice>(
         expr_ids: HashMap::new(),
         exprs: Vec::new(),
         assertion_ids: HashMap::new(),
+        shared_ids: HashMap::new(),
         assertions: Vec::new(),
     };
     let root = tables.node(proof);
@@ -311,6 +315,10 @@ struct Tables<'p, 'a, L> {
     expr_ids: HashMap<&'p ClassExpr<L>, usize>,
     exprs: Vec<Json>,
     assertion_ids: HashMap<&'p Assertion<L>, usize>,
+    /// The id of each assertion already met, by address: most nodes
+    /// share one of a few assertions, found here without hashing it.
+    /// The proof is borrowed for `'p`, so an address names one assertion.
+    shared_ids: HashMap<*const Assertion<L>, usize>,
     assertions: Vec<Json>,
 }
 
@@ -355,7 +363,11 @@ impl<'p, L: Lattice> Tables<'p, '_, L> {
     }
 
     fn assertion(&mut self, a: &'p Assertion<L>) -> Json {
+        if let Some(&id) = self.shared_ids.get(&(a as *const _)) {
+            return Json::Num(id as f64);
+        }
         if let Some(&id) = self.assertion_ids.get(a) {
+            self.shared_ids.insert(a, id);
             return Json::Num(id as f64);
         }
         let state = a
@@ -369,6 +381,7 @@ impl<'p, L: Lattice> Tables<'p, '_, L> {
         self.assertions
             .push(Json::Arr(vec![Json::Arr(state), local, global]));
         self.assertion_ids.insert(a, id);
+        self.shared_ids.insert(a, id);
         Json::Num(id as f64)
     }
 
@@ -472,10 +485,10 @@ pub fn validate_certificate(source: &str, cert_text: &str) -> Result<CertSummary
         .ok_or_else(|| CertError::new("digest", "`digest` must be a string"))?
         .to_string();
 
-    // Digest first: re-serialize the parsed body (this normalizes any
-    // whitespace the sender added) and hash it.
-    let body = Json::Obj(fields[..FIELDS.len() - 1].to_vec());
-    let actual_digest = sha256_hex(body.to_string().as_bytes());
+    // Digest first: re-serialize the parsed body in place (this
+    // normalizes any whitespace the sender added) and hash it.
+    let body = Fields(&fields[..FIELDS.len() - 1]).to_string();
+    let actual_digest = sha256_hex(body.as_bytes());
     if claimed_digest != actual_digest {
         return Err(CertError::new(
             "digest",
@@ -585,26 +598,26 @@ impl FirstUse {
     }
 }
 
-/// What decoding may still copy, in expression slots: a class
+/// What decoding may still name, in expression slots: a class
 /// expression is one slot plus one per atom, and an assertion one slot
-/// plus its expressions'. Every table entry is copied into each bound
-/// or node that names it, so each copy is charged before it is made,
-/// and a certificate that names one large entry from many places is
-/// rejected before it costs more than the budget.
+/// plus its expressions'. Each reference to a table entry is charged at
+/// the entry's full size before it is taken, as when every reference
+/// was a copy, so a certificate that names one large entry from many
+/// places is rejected once it names more than the budget.
 struct Budget {
     total: usize,
     left: usize,
 }
 
 impl Budget {
-    /// The most that decoding a Theorem 1 proof of `program` can copy.
+    /// The most that a Theorem 1 proof of `program` can name.
     /// Such a proof has at most four nodes per statement (the
     /// statement's rule, the consequence rule around an axiom or a
     /// loop, the one a parent adds to weaken a postcondition, and an
     /// `if`'s implicit `skip`), each of its assertions holds at most
     /// 4 × (symbols + 2) slots (a bound per symbol, one of them widened
     /// by an axiom's substitution, and the `local` and `global` bounds),
-    /// and its tables copy no more than its nodes do.
+    /// and its tables name no more than its nodes do.
     fn of(program: &Program) -> Self {
         let statements = measure(program).statements;
         let symbols = program.symbols.len();
@@ -680,6 +693,10 @@ fn decode_exprs<L: Lattice>(
     Ok(exprs)
 }
 
+/// A decoded assertion-table entry, which every node that names it
+/// shares, and its size in slots, which each reference is charged.
+type Entry<L> = (Arc<Assertion<L>>, usize);
+
 /// Decodes the assertion table over the decoded expressions, each entry
 /// once, with its size in slots. The table's own order fixes the
 /// expressions' first uses, and entries are compared by their expression
@@ -689,7 +706,7 @@ fn decode_assertions<L: Lattice>(
     v: &Json,
     exprs: &[ClassExpr<L>],
     budget: &mut Budget,
-) -> Result<Vec<(Assertion<L>, usize)>, CertError> {
+) -> Result<Vec<Entry<L>>, CertError> {
     let rows = v
         .as_arr()
         .ok_or_else(|| perr("`assertions` must be an array"))?;
@@ -735,7 +752,7 @@ fn decode_assertions<L: Lattice>(
             local: local.map(|id| exprs[id].clone()),
             global: global.map(|id| exprs[id].clone()),
         };
-        out.push((assertion, before - budget.left));
+        out.push((Arc::new(assertion), before - budget.left));
         if let Some(first) = seen.insert((state_ids, local, global), id) {
             return Err(perr(format!("assertion {id} repeats assertion {first}")));
         }
@@ -746,7 +763,7 @@ fn decode_assertions<L: Lattice>(
 
 fn decode_node<L: Lattice>(
     v: &Json,
-    assertions: &[(Assertion<L>, usize)],
+    assertions: &[Entry<L>],
     used: &mut FirstUse,
     budget: &mut Budget,
 ) -> Result<Proof<L>, CertError> {
@@ -756,7 +773,7 @@ fn decode_node<L: Lattice>(
     let rule_name = rule
         .as_str()
         .ok_or_else(|| perr("a node's rule must be a string"))?;
-    let mut assertion = |v: &Json| -> Result<Assertion<L>, CertError> {
+    let mut assertion = |v: &Json| -> Result<Arc<Assertion<L>>, CertError> {
         let id = index(v, assertions.len(), "assertion")?;
         used.meet(id)?;
         let (assertion, slots) = &assertions[id];
@@ -904,7 +921,7 @@ pub fn reseal(cert_text: &str) -> Result<String, CertError> {
         .filter(|(k, _)| k != "digest")
         .cloned()
         .collect();
-    let digest = sha256_hex(Json::Obj(body.clone()).to_string().as_bytes());
+    let digest = sha256_hex(Fields(&body).to_string().as_bytes());
     let mut out = body;
     out.push(("digest".to_string(), Json::Str(digest)));
     Ok(Json::Obj(out).to_string())

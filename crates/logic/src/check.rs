@@ -10,16 +10,28 @@
 //! must be preserved by every atomic action of process `j` (checked on the
 //! `V` parts only: per §3.2, "indirect flows in one process do not affect
 //! indirect flows in another process").
+//!
+//! A proof's nodes share a few assertions (see [`crate::proof`]), so one
+//! [`check_proof`] call builds the upper-bound environment of each
+//! assertion of the proof once and decides each entailment between two
+//! of them once. An interference premise, an assertion of one process
+//! and the shared facts of another's action precondition, is decided from
+//! the environment each of the two built once, never built itself.
+//! Nothing is kept between calls, and
+//! the verdict, down to a rejection's rule and message, is the one a
+//! proof with no sharing gets.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt;
+use std::marker::PhantomData;
+use std::sync::Arc;
 
 use secflow_lang::{Expr, Span, Stmt, VarId};
 use secflow_lattice::{Extended, Lattice};
 
 use crate::assertion::{Assertion, Atom, Bound, ClassExpr};
 use crate::entail::{
-    entails, entails_bound, entails_bound_env, equivalent, EntailError, UpperBounds,
+    entails_bound_env, entails_env, equivalent, equivalent_states, EntailError, UpperBounds,
 };
 use crate::proof::{Proof, Rule};
 
@@ -61,7 +73,7 @@ pub fn check_proof<L: Lattice + fmt::Display>(
     stmt: &Stmt,
     proof: &Proof<L>,
 ) -> Result<(), CheckError> {
-    Checker.check(stmt, proof)
+    Checker::new().check(stmt, proof)
 }
 
 /// The substitution `x̲ ← e̲ ⊕ local ⊕ global` of the assignment axiom.
@@ -96,23 +108,125 @@ pub fn wait_subst<L: Lattice>(sem: VarId) -> BTreeMap<Atom, ClassExpr<L>> {
     m
 }
 
-struct Checker;
+/// The address of an assertion of the proof under check: the key of
+/// [`Checker`]'s memos.
+type Addr<L> = *const Assertion<L>;
 
-impl Checker {
-    fn check<L: Lattice + fmt::Display>(
-        &self,
-        stmt: &Stmt,
-        proof: &Proof<L>,
+/// Two assertions of the proof under check, by address.
+type Pair<L> = (Addr<L>, Addr<L>);
+
+/// One [`check_proof`] call: the proof under check, borrowed for `'p`,
+/// and what has been decided about its assertions so far. Nothing
+/// survives the call.
+///
+/// The memos key assertions by address, which is sound only because the
+/// proof is borrowed for the whole check: no assertion it holds can be
+/// freed, so no address can name another assertion while a memo lives.
+/// The checker's own temporaries (an axiom's derived precondition, a
+/// state-only assertion) are never keyed by address.
+struct Checker<'p, L> {
+    /// The upper-bound environment of each assertion of the proof.
+    envs: HashMap<Addr<L>, Result<UpperBounds<L>, EntailError>>,
+    /// `p |- q` for each pair of the proof's assertions decided.
+    entailed: HashMap<Pair<L>, Result<bool, EntailError>>,
+    /// The environment of the shared facts of each action precondition:
+    /// its state bounds that mention neither `local` nor `global`.
+    facts: HashMap<Addr<L>, Result<UpperBounds<L>, EntailError>>,
+    proof: PhantomData<&'p Proof<L>>,
+}
+
+impl<'p, L: Lattice + fmt::Display> Checker<'p, L> {
+    fn new() -> Self {
+        Checker {
+            envs: HashMap::new(),
+            entailed: HashMap::new(),
+            facts: HashMap::new(),
+            proof: PhantomData,
+        }
+    }
+
+    /// The environment of `p`, built once.
+    fn env(&mut self, p: &'p Assertion<L>) -> Result<&UpperBounds<L>, EntailError> {
+        self.envs
+            .entry(p)
+            .or_insert_with(|| UpperBounds::of(p))
+            .as_ref()
+            .map_err(Clone::clone)
+    }
+
+    /// `p |- q`, decided once per pair. An assertion entails itself, and
+    /// any assertion equal to it, once its own environment builds.
+    fn entails(&mut self, p: &'p Assertion<L>, q: &'p Assertion<L>) -> Result<bool, EntailError> {
+        let key: Pair<L> = (p, q);
+        if let Some(known) = self.entailed.get(&key) {
+            return known.clone();
+        }
+        let same = std::ptr::eq(p, q) || p == q;
+        let verdict = self
+            .env(p)
+            .and_then(|env| if same { Ok(true) } else { entails_env(env, q) });
+        self.entailed.insert(key, verdict.clone());
+        verdict
+    }
+
+    fn require_equiv(
+        &mut self,
+        a: &'p Assertion<L>,
+        b: &'p Assertion<L>,
+        rule: &'static str,
+        what: &str,
     ) -> Result<(), CheckError> {
+        if self.entails(a, b)? && self.entails(b, a)? {
+            Ok(())
+        } else {
+            Err(CheckError::new(rule, format!("{what}: {a} vs {b}")))
+        }
+    }
+
+    /// An axiom's precondition `pre` against the one `expected` derived
+    /// from its postcondition: equal by value, or else equivalent.
+    fn require_axiom_pre(
+        &mut self,
+        pre: &'p Assertion<L>,
+        expected: &Assertion<L>,
+        rule: &'static str,
+        what: &str,
+    ) -> Result<(), CheckError> {
+        if *pre == *expected {
+            self.env(pre)?;
+            return Ok(());
+        }
+        if equivalent(pre, expected)? {
+            Ok(())
+        } else {
+            Err(CheckError::new(
+                rule,
+                format!("{what}: {pre} vs {expected}"),
+            ))
+        }
+    }
+
+    /// Decides `node.pre |- lhs ≤ rhs`, a side condition of a rule.
+    fn side_condition(
+        &mut self,
+        node: &'p Proof<L>,
+        lhs: ClassExpr<L>,
+        rhs: &ClassExpr<L>,
+    ) -> Result<bool, CheckError> {
+        let env = self.env(&node.pre)?;
+        Ok(entails_bound_env(&[env], &Bound::new(lhs, rhs.clone()))?)
+    }
+
+    fn check(&mut self, stmt: &Stmt, proof: &'p Proof<L>) -> Result<(), CheckError> {
         match (&proof.rule, stmt) {
             (Rule::Conseq { inner }, _) => {
-                if !entails(&proof.pre, &inner.pre)? {
+                if !self.entails(&proof.pre, &inner.pre)? {
                     return Err(CheckError::new(
                         "consequence rule",
                         format!("{} does not entail {}", proof.pre, inner.pre),
                     ));
                 }
-                if !entails(&inner.post, &proof.post)? {
+                if !self.entails(&inner.post, &proof.post)? {
                     return Err(CheckError::new(
                         "consequence rule",
                         format!("{} does not entail {}", inner.post, proof.post),
@@ -122,38 +236,29 @@ impl Checker {
             }
 
             (Rule::SkipAxiom, Stmt::Skip(_)) => {
-                require_equiv(&proof.pre, &proof.post, "skip axiom", "pre must equal post")
+                self.require_equiv(&proof.pre, &proof.post, "skip axiom", "pre must equal post")
             }
 
-            (Rule::AssignAxiom, Stmt::Assign { var, expr, .. }) => {
-                let expected = proof.post.subst(&assign_subst(*var, expr));
-                require_equiv(
-                    &proof.pre,
-                    &expected,
-                    "assignment axiom",
-                    "pre must be post[x̲ ← e̲ ⊕ local ⊕ global]",
-                )
-            }
+            (Rule::AssignAxiom, Stmt::Assign { var, expr, .. }) => self.require_axiom_pre(
+                &proof.pre,
+                &proof.post.subst(&assign_subst(*var, expr)),
+                "assignment axiom",
+                "pre must be post[x̲ ← e̲ ⊕ local ⊕ global]",
+            ),
 
-            (Rule::SignalAxiom, Stmt::Signal { sem, .. }) => {
-                let expected = proof.post.subst(&signal_subst(*sem));
-                require_equiv(
-                    &proof.pre,
-                    &expected,
-                    "signal axiom",
-                    "pre must be post[sem̲ ← sem̲ ⊕ local ⊕ global]",
-                )
-            }
+            (Rule::SignalAxiom, Stmt::Signal { sem, .. }) => self.require_axiom_pre(
+                &proof.pre,
+                &proof.post.subst(&signal_subst(*sem)),
+                "signal axiom",
+                "pre must be post[sem̲ ← sem̲ ⊕ local ⊕ global]",
+            ),
 
-            (Rule::WaitAxiom, Stmt::Wait { sem, .. }) => {
-                let expected = proof.post.subst(&wait_subst(*sem));
-                require_equiv(
-                    &proof.pre,
-                    &expected,
-                    "wait axiom",
-                    "pre must be post[sem̲ ← …, global ← …]",
-                )
-            }
+            (Rule::WaitAxiom, Stmt::Wait { sem, .. }) => self.require_axiom_pre(
+                &proof.pre,
+                &proof.post.subst(&wait_subst(*sem)),
+                "wait axiom",
+                "pre must be post[sem̲ ← …, global ← …]",
+            ),
 
             (
                 Rule::If {
@@ -189,16 +294,16 @@ impl Checker {
                         format!("{} premises for {} statements", parts.len(), stmts.len()),
                     ));
                 }
-                require_equiv(&proof.pre, &parts[0].pre, "composition rule", "P0 mismatch")?;
-                for i in 0..parts.len() - 1 {
-                    require_equiv(
-                        &parts[i].post,
-                        &parts[i + 1].pre,
+                self.require_equiv(&proof.pre, &parts[0].pre, "composition rule", "P0 mismatch")?;
+                for pair in parts.windows(2) {
+                    self.require_equiv(
+                        &pair[0].post,
+                        &pair[1].pre,
                         "composition rule",
                         "adjacent premises must share their intermediate assertion",
                     )?;
                 }
-                require_equiv(
+                self.require_equiv(
                     &parts[parts.len() - 1].post,
                     &proof.post,
                     "composition rule",
@@ -229,14 +334,14 @@ impl Checker {
     }
 
     #[allow(clippy::too_many_arguments)]
-    fn check_if<L: Lattice + fmt::Display>(
-        &self,
+    fn check_if(
+        &mut self,
         cond: &Expr,
         then_branch: &Stmt,
         else_branch: Option<&Stmt>,
-        then_proof: &Proof<L>,
-        else_proof: Option<&Proof<L>>,
-        node: &Proof<L>,
+        then_proof: &'p Proof<L>,
+        else_proof: Option<&'p Proof<L>>,
+        node: &'p Proof<L>,
     ) -> Result<(), CheckError> {
         const RULE: &str = "alternation rule";
         // Premise derivations.
@@ -250,7 +355,7 @@ impl Checker {
             (None, None) => {
                 // The implicit skip-branch proof {V,L',G} skip {V',L',G'}
                 // exists iff the precondition entails the postcondition.
-                if !entails(&then_proof.pre, &then_proof.post)? {
+                if !self.entails(&then_proof.pre, &then_proof.post)? {
                     return Err(CheckError::new(
                         RULE,
                         "no valid implicit skip proof for the missing else branch",
@@ -260,13 +365,13 @@ impl Checker {
         }
         // Both premises share pre and post.
         if let Some(pb) = else_proof {
-            require_equiv(
+            self.require_equiv(
                 &then_proof.pre,
                 &pb.pre,
                 RULE,
                 "branch preconditions differ",
             )?;
-            require_equiv(
+            self.require_equiv(
                 &then_proof.post,
                 &pb.post,
                 RULE,
@@ -304,7 +409,7 @@ impl Checker {
         // Side condition: V,L,G |- L'[local ← local ⊕ e̲].
         if let Some(l_prime) = &then_proof.pre.local {
             let lhs = ClassExpr::local().join(&ClassExpr::of_expr(cond));
-            if !entails_bound(&node.pre, &Bound::new(lhs, l_prime.clone()))? {
+            if !self.side_condition(node, lhs, l_prime)? {
                 return Err(CheckError::new(
                     RULE,
                     format!(
@@ -317,17 +422,17 @@ impl Checker {
         Ok(())
     }
 
-    fn check_while<L: Lattice + fmt::Display>(
-        &self,
+    fn check_while(
+        &mut self,
         cond: &Expr,
         sbody: &Stmt,
-        body: &Proof<L>,
-        node: &Proof<L>,
+        body: &'p Proof<L>,
+        node: &'p Proof<L>,
     ) -> Result<(), CheckError> {
         const RULE: &str = "iteration rule";
         self.check(sbody, body)?;
         // Premise must be invariant: {V,L',G} S {V,L',G}.
-        require_equiv(
+        self.require_equiv(
             &body.pre,
             &body.post,
             RULE,
@@ -351,7 +456,7 @@ impl Checker {
         // Side condition 1: V,L,G |- L'[local ← local ⊕ e̲].
         if let Some(l_prime) = &body.pre.local {
             let lhs = ClassExpr::local().join(&ClassExpr::of_expr(cond));
-            if !entails_bound(&node.pre, &Bound::new(lhs, l_prime.clone()))? {
+            if !self.side_condition(node, lhs, l_prime)? {
                 return Err(CheckError::new(RULE, "side condition on local fails"));
             }
         }
@@ -360,18 +465,18 @@ impl Checker {
             let lhs = ClassExpr::global()
                 .join(&ClassExpr::local())
                 .join(&ClassExpr::of_expr(cond));
-            if !entails_bound(&node.pre, &Bound::new(lhs, g_prime.clone()))? {
+            if !self.side_condition(node, lhs, g_prime)? {
                 return Err(CheckError::new(RULE, "side condition on global fails"));
             }
         }
         Ok(())
     }
 
-    fn check_cobegin<L: Lattice + fmt::Display>(
-        &self,
+    fn check_cobegin(
+        &mut self,
         sbranches: &[Stmt],
-        branches: &[Proof<L>],
-        node: &Proof<L>,
+        branches: &'p [Proof<L>],
+        node: &'p Proof<L>,
     ) -> Result<(), CheckError> {
         const RULE: &str = "concurrent-execution rule";
         if branches.len() != sbranches.len() {
@@ -426,7 +531,7 @@ impl Checker {
             "V1',…,Vn' differs (post)",
         )?;
         // Interference freedom.
-        let atomics: Vec<Vec<AtomicAction<L>>> = sbranches
+        let atomics: Vec<Vec<AtomicAction<'p, L>>> = sbranches
             .iter()
             .zip(branches)
             .map(|(s, p)| {
@@ -435,16 +540,18 @@ impl Checker {
                 out
             })
             .collect();
-        let assertion_sets: Vec<Vec<Assertion<L>>> = branches
+        // Each branch's distinct assertions, in order of first use: met
+        // by identity, and kept once by value.
+        let assertion_sets: Vec<Vec<&'p Assertion<L>>> = branches
             .iter()
             .map(|p| {
+                let (mut met, mut kept) = (HashSet::new(), HashSet::new());
                 let mut out = Vec::new();
                 p.walk(&mut |n| {
-                    if !out.contains(&n.pre) {
-                        out.push(n.pre.clone());
-                    }
-                    if !out.contains(&n.post) {
-                        out.push(n.post.clone());
+                    for a in [&n.pre, &n.post] {
+                        if met.insert(Arc::as_ptr(a)) && kept.insert(&**a) {
+                            out.push(&**a);
+                        }
                     }
                 });
                 out
@@ -457,9 +564,69 @@ impl Checker {
                 }
                 for action in actions {
                     for a in assertions {
-                        check_preserved(action, a).map_err(|m| CheckError::new(RULE, m))?;
+                        self.check_preserved(action, a)
+                            .map_err(|m| CheckError::new(RULE, m))?;
                     }
                 }
+            }
+        }
+        Ok(())
+    }
+
+    /// Checks `{pre(T) ∧ V(A)} T {V(A)}`: the `V` part of assertion `A`
+    /// (from another process) survives the atomic action `T`.
+    ///
+    /// Per §3.2, "indirect flows in one process do not affect indirect
+    /// flows in another process": the `local`/`global` atoms appearing in
+    /// `A` are the *other* process's certification variables, which `T`
+    /// neither modifies nor constrains. `T`'s effect on shared state is
+    /// therefore [`AtomicAction::cross`], with the executing process's
+    /// `local`/`global` *evaluated to literals* from `T`'s precondition —
+    /// they must not be conflated with `A`'s atoms.
+    fn check_preserved(
+        &mut self,
+        action: &AtomicAction<'p, L>,
+        a: &'p Assertion<L>,
+    ) -> Result<(), String> {
+        let subst = action.cross.as_ref().map_err(Clone::clone)?;
+        if a.state.is_empty() {
+            return Ok(());
+        }
+        // The premise is `A`'s own bounds (its local/global partition
+        // applies to its own atoms) and the shared facts of `T`'s
+        // precondition (shared-variable bounds mean the same thing in both
+        // processes), decided from the environment each built once.
+        let env = self
+            .envs
+            .entry(a)
+            .or_insert_with(|| UpperBounds::of(a))
+            .as_ref()
+            .map_err(|e| e.to_string())?;
+        let facts = self
+            .facts
+            .entry(action.pre)
+            .or_insert_with(|| shared_facts(action.pre))
+            .as_ref()
+            .map_err(|e| e.to_string())?;
+        for b in &a.state {
+            // A bound that mentions no substituted atom is unchanged, and as
+            // one of the premise's own conjuncts it is entailed.
+            if !subst
+                .keys()
+                .any(|&atom| b.lhs.mentions(atom) || b.rhs.mentions(atom))
+            {
+                continue;
+            }
+            let substituted = b.subst(subst);
+            match entails_bound_env(&[env, facts], &substituted) {
+                Ok(true) => {}
+                Ok(false) => {
+                    return Err(format!(
+                        "interference: {} invalidates bound {} (needed: {})",
+                        action.what, b, substituted
+                    ));
+                }
+                Err(e) => return Err(e.to_string()),
             }
         }
         Ok(())
@@ -468,45 +635,86 @@ impl Checker {
 
 /// An atomic action of a process, with the precondition its derivation
 /// establishes at that point.
-struct AtomicAction<L> {
-    subst: BTreeMap<Atom, ClassExpr<L>>,
-    pre: Assertion<L>,
+struct AtomicAction<'p, L> {
+    /// The action's effect on another process's assertions: its
+    /// substitution with the executing process's `local`/`global` folded
+    /// in as a literal and no entry for the `global` atom (so a `wait`
+    /// acts across processes as `signal` does), or why its precondition
+    /// gives no such literal.
+    cross: Result<BTreeMap<Atom, ClassExpr<L>>, String>,
+    pre: &'p Assertion<L>,
     what: String,
 }
 
-fn collect_atomics<L: Lattice + fmt::Display>(
+impl<'p, L: Lattice + fmt::Display> AtomicAction<'p, L> {
+    fn new(subst: BTreeMap<Atom, ClassExpr<L>>, pre: &'p Assertion<L>, what: String) -> Self {
+        // The executing process's pc context, as a literal.
+        let lit_of = |b: &Option<ClassExpr<L>>| -> Result<Extended<L>, String> {
+            match b {
+                None => Err(format!(
+                    "interference check: {what} has an unbounded local/global context"
+                )),
+                Some(e) => e.eval_lit().ok_or_else(|| {
+                    format!("interference check: {what} has a non-literal local/global bound")
+                }),
+            }
+        };
+        let cross = lit_of(&pre.local)
+            .and_then(|l| Ok(l.join(&lit_of(&pre.global)?)))
+            .map(|lg| {
+                let mut cross = BTreeMap::new();
+                for (atom, repl) in &subst {
+                    if matches!(atom, Atom::Local | Atom::Global) {
+                        continue;
+                    }
+                    let var_part: ClassExpr<L> = repl
+                        .atoms()
+                        .iter()
+                        .filter(|a| matches!(a, Atom::VarClass(_)))
+                        .fold(ClassExpr::lit(repl.literal().clone()), |acc, a| {
+                            acc.join(&ClassExpr::atom(*a))
+                        });
+                    cross.insert(*atom, var_part.join(&ClassExpr::lit(lg.clone())));
+                }
+                cross
+            });
+        AtomicAction { cross, pre, what }
+    }
+}
+
+fn collect_atomics<'p, L: Lattice + fmt::Display>(
     stmt: &Stmt,
-    proof: &Proof<L>,
-    out: &mut Vec<AtomicAction<L>>,
+    proof: &'p Proof<L>,
+    out: &mut Vec<AtomicAction<'p, L>>,
 ) {
     collect_atomics_ctx(stmt, proof, &proof.pre, out);
 }
 
-fn collect_atomics_ctx<L: Lattice + fmt::Display>(
+fn collect_atomics_ctx<'p, L: Lattice + fmt::Display>(
     stmt: &Stmt,
-    proof: &Proof<L>,
-    ctx_pre: &Assertion<L>,
-    out: &mut Vec<AtomicAction<L>>,
+    proof: &'p Proof<L>,
+    ctx_pre: &'p Assertion<L>,
+    out: &mut Vec<AtomicAction<'p, L>>,
 ) {
     match (&proof.rule, stmt) {
         // A consequence wrapper keeps the outermost (strongest established)
         // precondition for the wrapped statement occurrence.
         (Rule::Conseq { inner }, _) => collect_atomics_ctx(stmt, inner, ctx_pre, out),
-        (Rule::AssignAxiom, Stmt::Assign { var, expr, .. }) => out.push(AtomicAction {
-            subst: assign_subst(*var, expr),
-            pre: ctx_pre.clone(),
-            what: format!("assignment to v{}", var.0),
-        }),
-        (Rule::SignalAxiom, Stmt::Signal { sem, .. }) => out.push(AtomicAction {
-            subst: signal_subst(*sem),
-            pre: ctx_pre.clone(),
-            what: format!("signal(v{})", sem.0),
-        }),
-        (Rule::WaitAxiom, Stmt::Wait { sem, .. }) => out.push(AtomicAction {
-            subst: wait_subst(*sem),
-            pre: ctx_pre.clone(),
-            what: format!("wait(v{})", sem.0),
-        }),
+        (Rule::AssignAxiom, Stmt::Assign { var, expr, .. }) => out.push(AtomicAction::new(
+            assign_subst(*var, expr),
+            ctx_pre,
+            format!("assignment to v{}", var.0),
+        )),
+        (Rule::SignalAxiom, Stmt::Signal { sem, .. }) => out.push(AtomicAction::new(
+            signal_subst(*sem),
+            ctx_pre,
+            format!("signal(v{})", sem.0),
+        )),
+        (Rule::WaitAxiom, Stmt::Wait { sem, .. }) => out.push(AtomicAction::new(
+            wait_subst(*sem),
+            ctx_pre,
+            format!("wait(v{})", sem.0),
+        )),
         (Rule::SkipAxiom, _) => {}
         (
             Rule::If {
@@ -541,117 +749,20 @@ fn collect_atomics_ctx<L: Lattice + fmt::Display>(
     }
 }
 
-/// Checks `{pre(T) ∧ V(A)} T {V(A)}`: the `V` part of assertion `A` (from
-/// another process) survives the atomic action `T`.
-///
-/// Per §3.2, "indirect flows in one process do not affect indirect flows
-/// in another process": the `local`/`global` atoms appearing in `A` are
-/// the *other* process's certification variables, which `T` neither
-/// modifies nor constrains. `T`'s effect on shared state is therefore the
-/// substitution `v̲ ← v̲' ⊕ l_T ⊕ g_T` with the executing process's
-/// `local`/`global` *evaluated to literals* from `T`'s precondition —
-/// they must not be conflated with `A`'s atoms. In particular a `wait`
-/// raises only its own process's `global`, so its cross-process effect is
-/// the same as `signal`'s.
-fn check_preserved<L: Lattice + fmt::Display>(
-    action: &AtomicAction<L>,
-    a: &Assertion<L>,
-) -> Result<(), String> {
-    // The executing process's pc context, as a literal.
-    let lit_of = |b: &Option<ClassExpr<L>>| -> Result<Extended<L>, String> {
-        match b {
-            None => Err(format!(
-                "interference check: {} has an unbounded local/global context",
-                action.what
-            )),
-            Some(e) => e.eval_lit().ok_or_else(|| {
-                format!(
-                    "interference check: {} has a non-literal local/global bound",
-                    action.what
-                )
-            }),
-        }
-    };
-    let lg = lit_of(&action.pre.local)?.join(&lit_of(&action.pre.global)?);
-    if a.state.is_empty() {
-        return Ok(());
-    }
-
-    // Rebuild T's substitution with the context folded in as a literal
-    // and without any entry for the `global` atom.
-    let mut subst: BTreeMap<Atom, ClassExpr<L>> = BTreeMap::new();
-    for (atom, repl) in &action.subst {
-        if matches!(atom, Atom::Local | Atom::Global) {
-            continue;
-        }
-        let var_part: ClassExpr<L> = repl
-            .atoms()
+/// The environment of `pre`'s shared facts: its state bounds that
+/// mention neither `local` nor `global`, which mean the same thing in
+/// every process.
+fn shared_facts<L: Lattice + fmt::Display>(
+    pre: &Assertion<L>,
+) -> Result<UpperBounds<L>, EntailError> {
+    let shared = |b: &&Bound<L>| {
+        ![Atom::Local, Atom::Global]
             .iter()
-            .filter(|a| matches!(a, Atom::VarClass(_)))
-            .fold(ClassExpr::lit(repl.literal().clone()), |acc, a| {
-                acc.join(&ClassExpr::atom(*a))
-            });
-        subst.insert(*atom, var_part.join(&ClassExpr::lit(lg.clone())));
-    }
-
-    // Premise: A's own bounds (its local/global partition applies to its
-    // own atoms) plus the Local/Global-free facts of T's precondition
-    // (shared-variable bounds mean the same thing in both processes).
-    let mut combined_state = a.state.clone();
-    combined_state.extend(
-        action
-            .pre
-            .state
-            .iter()
-            .filter(|b| {
-                !b.lhs.mentions(Atom::Local)
-                    && !b.lhs.mentions(Atom::Global)
-                    && !b.rhs.mentions(Atom::Local)
-                    && !b.rhs.mentions(Atom::Global)
-            })
-            .cloned(),
-    );
-    let combined = Assertion {
-        state: combined_state,
-        local: a.local.clone(),
-        global: a.global.clone(),
-    };
-    let env = UpperBounds::of(&combined).map_err(|e| e.to_string())?;
-    for b in &a.state {
-        // A bound that mentions no substituted atom is unchanged, and as
-        // one of `combined`'s own conjuncts it is entailed.
-        if !subst
-            .keys()
             .any(|&atom| b.lhs.mentions(atom) || b.rhs.mentions(atom))
-        {
-            continue;
-        }
-        let substituted = b.subst(&subst);
-        match entails_bound_env(&env, &substituted) {
-            Ok(true) => {}
-            Ok(false) => {
-                return Err(format!(
-                    "interference: {} invalidates bound {} (needed: {})",
-                    action.what, b, substituted
-                ));
-            }
-            Err(e) => return Err(e.to_string()),
-        }
-    }
-    Ok(())
-}
-
-fn require_equiv<L: Lattice + fmt::Display>(
-    a: &Assertion<L>,
-    b: &Assertion<L>,
-    rule: &'static str,
-    what: &str,
-) -> Result<(), CheckError> {
-    if equivalent(a, b)? {
-        Ok(())
-    } else {
-        Err(CheckError::new(rule, format!("{what}: {a} vs {b}")))
-    }
+    };
+    UpperBounds::of(&Assertion::state_only(
+        pre.state.iter().filter(shared).cloned().collect(),
+    ))
 }
 
 fn require_equiv_states<L: Lattice + fmt::Display>(
@@ -660,9 +771,15 @@ fn require_equiv_states<L: Lattice + fmt::Display>(
     rule: &'static str,
     what: &str,
 ) -> Result<(), CheckError> {
-    let pa = Assertion::state_only(a.to_vec());
-    let pb = Assertion::state_only(b.to_vec());
-    require_equiv(&pa, &pb, rule, what)
+    if equivalent_states(a, b)? {
+        Ok(())
+    } else {
+        let (pa, pb) = (
+            Assertion::state_only(a.to_vec()),
+            Assertion::state_only(b.to_vec()),
+        );
+        Err(CheckError::new(rule, format!("{what}: {pa} vs {pb}")))
+    }
 }
 
 fn require_same_bound<L: Lattice + fmt::Display>(

@@ -17,8 +17,6 @@
 //! Completeness rests on step 2's attainability: if the check fails there
 //! is a concrete information state satisfying `P` but not `Q`.
 
-use std::collections::BTreeMap;
-
 use secflow_lattice::{Extended, Lattice};
 
 use crate::assertion::{Assertion, Atom, Bound, ClassExpr};
@@ -46,7 +44,8 @@ impl std::error::Error for EntailError {}
 /// The per-atom upper bounds derivable from an assertion.
 #[derive(Clone, Debug)]
 pub struct UpperBounds<L> {
-    bounds: BTreeMap<Atom, Extended<L>>,
+    /// The meet of each bounded atom's bounds, sorted by atom.
+    bounds: Vec<(Atom, Extended<L>)>,
     unsat: bool,
 }
 
@@ -54,7 +53,7 @@ impl<L: Lattice + std::fmt::Display> UpperBounds<L> {
     /// Derives the upper-bound environment of `p`.
     pub fn of(p: &Assertion<L>) -> Result<Self, EntailError> {
         let mut env = UpperBounds {
-            bounds: BTreeMap::new(),
+            bounds: Vec::with_capacity(p.state.len() + 2),
             unsat: false,
         };
         if let Some(l) = &p.local {
@@ -66,23 +65,28 @@ impl<L: Lattice + std::fmt::Display> UpperBounds<L> {
         for b in &p.state {
             env.absorb(b)?;
         }
+        // A policy assertion bounds its variables in order, so the
+        // stable sort meets few runs.
+        env.bounds.sort_by_key(|&(a, _)| a);
+        env.bounds.dedup_by(|later, kept| {
+            let same = later.0 == kept.0;
+            if same {
+                kept.1 = kept.1.meet(&later.1);
+            }
+            same
+        });
         Ok(env)
     }
 
     fn absorb(&mut self, bound: &Bound<L>) -> Result<(), EntailError> {
-        let r = bound
-            .rhs
-            .eval_lit()
-            .ok_or_else(|| EntailError::NonLiteralRhs(bound.to_string()))?;
+        let r = literal_rhs(bound)?;
         if !bound.lhs.literal().leq(&r) {
             // A literal component exceeds the bound: P is unsatisfiable
             // (it asserts e.g. High ≤ Low), so it entails everything.
             self.unsat = true;
         }
-        for a in bound.lhs.atoms() {
-            let entry = self.bounds.entry(*a).or_insert_with(|| r.clone());
-            *entry = entry.meet(&r);
-        }
+        self.bounds
+            .extend(bound.lhs.atoms().iter().map(|&a| (a, r.clone())));
         Ok(())
     }
 
@@ -93,18 +97,20 @@ impl<L: Lattice + std::fmt::Display> UpperBounds<L> {
 
     /// The tightest derivable bound on `a`, if any.
     pub fn bound(&self, a: Atom) -> Option<&Extended<L>> {
-        self.bounds.get(&a)
+        let i = self.bounds.binary_search_by_key(&a, |&(b, _)| b).ok()?;
+        Some(&self.bounds[i].1)
     }
+}
 
-    /// The largest value `e` can take in a model of the assertion, or
-    /// `None` when some atom of `e` is unbounded.
-    pub fn sup(&self, e: &ClassExpr<L>) -> Option<Extended<L>> {
-        let mut acc = e.literal().clone();
-        for a in e.atoms() {
-            acc = acc.join(self.bounds.get(a)?);
-        }
-        Some(acc)
-    }
+/// The right-hand side of `bound` as a literal: the procedure decides
+/// only bounds whose right-hand side is one.
+fn literal_rhs<L: Lattice + std::fmt::Display>(
+    bound: &Bound<L>,
+) -> Result<Extended<L>, EntailError> {
+    bound
+        .rhs
+        .eval_lit()
+        .ok_or_else(|| EntailError::NonLiteralRhs(bound.to_string()))
 }
 
 /// Decides `p |- bound`.
@@ -112,27 +118,30 @@ pub fn entails_bound<L: Lattice + std::fmt::Display>(
     p: &Assertion<L>,
     bound: &Bound<L>,
 ) -> Result<bool, EntailError> {
-    let env = UpperBounds::of(p)?;
-    entails_bound_env(&env, bound)
+    entails_bound_env(&[&UpperBounds::of(p)?], bound)
 }
 
-/// Decides `bound` against an environment built once by
-/// [`UpperBounds::of`].
+/// Decides `bound` against the conjunction of the assertions whose
+/// environments, each built once by [`UpperBounds::of`], are `envs`: in
+/// the conjunction an atom is bounded by the meet of its bounds, and no
+/// model exists if one conjunct has none.
 pub(crate) fn entails_bound_env<L: Lattice + std::fmt::Display>(
-    env: &UpperBounds<L>,
+    envs: &[&UpperBounds<L>],
     bound: &Bound<L>,
 ) -> Result<bool, EntailError> {
-    if env.unsatisfiable() {
+    if envs.iter().any(|env| env.unsatisfiable()) {
         return Ok(true);
     }
-    let rhs = bound
-        .rhs
-        .eval_lit()
-        .ok_or_else(|| EntailError::NonLiteralRhs(bound.to_string()))?;
-    Ok(match env.sup(&bound.lhs) {
-        Some(sup) => sup.leq(&rhs),
-        None => false, // an unbounded atom can exceed any literal bound
-    })
+    let rhs = literal_rhs(bound)?;
+    let mut sup = bound.lhs.literal().clone();
+    for &a in bound.lhs.atoms() {
+        let mut bounds = envs.iter().filter_map(|env| env.bound(a));
+        let Some(first) = bounds.next() else {
+            return Ok(false); // an unbounded atom can exceed any literal bound
+        };
+        sup = sup.join(&bounds.fold(first.clone(), |m, b| m.meet(b)));
+    }
+    Ok(sup.leq(&rhs))
 }
 
 /// Decides `p |- q` for whole assertions (every conjunct of `q`).
@@ -140,22 +149,30 @@ pub fn entails<L: Lattice + std::fmt::Display>(
     p: &Assertion<L>,
     q: &Assertion<L>,
 ) -> Result<bool, EntailError> {
-    let env = UpperBounds::of(p)?;
+    entails_env(&UpperBounds::of(p)?, q)
+}
+
+/// Decides every conjunct of `q` against an environment built once by
+/// [`UpperBounds::of`].
+pub(crate) fn entails_env<L: Lattice + std::fmt::Display>(
+    env: &UpperBounds<L>,
+    q: &Assertion<L>,
+) -> Result<bool, EntailError> {
     if env.unsatisfiable() {
         return Ok(true);
     }
     for b in &q.state {
-        if !entails_bound_env(&env, b)? {
+        if !entails_bound_env(&[env], b)? {
             return Ok(false);
         }
     }
     if let Some(l) = &q.local {
-        if !entails_bound_env(&env, &Bound::new(ClassExpr::local(), l.clone()))? {
+        if !entails_bound_env(&[env], &Bound::new(ClassExpr::local(), l.clone()))? {
             return Ok(false);
         }
     }
     if let Some(g) = &q.global {
-        if !entails_bound_env(&env, &Bound::new(ClassExpr::global(), g.clone()))? {
+        if !entails_bound_env(&[env], &Bound::new(ClassExpr::global(), g.clone()))? {
             return Ok(false);
         }
     }
@@ -168,6 +185,26 @@ pub fn equivalent<L: Lattice + std::fmt::Display>(
     q: &Assertion<L>,
 ) -> Result<bool, EntailError> {
     Ok(entails(p, q)? && entails(q, p)?)
+}
+
+/// Decides the equivalence of `{a}` and `{b}`, two conjunctions of state
+/// bounds. Equal lists are equivalent once their environment builds, that
+/// is once every right-hand side is a literal, so they are decided
+/// without building either assertion.
+pub(crate) fn equivalent_states<L: Lattice + std::fmt::Display>(
+    a: &[Bound<L>],
+    b: &[Bound<L>],
+) -> Result<bool, EntailError> {
+    if a == b {
+        return a
+            .iter()
+            .try_for_each(|b| literal_rhs(b).map(drop))
+            .map(|()| true);
+    }
+    equivalent(
+        &Assertion::state_only(a.to_vec()),
+        &Assertion::state_only(b.to_vec()),
+    )
 }
 
 #[cfg(test)]

@@ -5,8 +5,16 @@
 //! children. Proofs are *data* — the independent [`crate::check`] module
 //! re-derives every side condition, so a proof produced by any means
 //! (including the Theorem-1 builder) carries no authority of its own.
+//!
+//! A node holds its assertions behind [`Arc`]s, so a proof whose nodes
+//! repeat one assertion holds it once: the Theorem 1 builder makes each
+//! distinct `{I, local ≤ l, global ≤ g}` once, and the certificate
+//! decoder hands every node that names a table entry the same one. The
+//! checker and the emitter use that identity only to skip repeated
+//! work; equal assertions in separate allocations mean the same.
 
 use std::fmt;
+use std::sync::Arc;
 
 use secflow_lattice::Lattice;
 
@@ -17,9 +25,9 @@ use crate::render::Named;
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct Proof<L> {
     /// The precondition of the triple.
-    pub pre: Assertion<L>,
+    pub pre: Arc<Assertion<L>>,
     /// The postcondition of the triple.
-    pub post: Assertion<L>,
+    pub post: Arc<Assertion<L>>,
     /// The final rule applied, with its premise sub-proofs.
     pub rule: Rule<L>,
 }
@@ -70,9 +78,18 @@ pub enum Rule<L> {
 }
 
 impl<L: Lattice> Proof<L> {
-    /// Creates a proof node.
-    pub fn new(pre: Assertion<L>, post: Assertion<L>, rule: Rule<L>) -> Self {
-        Proof { pre, post, rule }
+    /// Creates a proof node. Each assertion is an owned one or a shared
+    /// [`Arc`] that other nodes name too.
+    pub fn new(
+        pre: impl Into<Arc<Assertion<L>>>,
+        post: impl Into<Arc<Assertion<L>>>,
+        rule: Rule<L>,
+    ) -> Self {
+        Proof {
+            pre: pre.into(),
+            post: post.into(),
+            rule,
+        }
     }
 
     /// Number of nodes in the derivation.
@@ -91,7 +108,7 @@ impl<L: Lattice> Proof<L> {
     }
 
     /// Calls `f` on every node of the derivation (pre-order).
-    pub fn walk(&self, f: &mut impl FnMut(&Proof<L>)) {
+    pub fn walk<'a>(&'a self, f: &mut impl FnMut(&'a Proof<L>)) {
         f(self);
         match &self.rule {
             Rule::SkipAxiom | Rule::AssignAxiom | Rule::SignalAxiom | Rule::WaitAxiom => {}

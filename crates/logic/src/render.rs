@@ -81,8 +81,8 @@ fn write_proof<L: Lattice + fmt::Display>(
 ) -> fmt::Result {
     let pad = "  ".repeat(depth);
     writeln!(f, "{pad}[{}]", proof.rule_name())?;
-    writeln!(f, "{pad}  pre:  {}", Named(&proof.pre, symbols))?;
-    writeln!(f, "{pad}  post: {}", Named(&proof.post, symbols))?;
+    writeln!(f, "{pad}  pre:  {}", Named(&*proof.pre, symbols))?;
+    writeln!(f, "{pad}  post: {}", Named(&*proof.post, symbols))?;
     let premise = |f: &mut fmt::Formatter<'_>, p: &Proof<L>| write_proof(f, p, symbols, depth + 1);
     match &proof.rule {
         Rule::SkipAxiom | Rule::AssignAxiom | Rule::SignalAxiom | Rule::WaitAxiom => Ok(()),

@@ -24,7 +24,9 @@
 //! exercised in the test-suite by confirming the builder's candidate
 //! proof fails the checker exactly when certification fails.
 
+use std::collections::HashMap;
 use std::fmt;
+use std::sync::Arc;
 
 use secflow_core::{certify, mod_flow, StaticBinding};
 use secflow_lang::{Program, Stmt};
@@ -32,7 +34,7 @@ use secflow_lattice::{Extended, Lattice};
 
 use crate::assertion::{Assertion, Bound, ClassExpr};
 use crate::check::{assign_subst, check_proof, signal_subst, wait_subst, CheckError};
-use crate::entail::{entails, EntailError};
+use crate::entail::{equivalent_states, EntailError};
 use crate::proof::{Proof, Rule};
 
 /// Why [`prove`] refused or failed.
@@ -90,7 +92,11 @@ pub fn build_proof<L: Lattice>(
     g: Extended<L>,
 ) -> Proof<L> {
     let i = policy_assertion(program, sbind);
-    let builder = Builder { sbind, i: &i };
+    let mut builder = Builder {
+        sbind,
+        i: &i,
+        assertions: HashMap::new(),
+    };
     builder.build(&program.body, &l, &g).0
 }
 
@@ -155,12 +161,10 @@ pub fn is_completely_invariant<L: Lattice + fmt::Display>(
     proof: &Proof<L>,
     i: &[Bound<L>],
 ) -> Result<bool, EntailError> {
-    let i_assn = Assertion::state_only(i.to_vec());
     let mut stack = vec![(proof, true)];
     while let Some((node, is_stmt_level)) = stack.pop() {
         if is_stmt_level {
-            let pre_state = Assertion::state_only(node.pre.state.clone());
-            if !entails(&pre_state, &i_assn)? || !entails(&i_assn, &pre_state)? {
+            if !equivalent_states(&node.pre.state, i)? {
                 return Ok(false);
             }
             let literal_ok = |b: &Option<ClassExpr<L>>| match b {
@@ -193,22 +197,35 @@ pub fn is_completely_invariant<L: Lattice + fmt::Display>(
     Ok(true)
 }
 
+/// The `(l, g)` of a policy assertion `{I, local ≤ l, global ≤ g}`.
+type Context<L> = (Extended<L>, Extended<L>);
+
 struct Builder<'a, L> {
     sbind: &'a StaticBinding<L>,
     i: &'a [Bound<L>],
+    /// Each `{I, local ≤ l, global ≤ g}` made so far, by `(l, g)`: a
+    /// proof names few of them, from nearly every node.
+    assertions: HashMap<Context<L>, Arc<Assertion<L>>>,
 }
 
 impl<L: Lattice> Builder<'_, L> {
-    fn assn(&self, l: &Extended<L>, g: &Extended<L>) -> Assertion<L> {
-        Assertion::new(
-            self.i.to_vec(),
-            ClassExpr::lit(l.clone()),
-            ClassExpr::lit(g.clone()),
-        )
+    /// The one shared `{I, local ≤ l, global ≤ g}`.
+    fn assn(&mut self, l: &Extended<L>, g: &Extended<L>) -> Arc<Assertion<L>> {
+        let i = self.i;
+        self.assertions
+            .entry((l.clone(), g.clone()))
+            .or_insert_with(|| {
+                Arc::new(Assertion::new(
+                    i.to_vec(),
+                    ClassExpr::lit(l.clone()),
+                    ClassExpr::lit(g.clone()),
+                ))
+            })
+            .clone()
     }
 
     /// Weakens `proof`'s postcondition to `{I, local ≤ l, global ≤ g*}`.
-    fn weaken_post(&self, proof: Proof<L>, l: &Extended<L>, g_star: &Extended<L>) -> Proof<L> {
+    fn weaken_post(&mut self, proof: Proof<L>, l: &Extended<L>, g_star: &Extended<L>) -> Proof<L> {
         let pre = proof.pre.clone();
         let post = self.assn(l, g_star);
         if proof.post == post {
@@ -229,7 +246,7 @@ impl<L: Lattice> Builder<'_, L> {
     /// Invariant: the returned post is `{I, local ≤ l, global ≤ G}` where
     /// `G = g` when `flow(stmt) = nil` and `G = g ⊕ l ⊕ flow(stmt)`
     /// otherwise.
-    fn build(&self, stmt: &Stmt, l: &Extended<L>, g: &Extended<L>) -> (Proof<L>, Extended<L>) {
+    fn build(&mut self, stmt: &Stmt, l: &Extended<L>, g: &Extended<L>) -> (Proof<L>, Extended<L>) {
         let pre = self.assn(l, g);
         match stmt {
             Stmt::Skip(_) => (Proof::new(pre.clone(), pre, Rule::SkipAxiom), Extended::Nil),

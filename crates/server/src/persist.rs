@@ -413,28 +413,38 @@ impl DurableStore {
     /// Appends one entry to the journal. On IO error the entry simply
     /// is not durable (counted in `io_errors`); the in-memory cache
     /// still serves it.
+    ///
+    /// A write that fails, or leaves the journal at any other length
+    /// than one more whole frame, is cut back to where the last whole
+    /// frame ends, so a partial frame never sits in front of a later
+    /// append where the next scan would mis-frame it.
     pub fn append(&mut self, key: &CacheKey, value: &CachedResult) -> io::Result<()> {
         let frame = encode_frame(&encode_record(key.hash, &key.canon, value));
+        let whole = self.journal_bytes;
         let write = if self.faults.torn_write() {
             // Chaos: pretend the frame was written but tear it in half,
-            // as a crash mid-write(2) would. Recovery must skip it.
+            // as a write that fails part-way would.
             self.stats.torn_writes += 1;
             self.journal.write_all(&frame[..frame.len() / 2])
         } else {
             self.journal.write_all(&frame)
         };
-        if let Err(e) = write {
+        let expected = whole + frame.len() as u64;
+        let result = write.and_then(|()| match self.journal.metadata()?.len() {
+            end if end == expected => Ok(()),
+            end => Err(io::Error::other(format!(
+                "journal append ended at byte {end}, not {expected}"
+            ))),
+        });
+        if let Err(e) = result {
+            // Best effort: if the cut fails too, the next append finds
+            // the length wrong again and retries it.
+            let _ = self.journal.set_len(whole);
             self.stats.io_errors += 1;
             return Err(e);
         }
-        // Refresh from the file: torn writes grow it by less than a
-        // full frame, and append mode means others never shrink it.
-        let before = self.journal_bytes;
-        self.journal_bytes = self
-            .journal
-            .metadata()
-            .map_or(self.journal_bytes, |m| m.len());
-        self.appended += self.journal_bytes.saturating_sub(before);
+        self.journal_bytes = expected;
+        self.appended += frame.len() as u64;
         self.appends_since_sync += 1;
         let due = match self.cfg.fsync {
             FsyncMode::Always => true,
@@ -828,29 +838,61 @@ mod tests {
         assert_eq!(store.stats().journal_bytes, 0);
     }
 
-    #[test]
-    fn chaos_torn_write_is_skipped_on_recovery() {
-        let dir = tmp_dir("chaos-torn");
+    /// Opens a store whose first append chaos tears, appends `tags` and
+    /// returns each append's result and the store's counters.
+    fn tear_the_first_append(dir: &Path, tags: &[&str]) -> (Vec<io::Result<()>>, PersistStats) {
         let mut plan = FaultPlan::new(11);
         plan.torn_write_per_mille = 1000;
         plan.max_faults = 1; // tear exactly the first append
-        let mut store =
-            DurableStore::open_with_faults(PersistConfig::new(&dir), Arc::new(plan)).unwrap();
-        for tag in ["a", "b", "c"] {
-            let (key, value) = entry(tag);
-            store.append(&key, &value).unwrap();
-        }
-        assert_eq!(store.stats().torn_writes, 1);
-        drop(store);
+        let cfg = PersistConfig {
+            fsync: FsyncMode::Always,
+            ..PersistConfig::new(dir)
+        };
+        let mut store = DurableStore::open_with_faults(cfg, Arc::new(plan)).unwrap();
+        let results = tags
+            .iter()
+            .map(|tag| {
+                let (key, value) = entry(tag);
+                store.append(&key, &value)
+            })
+            .collect();
+        (results, store.stats())
+    }
 
+    #[test]
+    fn chaos_torn_write_is_skipped_on_recovery() {
+        let dir = tmp_dir("chaos-torn");
+        let (results, stats) = tear_the_first_append(&dir, &["a", "b", "c"]);
+        // The torn append fails and is cut off, so recovery has nothing
+        // to skip; the later ones land whole.
+        assert!(results[0].is_err());
+        assert!(results[1..].iter().all(Result::is_ok));
+        assert_eq!((stats.torn_writes, stats.io_errors), (1, 1));
+        let whole: u64 = ["b", "c"]
+            .iter()
+            .map(|tag| {
+                let (key, value) = entry(tag);
+                encode_frame(&encode_record(key.hash, &key.canon, &value)).len() as u64
+            })
+            .sum();
+        assert_eq!(stats.journal_bytes, whole);
+        let path = dir.join(JOURNAL_FILE);
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), whole);
+    }
+
+    #[test]
+    fn a_torn_append_hides_no_later_append() {
+        let dir = tmp_dir("torn-append");
+        tear_the_first_append(&dir, &["a", "b", "c"]);
         let mut reopened = DurableStore::open(PersistConfig::new(&dir)).unwrap();
-        let entries = reopened.drain_recovered();
-        // The torn first frame consumed part of the second one's bytes;
-        // whatever survives must be CRC-clean and the scan non-fatal.
-        assert!(reopened.stats().frames_skipped >= 1);
-        for e in &entries {
-            assert!(e.key.canon.contains("certify"));
-        }
+        let canons: Vec<String> = reopened
+            .drain_recovered()
+            .into_iter()
+            .map(|e| e.key.canon)
+            .collect();
+        let expected: Vec<String> = ["b", "c"].iter().map(|tag| entry(tag).0.canon).collect();
+        assert_eq!(canons, expected, "every acknowledged append recovers");
+        assert_eq!(reopened.stats().frames_skipped, 0);
     }
 
     #[test]

@@ -11,7 +11,9 @@ use std::sync::atomic::Ordering::Relaxed;
 use secflow::cert::validate_certificate;
 use secflow::lang::print_program;
 use secflow::server::{Json, Limits, Service};
-use secflow::workload::{dining_philosophers, sequential_chain};
+use secflow::workload::{
+    dining_philosophers, fig3_program, loop_heavy, sequential_chain, sync_heavy, wide_cobegin,
+};
 
 const CLEAN: &str = "var x, y : integer;
     cobegin y := x || x := 1 coend";
@@ -150,20 +152,76 @@ fn linear_lattice_certificates_round_trip_end_to_end() {
     );
 }
 
-/// A count gate: the proof size and certificate length for two
-/// workload programs are exact, so any change to the prover or the
+/// A program of `vars` integer variables whose body is `stmts` `skip`s:
+/// every node of its proof carries the one policy assertion, which
+/// bounds every variable.
+fn skips(vars: usize, stmts: usize) -> String {
+    let names: Vec<String> = (0..vars).map(|i| format!("v{i}")).collect();
+    format!(
+        "var {} : integer; begin {} end",
+        names.join(", "),
+        vec!["skip"; stmts].join("; ")
+    )
+}
+
+/// A count gate: the proof size, certificate length and digest for
+/// each workload program are exact, so any change to the prover or the
 /// certificate format shows here as a moved number, never as noise.
 #[test]
 fn certificate_sizes_are_pinned() {
     let s = svc();
-    for (program, nodes, bytes) in [
-        (sequential_chain(400, 8), 801, 15_194),
-        (dining_philosophers(5, 1000, false), 76, 4_876),
+    for (source, nodes, bytes, digest) in [
+        (
+            print_program(&sequential_chain(400, 8)),
+            801,
+            15_194,
+            "4f41fb69f20b5807cb6acebddac7fc32b1eae14f20243ecd7fe549768317c35e",
+        ),
+        (
+            print_program(&dining_philosophers(5, 1000, false)),
+            76,
+            4_876,
+            "66e8956da8923db56b4e5107f6b4dc0a9a51a9acdbd68cdfde24944ad4446ed0",
+        ),
+        (
+            print_program(&loop_heavy(50)),
+            201,
+            24_774,
+            "18870585367cba4981e772bfffa0164fa2137c5a93af1baa69eea6f8d578e60f",
+        ),
+        (
+            print_program(&sync_heavy(8)),
+            99,
+            2_444,
+            "cd038916dd5e59eea9b1d59a716e8408c5c4f196096180a2b5c942ca700bfa31",
+        ),
+        (
+            print_program(&wide_cobegin(6)),
+            13,
+            934,
+            "366373cae6b7f4e94dce0d7eb26c67dccf9d72723f14c73466ac9383fe82acd0",
+        ),
+        (
+            print_program(&fig3_program()),
+            37,
+            2_067,
+            "e70e4393895a3cfa879d1caaf2dd62d9651e5df5d2368e54e8afc56dca85a594",
+        ),
+        (
+            skips(1_000, 1_000),
+            1_001,
+            42_087,
+            "8e88f91e411c524261ce7a55fddee94a1c7fa90392d1f947f09ec1e389623d8c",
+        ),
     ] {
-        let reply = certify_with_proof(&s, &print_program(&program), "two");
+        let reply = certify_with_proof(&s, &source, "two");
         let cert = reply.get("certificate").and_then(Json::as_str).unwrap();
         assert_eq!(reply.get("proof_nodes").and_then(Json::as_u64), Some(nodes));
         assert_eq!(cert.len(), bytes);
+        assert_eq!(
+            reply.get("proof_digest").and_then(Json::as_str),
+            Some(digest)
+        );
     }
 }
 

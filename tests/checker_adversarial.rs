@@ -10,6 +10,8 @@
 //! certificate's meaning is rejected with a structured stage error,
 //! and so is every resealed table that is not canonical.
 
+use std::sync::Arc;
+
 use proptest::prelude::*;
 
 use secflow::cert::{emit_certificate, reseal, show_two_class, validate_certificate, Json};
@@ -67,8 +69,7 @@ fn if_branches_with_mismatched_posts_are_rejected() {
     };
     // Corrupt the else branch's postcondition state.
     let mut bad_else = else_proof.unwrap();
-    bad_else
-        .post
+    Arc::make_mut(&mut bad_else.post)
         .state
         .push(Bound::new(E::lit(hi()), E::lit(lo())));
     let forged = Proof::new(
@@ -101,8 +102,8 @@ fn if_side_condition_is_enforced() {
         panic!("expected an alternation");
     };
     fn lower_local(p: &mut Proof<TwoPoint>) {
-        p.pre.local = Some(E::nil());
-        p.post.local = Some(E::nil());
+        Arc::make_mut(&mut p.pre).local = Some(E::nil());
+        Arc::make_mut(&mut p.post).local = Some(E::nil());
         match &mut p.rule {
             Rule::Conseq { inner } => lower_local(inner),
             _ => {
@@ -140,7 +141,7 @@ fn while_requires_an_invariant_body() {
     let Rule::While { mut body } = inner.rule.clone() else {
         panic!("expected iteration inside");
     };
-    body.post.global = Some(E::lit(Extended::Nil)); // no longer invariant
+    Arc::make_mut(&mut body.post).global = Some(E::lit(Extended::Nil)); // no longer invariant
     let forged_while = Proof::new(inner.pre.clone(), inner.post.clone(), Rule::While { body });
     let forged = Proof::new(
         proof.pre.clone(),
@@ -248,8 +249,7 @@ fn seq_chain_gaps_are_rejected() {
     };
     // Break the chain: strengthen part 2's precondition so part 1's post
     // no longer entails it.
-    parts[1]
-        .pre
+    Arc::make_mut(&mut parts[1].pre)
         .state
         .push(Bound::new(E::lit(hi()), E::lit(lo())));
     let forged = Proof::new(proof.pre.clone(), proof.post.clone(), Rule::Seq { parts });

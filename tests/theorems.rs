@@ -17,8 +17,8 @@ use proptest::prelude::*;
 use secflow::cfm::{certify, mod_flow, StaticBinding};
 use secflow::lattice::{Extended, Lattice, LinearScheme, TwoPoint, TwoPointScheme};
 use secflow::logic::{
-    build_proof, check_lemma, check_proof, is_completely_invariant, policy_assertion, prove,
-    ProveError,
+    build_proof, check_lemma, check_proof, is_completely_invariant, policy_assertion, prove, Proof,
+    ProveError, Rule,
 };
 use secflow::workload::{generate, random_binding, GenConfig};
 
@@ -32,8 +32,53 @@ fn gen_cfg(target: usize, sems: usize) -> GenConfig {
     }
 }
 
+/// A copy of `proof` in which every node's `pre` and `post` is an
+/// allocation of its own, so no two references share an assertion.
+fn unshared<L: Lattice>(proof: &Proof<L>) -> Proof<L> {
+    let boxed = |p: &Proof<L>| Box::new(unshared(p));
+    let rule = match &proof.rule {
+        Rule::SkipAxiom => Rule::SkipAxiom,
+        Rule::AssignAxiom => Rule::AssignAxiom,
+        Rule::SignalAxiom => Rule::SignalAxiom,
+        Rule::WaitAxiom => Rule::WaitAxiom,
+        Rule::If {
+            then_proof,
+            else_proof,
+        } => Rule::If {
+            then_proof: boxed(then_proof),
+            else_proof: else_proof.as_deref().map(boxed),
+        },
+        Rule::While { body } => Rule::While { body: boxed(body) },
+        Rule::Seq { parts } => Rule::Seq {
+            parts: parts.iter().map(unshared).collect(),
+        },
+        Rule::Cobegin { branches } => Rule::Cobegin {
+            branches: branches.iter().map(unshared).collect(),
+        },
+        Rule::Conseq { inner } => Rule::Conseq {
+            inner: boxed(inner),
+        },
+    };
+    Proof::new((*proof.pre).clone(), (*proof.post).clone(), rule)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Sharing assertions changes no verdict: the candidate, certified
+    /// or not, and a copy that shares nothing check alike, down to the
+    /// rule and message of a rejection.
+    #[test]
+    fn shared_and_unshared_candidates_check_alike(seed in 0u64..10_000, bseed in 0u64..10_000) {
+        let program = generate(&gen_cfg(30, 2), seed);
+        let sbind = random_binding(&program, &TwoPointScheme, bseed);
+        let candidate = build_proof(&program, &sbind, Extended::Nil, Extended::Nil);
+        prop_assert_eq!(
+            check_proof(&program.body, &candidate),
+            check_proof(&program.body, &unshared(&candidate)),
+            "seed {} / {}", seed, bseed
+        );
+    }
 
     /// cert(S) ⟺ the Theorem-1 candidate proof checks (two-point lattice).
     #[test]
