@@ -55,6 +55,6 @@ pub use digest::{sha256_hex, Sha256};
 pub use json::{Json, JsonError};
 pub use wire::{
     emit_certificate, parse_lattice_spec, parse_linear_class, parse_two_class, program_fingerprint,
-    reseal, show_linear_class, show_two_class, validate_certificate, verdict_fields, CertError,
-    CertSummary, Certificate, LatticeSpec, CERT_FORMAT, CERT_VERSION,
+    reseal, show_linear_class, show_two_class, validate_certificate, validate_parsed_certificate,
+    verdict_fields, CertError, CertSummary, Certificate, LatticeSpec, CERT_FORMAT, CERT_VERSION,
 };

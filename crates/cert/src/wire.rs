@@ -424,8 +424,29 @@ fn encode_expr<L: Lattice>(
 /// certify. Succeeds iff the envelope is canonical, the digest and
 /// program fingerprint match, and the embedded proof *checks* — every
 /// Figure-1 side condition re-derived by [`check_proof`]. Theorem 1
-/// search is never run.
+/// search is never run. The source is parsed only once the digest and
+/// the fingerprint match.
 pub fn validate_certificate(source: &str, cert_text: &str) -> Result<CertSummary, CertError> {
+    validate(source, None, cert_text)
+}
+
+/// [`validate_certificate`] for a caller that has parsed `source`
+/// already: `program` must be what [`parse`] makes of it. The verdict,
+/// down to a rejection's stage and message, is the same; the source is
+/// not parsed again.
+pub fn validate_parsed_certificate(
+    source: &str,
+    program: &Program,
+    cert_text: &str,
+) -> Result<CertSummary, CertError> {
+    validate(source, Some(program), cert_text)
+}
+
+fn validate(
+    source: &str,
+    parsed: Option<&Program>,
+    cert_text: &str,
+) -> Result<CertSummary, CertError> {
     let cert = Json::parse(cert_text).map_err(|e| CertError::new("json", e.to_string()))?;
     let fields = cert
         .as_obj()
@@ -502,13 +523,20 @@ pub fn validate_certificate(source: &str, cert_text: &str) -> Result<CertSummary
             "program fingerprint mismatch: this certificate is about a different source text",
         ));
     }
-    let program = parse(source).map_err(|d| CertError::new("source", d.render(source)))?;
+    let owned;
+    let program = match parsed {
+        Some(program) => program,
+        None => {
+            owned = parse(source).map_err(|d| CertError::new("source", d.render(source)))?;
+            &owned
+        }
+    };
 
     let proof_json = &fields[4].1;
     let spec = parse_lattice_spec(&lattice).map_err(|e| CertError::new("lattice", e))?;
     let nodes = match spec {
-        LatticeSpec::Two => check_decoded(&program, proof_json, &parse_two_lit)?,
-        LatticeSpec::Linear(scheme) => check_decoded(&program, proof_json, &|s: &str| {
+        LatticeSpec::Two => check_decoded(program, proof_json, &parse_two_lit)?,
+        LatticeSpec::Linear(scheme) => check_decoded(program, proof_json, &|s: &str| {
             parse_linear_lit(s, scheme.levels())
         })?,
     };

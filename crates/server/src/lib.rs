@@ -28,7 +28,8 @@
 //! - [`client`]: a retrying TCP client (exponential backoff with
 //!   decorrelated jitter, bounded attempt budget, retryable/permanent
 //!   error taxonomy) used by `secflow batch --remote`, over the one
-//!   request/reply exchange that peer calls use too;
+//!   request/reply round trip that peer calls make on kept-alive
+//!   connections;
 //! - [`fault`]: deterministic, seeded chaos injection behind a
 //!   zero-cost trait — worker panics, read errors, short reads,
 //!   latency, dropped connections, all bounded by a fault fuse;
@@ -42,11 +43,11 @@
 //!   (`serve --cache-dir`), and its offline inspection
 //!   (`secflow cache-inspect`);
 //! - [`ring`] / [`peer`]: the sharded-cluster layer — deterministic
-//!   rendezvous hashing over the cache fingerprint, relaying a request
-//!   to its owner (with a hop count) so any computation happens exactly
-//!   once cluster-wide, and `peer-sync` journal shipping so cold nodes
-//!   warm-start from a loaded peer (`secflow serve --peers`, `secflow
-//!   router`);
+//!   rendezvous hashing over the cache fingerprint, peer calls on
+//!   kept-alive connections, relaying a request to its owner (with a
+//!   hop count) so any computation happens exactly once cluster-wide,
+//!   and `peer-sync` journal shipping so cold nodes warm-start from a
+//!   loaded peer (`secflow serve --peers`, `secflow router`);
 //! - [`health`]: the self-healing layer — a per-peer
 //!   consecutive-failure circuit breaker with `ping` probes on the
 //!   health tick, replica pushes (`serve --replication`) that skip DOWN

@@ -1,7 +1,6 @@
 //! Peer plumbing for the sharded cluster: topology configuration, the
-//! routed peer call (over the client's one request/reply exchange), and
-//! the `peer-sync` client that warm-starts a cold node from a loaded
-//! peer's cache.
+//! routed peer call on kept-alive connections, and the `peer-sync`
+//! client that warm-starts a cold node from a loaded peer's cache.
 //!
 //! The cluster has no membership protocol and no coordinator — every
 //! node (and every router) is handed the same static member list and
@@ -14,13 +13,28 @@
 //! cold drains a peer's cache (`peer-sync` op) so it never re-explores
 //! work the cluster already paid for. See `DESIGN.md` §14 for the
 //! invariants.
+//!
+//! Every peer call — a relay, a replica push, a health probe, `repair`'s
+//! `ping` — is one round trip on a connection that stays open
+//! (`ClusterState::call_peer`). A caller takes an idle connection to
+//! the peer, or opens one, and owns it for the whole exchange; it puts
+//! the connection back only after reading exactly one reply line. So a
+//! node holds at most as many connections to a peer as it has threads
+//! that call at once: its pool workers and its health thread. A kept
+//! connection that the peer has closed since (its idle timeout, a
+//! restart, a SIGKILL) fails before any reply byte arrives, and the call
+//! is made once more on a fresh connection; a timeout is never retried.
+//! `peer-sync` pages and the CLI's one-shot clients open a fresh
+//! connection per exchange.
 
-use std::io;
-use std::sync::Arc;
+use std::collections::HashMap;
+use std::io::{self, BufReader};
+use std::net::TcpStream;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use crate::cache::{canon_hash, CacheKey};
-use crate::client::exchange;
+use crate::client::{closed_unanswered, exchange, open, round_trip};
 use crate::fault::Faults;
 use crate::health::HealthTracker;
 use crate::json::Json;
@@ -84,12 +98,15 @@ impl ClusterConfig {
 }
 
 /// A node's live view of the cluster: the config, the ring built from
-/// it, the per-peer failure detector, and the chaos hooks for
-/// simulated partitions.
+/// it, the per-peer failure detector, the idle connections to each
+/// peer, and the chaos hooks for simulated partitions.
 pub(crate) struct ClusterState {
     config: ClusterConfig,
     ring: HashRing,
     health: HealthTracker,
+    /// Peer address → connections to it that no call is using, the
+    /// most recently returned last.
+    idle: Mutex<HashMap<String, Vec<BufReader<TcpStream>>>>,
     faults: Arc<dyn Faults>,
 }
 
@@ -115,6 +132,7 @@ impl ClusterState {
             config,
             ring,
             health,
+            idle: Mutex::new(HashMap::new()),
             faults,
         }
     }
@@ -200,9 +218,11 @@ impl ClusterState {
             .collect()
     }
 
-    /// One-shot call to `addr` through the chaos layer (a partitioned
-    /// peer fails as a connection would) with the outcome fed to the
-    /// failure detector.
+    /// One round trip to `addr` through the chaos layer (a partitioned
+    /// peer fails as a connection would), on a kept connection when one
+    /// is idle, with the call's outcome fed to the failure detector. A
+    /// kept connection the peer closed before answering is replaced by a
+    /// fresh one once, and only the outcome on the fresh one counts.
     pub(crate) fn call_peer(&self, addr: &str, line: &str) -> io::Result<String> {
         if self.faults.drop_peer(addr) {
             self.health.record_failure(addr);
@@ -211,7 +231,7 @@ impl ClusterState {
                 format!("chaos: partitioned from {addr}"),
             ));
         }
-        match exchange(addr, line, Some(self.peer_timeout())) {
+        match self.round_trip_kept(addr, line) {
             Ok(reply) => {
                 self.health.record_success(addr);
                 Ok(reply)
@@ -219,6 +239,51 @@ impl ClusterState {
             Err(e) => {
                 self.health.record_failure(addr);
                 Err(e)
+            }
+        }
+    }
+
+    /// [`round_trip`] on an idle connection to `addr`, else on a fresh
+    /// one. Every peer op is idempotent (relays are content-addressed,
+    /// `replicate` and `repair` install only what is missing, `ping`
+    /// only reads), so resending after a stale connection is safe. A
+    /// connection goes back to the idle set only after a whole reply,
+    /// and any error drops it.
+    fn round_trip_kept(&self, addr: &str, line: &str) -> io::Result<String> {
+        if let Some(mut conn) = self.take_idle(addr) {
+            match round_trip(&mut conn, line) {
+                Ok(reply) => {
+                    self.keep(addr, conn);
+                    return Ok(reply);
+                }
+                Err(e) if closed_unanswered(&e) => {}
+                Err(e) => return Err(e),
+            }
+        }
+        let mut conn = BufReader::new(open(addr, Some(self.peer_timeout()))?);
+        let reply = round_trip(&mut conn, line)?;
+        self.keep(addr, conn);
+        Ok(reply)
+    }
+
+    fn take_idle(&self, addr: &str) -> Option<BufReader<TcpStream>> {
+        self.idle.lock().ok()?.get_mut(addr)?.pop()
+    }
+
+    /// Puts `conn` back in `addr`'s idle set, unless bytes past its last
+    /// reply are buffered: a peer that sent more than one line for one
+    /// request would answer the next request with the extra line.
+    fn keep(&self, addr: &str, conn: BufReader<TcpStream>) {
+        if !conn.buffer().is_empty() {
+            return;
+        }
+        let Ok(mut idle) = self.idle.lock() else {
+            return;
+        };
+        match idle.get_mut(addr) {
+            Some(conns) => conns.push(conn),
+            None => {
+                idle.insert(addr.to_string(), vec![conn]);
             }
         }
     }
@@ -305,7 +370,10 @@ pub(crate) fn verified_entry(payload: &str) -> Option<(CacheKey, crate::cache::C
 mod tests {
     use super::*;
     use crate::cache::CachedResult;
+    use crate::health::PeerHealth;
     use crate::persist::encode_record;
+    use std::io::{BufRead, Write};
+    use std::net::TcpListener;
 
     #[test]
     fn verified_entry_accepts_genuine_records_and_rejects_forgeries() {
@@ -426,6 +494,126 @@ mod tests {
             }
         }
         assert_eq!(router.route(hash).len(), peers.len());
+    }
+
+    const PING: &str = r#"{"op":"ping"}"#;
+    const PONG: &str = "{\"ok\":true,\"op\":\"ping\"}\n";
+
+    /// A node whose one peer is the fake peer on `listener`, with a peer
+    /// timeout of `timeout_ms`.
+    fn node_facing(listener: &TcpListener, timeout_ms: u64) -> (ClusterState, String) {
+        let me = "127.0.0.1:7801".to_string();
+        let addr = listener.local_addr().unwrap().to_string();
+        let mut cfg = ClusterConfig::new(&[me.clone(), addr.clone()]);
+        cfg.self_addr = Some(me);
+        cfg.peer_timeout_ms = timeout_ms;
+        (ClusterState::new(cfg), addr)
+    }
+
+    /// The fake peer: accepts one connection and answers each request
+    /// line it reads there with the next of `replies`, each in one
+    /// write, until the replies run out or the connection closes.
+    /// Returns the connection, still open.
+    fn answer(listener: &TcpListener, replies: &[&str]) -> TcpStream {
+        let (stream, _) = listener.accept().unwrap();
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        for reply in replies {
+            let mut request = String::new();
+            if reader.read_line(&mut request).unwrap_or(0) == 0 {
+                break;
+            }
+            (&stream).write_all(reply.as_bytes()).unwrap();
+        }
+        stream
+    }
+
+    /// Accepts and drops every connection waiting on `listener`; returns
+    /// how many there were.
+    fn waiting_connections(listener: &TcpListener) -> usize {
+        listener.set_nonblocking(true).unwrap();
+        let mut n = 0;
+        while listener.accept().is_ok() {
+            n += 1;
+        }
+        listener.set_nonblocking(false).unwrap();
+        n
+    }
+
+    #[test]
+    fn two_calls_share_one_connection() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let (node, addr) = node_facing(&listener, 10_000);
+        std::thread::scope(|scope| {
+            let peer = scope.spawn(|| answer(&listener, &[PONG, PONG]));
+            for _ in 0..2 {
+                assert_eq!(node.call_peer(&addr, PING).unwrap(), PONG.trim_end());
+            }
+            peer.join().unwrap();
+        });
+        assert_eq!(
+            waiting_connections(&listener),
+            0,
+            "the second call connected"
+        );
+    }
+
+    #[test]
+    fn a_connection_the_peer_closed_is_replaced_without_a_strike() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let (node, addr) = node_facing(&listener, 10_000);
+        std::thread::scope(|scope| {
+            let first = scope.spawn(|| answer(&listener, &[PONG]));
+            node.call_peer(&addr, PING).unwrap();
+            // The peer closes the kept connection, as its idle timeout
+            // or a restart would.
+            drop(first.join().unwrap());
+            let second = scope.spawn(|| answer(&listener, &[PONG]));
+            assert_eq!(node.call_peer(&addr, PING).unwrap(), PONG.trim_end());
+            second.join().unwrap();
+        });
+        assert_eq!(node.health().health(&addr), PeerHealth::Up);
+        assert_eq!(waiting_connections(&listener), 0);
+    }
+
+    #[test]
+    fn a_peer_that_never_answers_costs_one_connection_and_one_strike_per_call() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let (node, addr) = node_facing(&listener, 50);
+        // A kept connection, accepted by a peer that never answers.
+        let kept = open(&addr, Some(node.peer_timeout())).unwrap();
+        node.keep(&addr, BufReader::new(kept));
+        let _held = listener.accept().unwrap();
+        let expected = [PeerHealth::Suspect, PeerHealth::Suspect, PeerHealth::Down];
+        for (call, health) in expected.into_iter().enumerate() {
+            let err = node.call_peer(&addr, PING).unwrap_err();
+            assert!(
+                matches!(
+                    err.kind(),
+                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+                ),
+                "call {call}: {err}"
+            );
+            assert_eq!(node.health().health(&addr), health, "call {call}");
+            // The first call timed out on the kept connection and did
+            // not connect again; each later one connected once.
+            assert_eq!(waiting_connections(&listener), usize::from(call > 0));
+        }
+    }
+
+    #[test]
+    fn a_connection_with_a_second_reply_line_is_not_reused() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let (node, addr) = node_facing(&listener, 10_000);
+        let two_lines = "{\"ok\":true,\"n\":1}\n{\"ok\":true,\"n\":2}\n";
+        std::thread::scope(|scope| {
+            let first = scope.spawn(|| answer(&listener, &[two_lines]));
+            assert_eq!(node.call_peer(&addr, PING).unwrap(), r#"{"ok":true,"n":1}"#);
+            let _first = first.join().unwrap();
+            assert!(node.take_idle(&addr).is_none(), "the connection was kept");
+            let second = scope.spawn(|| answer(&listener, &["{\"ok\":true,\"n\":3}\n"]));
+            assert_eq!(node.call_peer(&addr, PING).unwrap(), r#"{"ok":true,"n":3}"#);
+            second.join().unwrap();
+        });
     }
 
     #[test]

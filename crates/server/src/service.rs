@@ -14,7 +14,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use secflow_analyze::AnalysisReport;
-use secflow_cert::{parse_lattice_spec, validate_certificate, verdict_fields, CERT_VERSION};
+use secflow_cert::{parse_lattice_spec, validate_parsed_certificate, verdict_fields, CERT_VERSION};
 use secflow_lang::span::LineIndex;
 use secflow_lang::{parse, Program, Severity};
 use secflow_runtime::{explore_with, ExploreLimits};
@@ -1007,12 +1007,13 @@ impl Service {
             Op::Explore => self.explore(req, &program, &stop),
             Op::Checkproof => {
                 // The validator never re-runs Theorem 1 search: it
-                // decodes the certificate and replays the checker's side
-                // conditions. Rejections are verdicts (ok:true,
-                // valid:false), not protocol errors — a bad certificate
-                // is a result, not a malfunction.
-                let verdict =
-                    validate_certificate(&req.source, req.cert.as_deref().unwrap_or_default());
+                // decodes the certificate against the program parsed
+                // above and replays the checker's side conditions.
+                // Rejections are verdicts (ok:true, valid:false), not
+                // protocol errors — a bad certificate is a result, not a
+                // malfunction.
+                let cert = req.cert.as_deref().unwrap_or_default();
+                let verdict = validate_parsed_certificate(&req.source, &program, cert);
                 Metrics::bump(if verdict.is_ok() {
                     &self.metrics.checkproof_valid
                 } else {

@@ -334,6 +334,109 @@ fn a_readmitted_replica_repairs_from_its_primary_and_digests_converge() {
     server_b.join().expect("node B thread");
 }
 
+/// Peer calls reuse kept-alive connections, and concurrent clients
+/// through a router lose no replica push. Eight clients at once send k
+/// distinct certifies through the router to a 3-node rf=2 cluster, so
+/// each node receives about k/3 relays and k/3 replica pushes. A node
+/// accepts at most one connection per thread that can call it at once:
+/// the router's workers and health thread, and each other node's
+/// workers and health thread; plus the `stats` call that reads the
+/// count. The bound does not grow with k. With a fresh connection per
+/// call, each node would accept about 2k/3. Every push lands
+/// (`replicas_sent` sums to k): the router holds a worker until the
+/// owner has pushed and replied, so at most `workers` requests are in
+/// the cluster at once and each replica has a worker free to answer its
+/// push. A push that timed out while workers waited on each other would
+/// be missing from the sum.
+#[test]
+fn peer_calls_reuse_their_connections() {
+    let workers = 2;
+    let listeners: Vec<_> = (0..3).map(|_| bind_ephemeral().unwrap()).collect();
+    let addrs: Vec<String> = listeners
+        .iter()
+        .map(|l| l.local_addr().unwrap().to_string())
+        .collect();
+    let mut nodes = Vec::new();
+    for (i, listener) in listeners.into_iter().enumerate() {
+        let mut cluster = ClusterConfig::new(&addrs);
+        cluster.self_addr = Some(addrs[i].clone());
+        cluster.replication = 2;
+        let cfg = ServerConfig {
+            workers,
+            cache_capacity: 1024,
+            cluster: Some(cluster),
+            ..ServerConfig::default()
+        };
+        nodes.push(serve_listener(listener, cfg).unwrap());
+    }
+    let listener = bind_ephemeral().unwrap();
+    let router_addr = listener.local_addr().unwrap().to_string();
+    let router_cfg = ServerConfig {
+        workers,
+        cache_capacity: 1024,
+        cluster: Some(ClusterConfig::new(&addrs)),
+        ..ServerConfig::default()
+    };
+    let router = serve_listener(listener, router_cfg).unwrap();
+
+    let (clients, per_client) = (8, 10);
+    let k = clients * per_client;
+    let reference = Service::new(1024, Limits::default());
+    let requests: Vec<(Request, String)> = (0..k)
+        .map(|slot| {
+            let req = Request::new(Op::Certify, soak_source(slot));
+            reference.note_request();
+            let expected = strip_timing(&reference.execute(&req));
+            (req, expected)
+        })
+        .collect();
+    std::thread::scope(|scope| {
+        for share in requests.chunks(per_client) {
+            let router_addr = &router_addr;
+            scope.spawn(move || {
+                for (req, expected) in share {
+                    let reply = RemoteClient::new(router_addr, RetryPolicy::default())
+                        .call(req)
+                        .expect("the router replies");
+                    assert_eq!(&strip_timing(&reply), expected);
+                }
+            });
+        }
+    });
+
+    let bound = 3 * (workers as u64 + 1) + 1;
+    let stats: Vec<Json> = addrs.iter().map(|addr| stats_of(addr)).collect();
+    let accepted: Vec<u64> = stats
+        .iter()
+        .map(|stats| {
+            stats
+                .get("conn")
+                .and_then(|c| c.get("accepted_total"))
+                .and_then(Json::as_u64)
+                .expect("stats carry conn.accepted_total")
+        })
+        .collect();
+    eprintln!("connection reuse: {k} requests, accepted per node {accepted:?} (bound {bound})");
+    for (addr, n) in addrs.iter().zip(&accepted) {
+        assert!(
+            *n <= bound,
+            "{addr} accepted {n} connections for {k} requests (bound {bound})"
+        );
+    }
+    let pushed: u64 = stats
+        .iter()
+        .map(|stats| cluster_stat(stats, "replicas_sent"))
+        .sum();
+    assert_eq!(pushed, k as u64, "every fresh entry reached its replica");
+
+    shutdown(&router_addr);
+    router.join().expect("router thread");
+    for (addr, node) in addrs.iter().zip(nodes) {
+        shutdown(addr);
+        node.join().expect("node thread");
+    }
+}
+
 // ---- chaos: subprocess nodes, SIGKILL, seeded fault plans ------------
 
 /// The built CLI binary, found relative to this test executable
